@@ -59,7 +59,6 @@ from .numerics import (
     q_inverse,
 )
 from .perception import (
-    CurveSamples,
     FitResult,
     L_EDGE,
     L_PROMPT,
@@ -74,6 +73,7 @@ from .perception import (
     eval_surface,
     fit_surface,
     invert_curve,
+    invert_surface_psi2,
     load_sample_set,
     load_surface,
     save_sample_set,

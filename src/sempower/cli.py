@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from ._version import __version__
@@ -30,6 +31,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
     SempowerError,
+    SempowerWarning,
 )
 from .modulation import preset
 from .perception import fit_surface, load_sample_set, save_surface
@@ -90,6 +92,29 @@ def _print_alloc_table(rows: list[SweepRow], file=None) -> None:
             f"{a.iterations:>14d}",
             file=file,
         )
+
+
+def _checked_sweep(problem, cfg: ExperimentConfig, targets) -> tuple[list[SweepRow], bool]:
+    """:func:`sweep_targets` plus whether its result is numerically in doubt.
+
+    Doubt means an allocation that did not converge or a
+    :class:`SempowerWarning` (the bisection/oracle cross-check); warnings
+    still reach stderr as usual.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SempowerWarning)
+        rows = sweep_targets(problem, targets, cfg.solvers, cfg.grid_n)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    doubt = any(issubclass(w.category, SempowerWarning) for w in caught) or any(
+        r.allocation is not None and not r.allocation.converged for r in rows
+    )
+    return rows, doubt
+
+
+def _flagged(command: str) -> int:
+    print(f"{command}: warning: numerical doubt, result flagged", file=sys.stderr)
+    return 3
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -178,13 +203,13 @@ def cmd_solve(args) -> int:
         raise InfeasibleError(
             f"target {cfg.target:g} is unreachable; achievable range is ({lo:g}, {hi:g})"
         )
-    rows = sweep_targets(problem, [cfg.target], cfg.solvers, cfg.grid_n)
+    rows, doubt = _checked_sweep(problem, cfg, [cfg.target])
     _print_alloc_table(rows)
     out_dir = cfg.out_dir
     _write_text(out_dir / "solve.csv", _sweep_csv(rows))
     manifest = build_manifest("solve", cfg.raw, cfg.seed, cfg.input_files, ["solve.csv"])
     write_manifest(out_dir / "manifest.json", manifest)
-    return 0
+    return _flagged("solve") if doubt else 0
 
 
 def cmd_sweep(args) -> int:
@@ -195,6 +220,7 @@ def cmd_sweep(args) -> int:
     outputs: list[str] = []
     series = []
     any_solved = False
+    any_doubt = False
     out_dir = cfg.out_dir
     for variant in variants:
         scheme = preset(variant) if variant else None
@@ -204,7 +230,8 @@ def cmd_sweep(args) -> int:
             else "mixed"
         )
         template = cfg.problem(cfg.targets[0], scheme)
-        rows = sweep_targets(template, cfg.targets, cfg.solvers, cfg.grid_n)
+        rows, doubt = _checked_sweep(template, cfg, cfg.targets)
+        any_doubt = any_doubt or doubt
         name = f"sweep_{label}.csv"
         _write_text(out_dir / name, _sweep_csv(rows))
         outputs.append(name)
@@ -235,7 +262,7 @@ def cmd_sweep(args) -> int:
         outputs.append("sweep.svg")
     manifest = build_manifest("sweep", cfg.raw, cfg.seed, cfg.input_files, outputs)
     write_manifest(out_dir / "manifest.json", manifest)
-    return 0
+    return _flagged("sweep") if any_doubt else 0
 
 
 def cmd_simulate(args) -> int:

@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
-Gaussian tail function and its inverse, bracketed bisection, a
-derivative-free simplex minimiser, central finite differences, and a
-small counter-based random generator used for every stochastic draw in
-the package. All routines are deterministic, double precision, and free
-of global state.
+Gaussian tail function and its inverse (scipy's normal quantile),
+bracketed bisection, a derivative-free simplex minimiser, central
+finite differences, and a small counter-based random generator used for
+every stochastic draw in the package. All routines are deterministic,
+double precision, and free of global state.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "q_inverse",
     "normal_pdf",
     "bisect_root",
-    "bisect_root_many",
     "NelderMeadResult",
     "nelder_mead_minimize",
     "finite_difference",
@@ -174,61 +173,22 @@ def normal_pdf(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-# Abramowitz & Stegun 26.2.23 rational approximation, |error| < 4.5e-4.
-_AS_C = (2.515517, 0.802853, 0.010328)
-_AS_D = (1.432788, 0.189269, 0.001308)
-
-
-def _q_inverse_seed(p: np.ndarray) -> np.ndarray:
-    # valid for p in (0, 0.5]
-    t = np.sqrt(-2.0 * np.log(p))
-    num = (_AS_C[2] * t + _AS_C[1]) * t + _AS_C[0]
-    den = ((_AS_D[2] * t + _AS_D[1]) * t + _AS_D[0]) * t + 1.0
-    return t - num / den
-
-
 def q_inverse(p):
     """Inverse of :func:`q_function` on the open interval (0, 1).
 
-    A rational seed (Abramowitz & Stegun 26.2.23) is polished by Newton
-    iterations on ``Q(x) - p``; elements that fail to converge fall back
-    to bisection. The residual ``Q(result) - p`` is at rounding level
-    for ``p`` down to about 1e-290; beyond that the density underflows
-    and the seed accuracy (about 4.5e-4 absolute) is returned. For
-    ``p > 0.5`` the complement ``1 - p`` caps the reachable absolute
-    accuracy at ``ulp(1) / (2 pdf(x))``, the binary64 representation
-    limit of the upper branch. Accepts scalars or arrays; negative
-    results for ``p > 0.5``, exactly zero at ``p = 0.5``.
+    ``Q^-1(p) = -ndtri(p)``, the negated standard normal quantile from
+    :func:`scipy.special.ndtri`; exact to a few ulps, including deep in
+    the lower tail (``p`` down to 1e-300) and on the upper branch, where
+    the accuracy is capped at ``ulp(1) / (2 pdf(x))`` by the binary64
+    representation of ``p`` itself. Accepts scalars or arrays; negative
+    results for ``p > 0.5``, exactly ``+0.0`` at ``p = 0.5``.
     """
     arr = np.asarray(p, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both comparisons
         raise DomainError("q_inverse requires 0 < p < 1")
-    tail = np.minimum(arr, 1.0 - arr)
-    # p > 1 - 1e-16 rounds 1-p to 0; keep log() finite
-    tail = np.maximum(tail, 5e-324)
-    x = _q_inverse_seed(np.atleast_1d(tail))
-    t = np.atleast_1d(tail)
-    for _ in range(8):
-        step = (q_function(x) - t) / np.maximum(normal_pdf(x), 5e-324)
-        x = x + step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(x))):
-            break
-    # Newton is reliable here; bisection mops up any stragglers.
-    bad = ~(np.abs(q_function(x) - t) <= 1e-9 * t + 1e-300)
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            ti = float(t[i])
-            x[i] = bisect_root(
-                lambda v: float(q_function(v)) - ti,
-                0.0,
-                40.0,
-                ToleranceConfig(abs_tol=1e-15, rel_tol=1e-15, max_iter=120),
-            )
-    x = np.where(np.atleast_1d(arr) > 0.5, -x, x)
-    x = np.where(np.atleast_1d(arr) == 0.5, 0.0, x)
-    if np.ndim(p) == 0:
-        return float(x[0])
-    return x
+    # ndtri(0.5) is +0.0, so its negation is -0.0; adding +0.0 makes it +0.0.
+    x = -_special.ndtri(arr) + 0.0
+    return float(x) if arr.ndim == 0 else x
 
 
 # ---------------------------------------------------------------------------
@@ -283,43 +243,6 @@ def bisect_root(
             hi, fhi = mid, fm
     raise ConvergenceError(
         f"bisection did not reach tolerance within {tol.max_iter} iterations"
-    )
-
-
-def bisect_root_many(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tol: ToleranceConfig | None = None,
-) -> np.ndarray:
-    """Vectorised bisection: one independent bracket per array element.
-
-    Same contract as :func:`bisect_root`, applied elementwise to a
-    function that maps an array of abscissae to an array of values.
-    """
-    tol = tol or ToleranceConfig()
-    lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    swap = lo > hi
-    if np.any(swap):
-        lo[swap], hi[swap] = hi[swap].copy(), lo[swap].copy()
-    flo = np.asarray(f(lo), dtype=float)
-    fhi = np.asarray(f(hi), dtype=float)
-    bad = ((flo > 0.0) == (fhi > 0.0)) & (flo != 0.0) & (fhi != 0.0)
-    if np.any(bad):
-        raise BracketError(f"{int(bad.sum())} of {bad.size} brackets have no sign change")
-    for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        if np.all((hi - lo) < np.maximum(tol.abs_tol, tol.rel_tol * np.abs(mid))):
-            return mid
-        fm = np.asarray(f(mid), dtype=float)
-        towards_lo = (fm > 0.0) == (flo > 0.0)
-        lo = np.where(towards_lo, mid, lo)
-        flo = np.where(towards_lo, fm, flo)
-        hi = np.where(towards_lo, hi, mid)
-    raise ConvergenceError(
-        f"vector bisection did not reach tolerance within {tol.max_iter} iterations"
     )
 
 

@@ -20,28 +20,25 @@ bits, so it is more fragile per bit error rate).
 
 Serialised documents carry a ``family`` identifier
 (:data:`SURFACE_FAMILY` / :data:`CURVE_FAMILY`) so that alternative
-functional forms can be introduced without ambiguity; the solvers rely
-only on evaluation, partial derivatives and monotonicity, so swapping
-the family means providing those three for the new form.
+functional forms can be introduced without ambiguity. The solvers rely
+only on evaluation (:func:`eval_surface`), partial derivatives
+(:func:`surface_partials`), monotonicity, and the inverse in ``psi2``
+along the constraint line (:func:`invert_surface_psi2`, closed-form for
+this family), so swapping the family means providing those four for the
+new form.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError, DomainError, InfeasibleError, SingularityError
-from .numerics import (
-    Rng,
-    ToleranceConfig,
-    bisect_root,
-    bisect_root_many,
-    nelder_mead_minimize,
-)
+from .numerics import Rng, ToleranceConfig, nelder_mead_minimize
 
 __all__ = [
     "PSI_MAX",
@@ -50,7 +47,6 @@ __all__ = [
     "SurfaceParams",
     "StreamCurve",
     "SampleSet",
-    "CurveSamples",
     "FitResult",
     "eval_surface",
     "surface_partials",
@@ -58,8 +54,8 @@ __all__ = [
     "invert_curve",
     "semantic_value_transmitted",
     "semantic_value_received",
+    "invert_surface_psi2",
     "solve_psi2_on_constraint",
-    "solve_psi2_many",
     "constraint_line_endpoints",
     "fit_surface",
     "default_surface",
@@ -69,8 +65,6 @@ __all__ = [
     "synthetic_sample_set",
     "load_sample_set",
     "save_sample_set",
-    "load_curve_samples",
-    "save_curve_samples",
     "save_surface",
     "load_surface",
     "save_curve",
@@ -81,6 +75,11 @@ __all__ = [
 
 # BER domain: 0.5 is the random-guess ceiling for binary data.
 PSI_MAX = 0.5
+
+# Rounding level of P, which lies in [0, 1]: eval_surface and the
+# closed-form constraint inverse are exact to a few ulps of 1, so a
+# target that close to a slice end is on the slice.
+_P_ROUNDING = 8 * np.finfo(float).eps
 
 # Semantic values of the transmitted prompt and edge streams.
 L_PROMPT = 0.5887
@@ -262,50 +261,49 @@ def default_curve(name: str) -> StreamCurve:
 # ---------------------------------------------------------------------------
 
 
+def invert_surface_psi2(s: SurfaceParams, psi1, p_bar: float, psi2_max: float = PSI_MAX):
+    """Closed-form ``psi2`` on the constraint ``P(psi1, psi2) = p_bar``.
+
+    ``P = p_bar`` is equivalent to ``(psi1/tau1)^beta1 + (psi2/tau2)^beta2
+    = U`` with ``U = -log1p(-(p_bar - p0) / (pmax - p0))``, so
+    ``psi2 = tau2 * max(U - (psi1/tau1)^beta1, 0)^(1/beta2)``, clipped
+    to ``[0, psi2_max]``. Scalars or arrays of ``psi1``; no validation,
+    the caller keeps ``p0 <= p_bar < pmax`` and ``psi1`` in the domain
+    (:func:`solve_psi2_on_constraint` is the checked form).
+    """
+    a1 = np.asarray(psi1, dtype=float)
+    u = -math.log1p(-(p_bar - s.p0) / (s.pmax - s.p0))
+    rest = np.maximum(u - (a1 / s.tau1) ** s.beta1, 0.0)
+    out = np.minimum(s.tau2 * rest ** (1.0 / s.beta2), psi2_max)
+    return float(out) if a1.ndim == 0 else out
+
+
 def solve_psi2_on_constraint(
     s: SurfaceParams,
-    psi1: float,
+    psi1,
     p_bar: float,
     tol: ToleranceConfig | None = None,
     psi2_max: float = PSI_MAX,
-) -> float:
+):
     """The ``psi2`` with ``P(psi1, psi2) = p_bar`` at fixed ``psi1``.
 
-    Monotonicity of the surface guarantees a bracket on
-    ``[0, psi2_max]``; the root is found by bisection. Raises
-    :class:`InfeasibleError` when ``p_bar`` is outside the reachable
-    slice ``[P(psi1, 0), P(psi1, psi2_max)]``.
+    Checked form of :func:`invert_surface_psi2` for scalars or arrays of
+    ``psi1``: raises :class:`InfeasibleError` when ``p_bar`` is outside
+    the reachable slice ``[P(psi1, 0), P(psi1, psi2_max)]`` by more than
+    rounding (so the ends from :func:`constraint_line_endpoints` are
+    accepted), and returns exactly 0 where ``P(psi1, 0) >= p_bar``.
+    ``tol`` is ignored (the root is closed-form); it stays for callers
+    that pass it.
     """
-    tol = tol or ToleranceConfig()
     lo_val = eval_surface(s, psi1, 0.0)
     hi_val = eval_surface(s, psi1, psi2_max)
-    if not (lo_val <= p_bar <= hi_val):
+    if np.any(p_bar < lo_val - _P_ROUNDING) or np.any(p_bar > hi_val + _P_ROUNDING):
         raise InfeasibleError(
-            f"target {p_bar:g} outside [{lo_val:g}, {hi_val:g}] at psi1={psi1:g}"
+            f"target {p_bar:g} outside the reachable slice "
+            f"[{np.max(lo_val):g}, {np.min(hi_val):g}] at the given psi1"
         )
-    return bisect_root(lambda v: eval_surface(s, psi1, v) - p_bar, 0.0, psi2_max, tol)
-
-
-def solve_psi2_many(
-    s: SurfaceParams,
-    psi1: np.ndarray,
-    p_bar: float,
-    tol: ToleranceConfig | None = None,
-    psi2_max: float = PSI_MAX,
-) -> np.ndarray:
-    """Vectorised :func:`solve_psi2_on_constraint` over an array of psi1."""
-    tol = tol or ToleranceConfig()
-    psi1 = np.asarray(psi1, dtype=float)
-    lo_val = eval_surface(s, psi1, np.zeros_like(psi1))
-    hi_val = eval_surface(s, psi1, np.full_like(psi1, psi2_max))
-    if np.any(p_bar < lo_val) or np.any(p_bar > hi_val):
-        raise InfeasibleError("target leaves the reachable slice for some psi1")
-    return bisect_root_many(
-        lambda v: eval_surface(s, psi1, v) - p_bar,
-        np.zeros_like(psi1),
-        np.full_like(psi1, psi2_max),
-        tol,
-    )
+    psi2 = np.where(lo_val >= p_bar, 0.0, invert_surface_psi2(s, psi1, p_bar, psi2_max))
+    return float(psi2) if np.ndim(psi1) == 0 else psi2
 
 
 def constraint_line_endpoints(
@@ -319,29 +317,29 @@ def constraint_line_endpoints(
     Within the box ``[0, psi_max1] x [0, psi_max2]`` the feasible set is
     a monotone arc: sorting by ``psi1`` gives non-increasing ``psi2``.
     Returns ``((psi1_L, psi2_L), (psi1_R, psi2_R))`` with the left end at
-    the smallest feasible ``psi1`` and the right end at the largest.
+    the smallest feasible ``psi1`` and the right end at the largest. The
+    ``psi1`` ends come from :func:`invert_surface_psi2` with the axes
+    swapped. ``tol`` is ignored, as in :func:`solve_psi2_on_constraint`.
 
     Raises :class:`InfeasibleError` unless ``p0 < p_bar < P(psi_max)``.
     """
-    tol = tol or ToleranceConfig()
     m1, m2 = psi_max
     top = eval_surface(s, m1, m2)
     if not (s.p0 < p_bar < top):
         raise InfeasibleError(
             f"target {p_bar:g} outside the open achievable range ({s.p0:g}, {top:g})"
         )
+    swapped = replace(s, tau1=s.tau2, tau2=s.tau1, beta1=s.beta2, beta2=s.beta1)
     # Left end: psi1 as small as the box allows.
     if eval_surface(s, 0.0, m2) >= p_bar:
-        left = (0.0, solve_psi2_on_constraint(s, 0.0, p_bar, tol, m2))
+        left = (0.0, solve_psi2_on_constraint(s, 0.0, p_bar, psi2_max=m2))
     else:
-        psi1_l = bisect_root(lambda v: eval_surface(s, v, m2) - p_bar, 0.0, m1, tol)
-        left = (psi1_l, m2)
+        left = (invert_surface_psi2(swapped, m2, p_bar, m1), m2)
     # Right end: psi2 as small as possible, ideally zero.
     if eval_surface(s, m1, 0.0) >= p_bar:
-        psi1_r = bisect_root(lambda v: eval_surface(s, v, 0.0) - p_bar, 0.0, m1, tol)
-        right = (psi1_r, 0.0)
+        right = (invert_surface_psi2(swapped, 0.0, p_bar, m1), 0.0)
     else:
-        right = (m1, solve_psi2_on_constraint(s, m1, p_bar, tol, m2))
+        right = (m1, solve_psi2_on_constraint(s, m1, p_bar, psi2_max=m2))
     return left, right
 
 
@@ -370,26 +368,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return int(self.psi1.size)
-
-
-@dataclass(frozen=True, eq=False)
-class CurveSamples:
-    """Rows of ``(psi, P)`` for a single-stream curve."""
-
-    psi: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("psi", "p"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.psi.shape != self.p.shape or self.psi.ndim != 1:
-            raise DomainError("psi and p must be equal-length 1-D arrays")
-        _check_psi(self.psi)
-        if self.p.size and (np.any(self.p < 0.0) or np.any(self.p > 1.0)):
-            raise DomainError("P values must lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return int(self.psi.size)
 
 
 @dataclass(frozen=True)
@@ -525,7 +503,6 @@ def synthetic_sample_set(
 # ---------------------------------------------------------------------------
 
 _SAMPLE_HEADER = ["psi1", "psi2", "P"]
-_CURVE_HEADER = ["psi", "P"]
 
 
 def _read_csv_rows(path, header: list[str]) -> list[list[float]]:
@@ -570,24 +547,6 @@ def save_sample_set(data: SampleSet, path) -> None:
         writer.writerow(_SAMPLE_HEADER)
         for v1, v2, vp in zip(data.psi1, data.psi2, data.p):
             writer.writerow([f"{v1:.12g}", f"{v2:.12g}", f"{vp:.12g}"])
-
-
-def load_curve_samples(path) -> CurveSamples:
-    """Read single-stream ``psi,P`` rows."""
-    rows = _read_csv_rows(path, _CURVE_HEADER)
-    arr = np.asarray(rows, dtype=float).reshape(-1, 2)
-    try:
-        return CurveSamples(psi=arr[:, 0], p=arr[:, 1])
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def save_curve_samples(data: CurveSamples, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CURVE_HEADER)
-        for v, vp in zip(data.psi, data.p):
-            writer.writerow([f"{v:.12g}", f"{vp:.12g}"])
 
 
 def save_surface(result: FitResult | SurfaceParams, path) -> None:

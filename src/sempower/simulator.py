@@ -43,30 +43,21 @@ __all__ = [
     "end_to_end_check",
 ]
 
-FADING_MODES = ("deterministic", "rayleigh")
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo settings: bits per stream, seed, fading handling.
+    """Monte Carlo settings: bits per stream and seed.
 
-    ``fading_mode`` records how channel states are to be realised by the
-    caller (the experiment runner draws or pins the fading before
-    solving); the simulation itself always uses the states already
-    frozen into the problem, matching the quasi-static assumption.
+    The simulation always uses the channel states already frozen into
+    the problem (the caller draws or pins the fading before solving),
+    matching the quasi-static assumption.
     """
 
     n_bits: int
     seed: int
-    fading_mode: str = "deterministic"
 
     def __post_init__(self) -> None:
         if self.n_bits < 1:
             raise DomainError(f"n_bits must be >= 1, got {self.n_bits}")
-        if self.fading_mode not in FADING_MODES:
-            raise DomainError(
-                f"fading_mode must be one of {FADING_MODES}, got {self.fading_mode!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)

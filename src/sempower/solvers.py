@@ -53,9 +53,8 @@ from .perception import (
     constraint_line_endpoints,
     eval_surface,
     invert_curve,
+    invert_surface_psi2,
     semantic_value_transmitted,
-    solve_psi2_many,
-    solve_psi2_on_constraint,
     surface_partials,
 )
 
@@ -292,9 +291,10 @@ def _dpower_dpsi(m: ModulationScheme, state: ChannelState, psi: float) -> float:
 def solve_bisection(p: ProblemSpec) -> Allocation:
     """Bisection on the constraint line driven by the cost derivative.
 
-    Starting from the line's end points, each step solves ``psi2`` for
-    the midpoint ``psi1``, forms the total derivative of the cost along
-    the line (objective partials plus the implicit slope
+    Starting from the line's end points, each step takes ``psi2`` at the
+    midpoint ``psi1`` from the closed-form constraint inverse
+    (:func:`invert_surface_psi2`), forms the total derivative of the
+    cost along the line (objective partials plus the implicit slope
     ``dpsi2/dpsi1 = -(dP/dpsi1)/(dP/dpsi2)``), and keeps the half where
     the derivative changes sign. Stops when the ``psi1`` bracket is
     narrower than the tolerance.
@@ -304,10 +304,7 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
         return free
     box = _psi_box(p)
     tol = p.tol
-    inner = ToleranceConfig(
-        abs_tol=min(tol.abs_tol, 1e-13), rel_tol=min(tol.rel_tol, 1e-12), max_iter=max(tol.max_iter, 200)
-    )
-    (l1, _l2), (r1, _r2) = constraint_line_endpoints(p.surface, p.target, inner, box)
+    (l1, _l2), (r1, _r2) = constraint_line_endpoints(p.surface, p.target, psi_max=box)
     s1, s2 = p.streams
     w = _weights(p)
     iterations = 0
@@ -317,7 +314,7 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
             converged = False
             break
         mid = 0.5 * (l1 + r1)
-        psi2 = solve_psi2_on_constraint(p.surface, mid, p.target, inner, box[1])
+        psi2 = invert_surface_psi2(p.surface, mid, p.target, box[1])
         df1 = w[0] * _dpower_dpsi(s1.modulation, s1.channel, mid)
         df2 = w[1] * _dpower_dpsi(s2.modulation, s2.channel, psi2)
         dp1, dp2 = surface_partials(p.surface, mid, psi2)
@@ -328,7 +325,7 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
             l1 = mid
         iterations += 1
     psi1 = 0.5 * (l1 + r1)
-    psi2 = solve_psi2_on_constraint(p.surface, psi1, p.target, inner, box[1])
+    psi2 = invert_surface_psi2(p.surface, psi1, p.target, box[1])
     return _finish(p, (psi1, psi2), "bisection", iterations, converged)
 
 
@@ -336,9 +333,9 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
     """Exhaustive scan of the constraint line at grid resolution.
 
     ``grid_n`` log-spaced ``psi1`` values cover the feasible bracket;
-    ``psi2`` is solved on the constraint for all of them at once and the
-    cheapest point wins (ties go to the smallest ``psi1``). Serves as
-    the independent check on the optimising solvers.
+    ``psi2`` comes from the closed-form constraint inverse in one array
+    call and the cheapest point wins (ties go to the smallest ``psi1``).
+    Serves as the independent check on the optimising solvers.
     """
     if grid_n < 64:
         raise DomainError(f"grid_n must be >= 64, got {grid_n}")
@@ -346,27 +343,10 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
     if free is not None:
         return free
     box = _psi_box(p)
-    inner = ToleranceConfig(abs_tol=1e-13, rel_tol=1e-12, max_iter=250)
-    (l1, _), (r1, _) = constraint_line_endpoints(p.surface, p.target, inner, box)
+    (l1, _), (r1, _) = constraint_line_endpoints(p.surface, p.target, psi_max=box)
     lo = l1 if l1 > 0.0 else max(r1 * 1e-12, 1e-300)
     grid = np.geomspace(lo, r1, grid_n)
-    # The endpoints carry the root-solve rounding of the line ends, so a
-    # grid point can sit a hair outside the feasible slice; such points
-    # are the line ends themselves and get the boundary BER directly.
-    slack = 1e-9
-    floor_p = np.asarray(eval_surface(p.surface, grid, np.zeros_like(grid)))
-    ceil_p = np.asarray(eval_surface(p.surface, grid, np.full_like(grid, box[1])))
-    if np.any(floor_p > p.target + slack) or np.any(ceil_p < p.target - slack):
-        raise InfeasibleError("target leaves the feasible slice inside the bracket")
-    at_floor = floor_p >= p.target
-    at_ceil = ceil_p <= p.target
-    interior = ~(at_floor | at_ceil)
-    psi2 = np.where(at_floor, 0.0, np.where(at_ceil, box[1], np.nan))
-    if np.any(interior):
-        psi2[interior] = solve_psi2_many(
-            p.surface, grid[interior], p.target, inner, box[1]
-        )
-    psi2 = np.clip(psi2, 0.0, box[1])
+    psi2 = invert_surface_psi2(p.surface, grid, p.target, box[1])
     s1, s2 = p.streams
     w = _weights(p)
     q1 = np.asarray(power_from_ber(s1.modulation, s1.channel, np.maximum(grid, PSI_FLOOR)))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from sempower import (
     ChannelParams,
@@ -10,6 +11,13 @@ from sempower import (
     make_channel_state,
     preset,
 )
+
+# Property tests are deterministic and bounded so the suite stays fast
+# and reproducible; no example database is written.
+settings.register_profile(
+    "suite", derandomize=True, deadline=None, max_examples=200, database=None
+)
+settings.load_profile("suite")
 
 # Reference link: -30 dB at 1 m, 100 m distance, exponent 3.4 (-98 dB
 # total), -110 dBm noise.

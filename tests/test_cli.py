@@ -1,10 +1,13 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
+import pytest
 import yaml
 
 from sempower.cli import SIM_HEADER, SWEEP_HEADER, main
+from sempower.errors import SempowerWarning
 from sempower.perception import (
     default_surface,
     load_surface,
@@ -107,6 +110,24 @@ class TestSolve:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_oracle_disagreement_exit_3_still_writes(self, tmp_path, monkeypatch, capsys):
+        import sempower.solvers as solvers_mod
+
+        real = solvers_mod._SOLVERS["bisection"]
+
+        def inflated(p):
+            alloc = real(p)
+            return replace(alloc, total_cost=alloc.total_cost * 1.02)
+
+        monkeypatch.setitem(solvers_mod._SOLVERS, "bisection", inflated)
+        cfg = write_config(tmp_path, target=0.6, grid_n=512)
+        out = tmp_path / "run"
+        with pytest.warns(SempowerWarning, match="unimodal"):
+            code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert len(read_rows(out / "solve.csv")) == 4
+        assert "flagged" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_modulation_comparison(self, tmp_path):
@@ -149,6 +170,20 @@ class TestSweep:
         rows = read_rows(out / "sweep_16qam.csv")
         assert rows[0]["feasible"] == "false" and rows[0]["total_cost_w"] == ""
         assert rows[1]["feasible"] == "true"
+
+    def test_nonconverged_allocation_exit_3_still_writes(self, tmp_path, monkeypatch, capsys):
+        import sempower.solvers as solvers_mod
+
+        real = solvers_mod._SOLVERS["bisection"]
+        monkeypatch.setitem(
+            solvers_mod._SOLVERS, "bisection", lambda p: replace(real(p), converged=False)
+        )
+        cfg = write_config(tmp_path, targets=[0.5, 0.7], solvers=["bisection"])
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert len(read_rows(out / "sweep_16qam.csv")) == 2
+        assert (out / "sweep.svg").is_file()
+        assert "flagged" in capsys.readouterr().err
 
     def test_byte_identical_outputs(self, tmp_path):
         cfg = write_config(tmp_path, targets=[0.45, 0.7], grid_n=512, seed=7)

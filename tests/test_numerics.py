@@ -10,7 +10,6 @@ from sempower.numerics import (
     normal_pdf,
     ToleranceConfig,
     bisect_root,
-    bisect_root_many,
     derive_seed,
     finite_difference,
     nelder_mead_minimize,
@@ -66,6 +65,8 @@ class TestQInverse:
 
     def test_round_trip_at_two(self):
         assert abs(q_inverse(q_function(2.0)) - 2.0) <= 1e-9 * 2.0
+        # the symmetry point maps to +0.0, not -0.0
+        assert math.copysign(1.0, q_inverse(0.5)) == 1.0
 
     def test_ten_percent_point(self):
         assert abs(q_inverse(0.1) - 1.2816) < 1e-4
@@ -78,6 +79,7 @@ class TestQInverse:
         # recoverable accuracy at ulp(1) / (2 pdf(x)); allow that floor.
         xs = np.linspace(-6.0, 6.0, 241)
         back = q_inverse(q_function(xs))
+        assert math.copysign(1.0, back[120]) == 1.0  # xs[120] == 0, Q(0) == 0.5
         floor = np.where(xs < 0, 1.2e-16 / normal_pdf(xs), 0.0)
         tol = np.maximum(1e-9 * np.maximum(np.abs(xs), 1e-3), floor)
         assert np.all(np.abs(back - xs) <= tol)
@@ -128,19 +130,6 @@ class TestBisect:
     def test_iteration_exhaustion(self):
         with pytest.raises(ConvergenceError):
             bisect_root(lambda x: x - 0.1234, 0.0, 1e9, ToleranceConfig(max_iter=3))
-
-    def test_vectorised_matches_scalar(self):
-        targets = np.array([0.3, 0.1, 0.01, 0.001])
-        tight = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-15)
-        roots = bisect_root_many(
-            lambda x: q_function(x) - targets, np.zeros(4), np.full(4, 6.0), tight
-        )
-        for r, t in zip(roots, targets):
-            assert abs(r - q_inverse(t)) < 1e-10
-
-    def test_vectorised_bracket_error(self):
-        with pytest.raises(BracketError):
-            bisect_root_many(lambda x: x**2 + 1.0, np.array([-1.0]), np.array([1.0]))
 
 
 def grid_refine_minimum(f, lo, hi, rounds=8, n=41):

@@ -6,7 +6,6 @@ import pytest
 from sempower.errors import ConfigError, DomainError, InfeasibleError, SingularityError
 from sempower.numerics import ToleranceConfig, finite_difference
 from sempower.perception import (
-    CurveSamples,
     SampleSet,
     StreamCurve,
     SurfaceParams,
@@ -19,11 +18,9 @@ from sempower.perception import (
     fit_surface,
     invert_curve,
     load_curve,
-    load_curve_samples,
     load_sample_set,
     load_surface,
     save_curve,
-    save_curve_samples,
     save_sample_set,
     save_surface,
     semantic_value_received,
@@ -189,8 +186,10 @@ class TestSemanticValues:
 class TestConstraintGeometry:
     def test_boundary_value_maps_to_zero(self):
         s = default_surface()
-        p_bar = eval_surface(s, 0.01, 0.0)
-        assert solve_psi2_on_constraint(s, 0.01, p_bar, TIGHT) == 0.0
+        # at psi1 = 1e-5 the closed form alone leaves psi2 ~ 1e-20
+        for psi1 in (0.01, 1e-5):
+            p_bar = eval_surface(s, psi1, 0.0)
+            assert solve_psi2_on_constraint(s, psi1, p_bar, TIGHT) == 0.0
 
     def test_round_trip(self):
         s = default_surface()
@@ -215,11 +214,15 @@ class TestConstraintGeometry:
 
     def test_endpoints_satisfy_constraint(self):
         s = default_surface()
-        for p_bar in (0.35, 0.6, 0.9):
+        # at 0.5586287625418059, P(psi1_R, 0) rounds one ulp above the target
+        for p_bar in (0.35, 0.6, 0.9, 0.5586287625418059):
             (l1, l2), (r1, r2) = constraint_line_endpoints(s, p_bar, TIGHT)
             assert abs(eval_surface(s, l1, l2) - p_bar) < 1e-10
             assert abs(eval_surface(s, r1, r2) - p_bar) < 1e-10
             assert r1 >= l1
+            for v in (l1, r1):  # the checked solve accepts the line's own ends
+                v2 = solve_psi2_on_constraint(s, v, p_bar, TIGHT)
+                assert abs(eval_surface(s, v, v2) - p_bar) < 1e-14
 
     def test_ordering_along_line(self):
         s = default_surface()
@@ -319,13 +322,6 @@ class TestFileFormats:
         path.write_text("psi1,psi2,P\n0,0\n")
         with pytest.raises(ConfigError, match="line 2"):
             load_sample_set(path)
-
-    def test_curve_samples_round_trip(self, tmp_path):
-        data = CurveSamples(psi=np.array([0.0, 0.01, 0.1]), p=np.array([0.4, 0.5, 0.9]))
-        path = tmp_path / "curve.csv"
-        save_curve_samples(data, path)
-        again = load_curve_samples(path)
-        assert np.allclose(again.psi, data.psi)
 
     def test_surface_document_round_trip(self, tmp_path):
         res = fit_surface(synthetic_sample_set(default_surface(), seed=9, noise_sigma=0.0))

@@ -92,8 +92,6 @@ class TestSimulateBer:
             simulate_ber(preset("bpsk"), ref_state, -1e-9, SimConfig(n_bits=100, seed=1))
         with pytest.raises(DomainError):
             SimConfig(n_bits=0, seed=1)
-        with pytest.raises(DomainError):
-            SimConfig(n_bits=100, seed=1, fading_mode="magic")
 
 
 class TestCorruptPayload:
