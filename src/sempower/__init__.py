@@ -8,7 +8,7 @@ minimum-total-power allocations that meet a perception target.
 
 Modules
 -------
-numerics    Q function and inverse, bisection, Nelder-Mead, PRNG.
+numerics    Q function and inverse, bisection, finite differences, PRNG.
 channel     Path loss, fading, SNR.
 modulation  Analytic BER model and its inversions.
 perception  Perception surface, stream curves, semantic values, fitting.
@@ -48,13 +48,11 @@ from .modulation import (
     zero_power_ber,
 )
 from .numerics import (
-    NelderMeadResult,
     Rng,
     ToleranceConfig,
     bisect_root,
     derive_seed,
     finite_difference,
-    nelder_mead_minimize,
     q_function,
     q_inverse,
 )

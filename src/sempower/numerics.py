@@ -1,20 +1,19 @@
 """Shared numerical kernels.
 
 Gaussian tail function and its inverse (scipy's normal quantile),
-bracketed bisection, a derivative-free simplex minimiser, central
-finite differences, and a small counter-based random generator used for
-every stochastic draw in the package. All routines are deterministic,
-double precision, and free of global state.
+bracketed bisection, central finite differences, and a small
+counter-based random generator used for every stochastic draw in the
+package. All routines are deterministic, double precision, and free of
+global state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy import optimize as _optimize
 from scipy import special as _special
 
 from .errors import BracketError, ConvergenceError, DomainError
@@ -27,8 +26,6 @@ __all__ = [
     "q_inverse",
     "normal_pdf",
     "bisect_root",
-    "NelderMeadResult",
-    "nelder_mead_minimize",
     "finite_difference",
 ]
 
@@ -43,7 +40,7 @@ class ToleranceConfig:
     Parameters
     ----------
     abs_tol : float
-        Absolute interval (or simplex) tolerance.
+        Absolute interval tolerance.
     rel_tol : float
         Relative tolerance, scaled by the magnitude of the result.
     max_iter : int
@@ -247,56 +244,8 @@ def bisect_root(
 
 
 # ---------------------------------------------------------------------------
-# Derivative-free minimisation
+# Finite differences
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NelderMeadResult:
-    """Outcome of :func:`nelder_mead_minimize`.
-
-    ``converged`` is False when the iteration budget ran out; the best
-    point found so far is still returned.
-    """
-
-    x: np.ndarray
-    fun: float
-    iterations: int
-    converged: bool
-
-
-def nelder_mead_minimize(
-    objective: Callable[[np.ndarray], float],
-    init: Sequence[float] | np.ndarray,
-    tol: ToleranceConfig | None = None,
-) -> NelderMeadResult:
-    """Minimise a low-dimensional objective with the Nelder-Mead simplex.
-
-    Backed by :func:`scipy.optimize.minimize`; the simplex diameter and
-    function spread both shrink below ``tol.abs_tol`` at convergence, and
-    the returned value never exceeds ``objective(init)``.
-    """
-    tol = tol or ToleranceConfig()
-    x0 = np.asarray(init, dtype=float)
-    f0 = float(objective(x0))
-    if not math.isfinite(f0):
-        raise DomainError("objective is not finite at the initial point")
-    res = _optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": tol.abs_tol,
-            "fatol": tol.abs_tol,
-            "maxiter": tol.max_iter,
-            "maxfev": 4 * tol.max_iter,
-        },
-    )
-    x = np.asarray(res.x, dtype=float)
-    fun = float(res.fun)
-    if fun > f0:  # scipy already returns the best vertex; keep the contract airtight
-        x, fun = x0, f0
-    return NelderMeadResult(x=x, fun=fun, iterations=int(res.nit), converged=bool(res.success))
 
 
 def finite_difference(f, x, step: float):

@@ -38,7 +38,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, DomainError, InfeasibleError, SingularityError
-from .numerics import Rng, ToleranceConfig, nelder_mead_minimize
+from .numerics import Rng, ToleranceConfig
 
 __all__ = [
     "PSI_MAX",
@@ -382,43 +382,12 @@ class FitResult:
 
 _N_SURFACE_PARAMS = 6
 
-
-def _logit(x: float) -> float:
-    return math.log(x / (1.0 - x))
-
-
-def _to_internal(s: SurfaceParams) -> np.ndarray:
-    # pmax via logistic, p0 as a logistic fraction of pmax (keeps p0 < pmax),
-    # scales and shapes via log: the simplex roams an unconstrained space.
-    pmax = min(max(s.pmax, 1e-9), 1.0 - 1e-12)
-    frac = min(max(s.p0 / pmax, 1e-9), 1.0 - 1e-9)
-    return np.array(
-        [
-            _logit(frac),
-            _logit(pmax),
-            math.log(s.tau1),
-            math.log(s.tau2),
-            math.log(s.beta1),
-            math.log(s.beta2),
-        ]
-    )
-
-
-def _expit(u: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-u))
-
-
-def _from_internal(u: np.ndarray) -> SurfaceParams:
-    pmax = float(_expit(u[1]))
-    p0 = pmax * float(_expit(u[0]))
-    return SurfaceParams(
-        p0=p0,
-        pmax=pmax,
-        tau1=float(np.exp(u[2])),
-        tau2=float(np.exp(u[3])),
-        beta1=float(np.exp(u[4])),
-        beta2=float(np.exp(u[5])),
-    )
+# Box for the fit vector (p0, pmax, log tau1, log tau2, log beta1,
+# log beta2). The scale and shape boxes keep (psi/tau)^beta below
+# (0.5/1e-12)^20 = exp(539) for every psi in the BER domain, so no
+# iterate overflows.
+_FIT_LOWER = np.r_[0.0, 0.0, np.log([1e-12, 1e-12, 0.05, 0.05])]
+_FIT_UPPER = np.r_[1.0, 1.0, np.log([1e3, 1e3, 20.0, 20.0])]
 
 
 def _default_fit_init(data: SampleSet) -> SurfaceParams:
@@ -433,44 +402,58 @@ def _default_fit_init(data: SampleSet) -> SurfaceParams:
     return SurfaceParams(p0=p0, pmax=pmax, tau1=tau1, tau2=tau2, beta1=1.0, beta2=1.0)
 
 
-def fit_surface(
-    data: SampleSet,
-    init: SurfaceParams | None = None,
-    tol: ToleranceConfig | None = None,
-) -> FitResult:
+def fit_surface(data: SampleSet, init: SurfaceParams | None = None) -> FitResult:
     """Least-squares fit of the surface family to sampled ``(psi, P)`` rows.
 
-    Positive parameters are optimised on a log scale and the floor and
-    ceiling through logistic maps, so every simplex iterate is a valid
-    parameter set. The simplex is restarted from its own optimum until
-    the objective stops improving, which removes the classic stagnation
-    failure mode in six dimensions. On iteration exhaustion the best
-    point so far is returned with ``converged`` set to False.
+    One bounded trust-region-reflective solve
+    (:func:`scipy.optimize.least_squares`, ``method="trf"``; Branch,
+    Coleman & Li 1999) over ``(p0, pmax, log tau1, log tau2, log beta1,
+    log beta2)`` with the analytic Jacobian. ``p0`` and ``pmax`` are
+    boxed to ``[0, 1]``, the log scales and shapes to a finite box.
+    ``converged`` is False when the evaluation budget ran out. Constant
+    ``P``, or a fit that does not end with ``p0 < pmax``, raises
+    :class:`DomainError`.
     """
+    from scipy.optimize import least_squares
+
     if len(data) < _N_SURFACE_PARAMS:
         raise DomainError(
             f"need at least {_N_SURFACE_PARAMS} samples to fit, got {len(data)}"
         )
-    tol = tol or ToleranceConfig(abs_tol=1e-9, rel_tol=1e-9, max_iter=20000)
-    start = _to_internal(init if init is not None else _default_fit_init(data))
+    if np.ptp(data.p) == 0.0:
+        raise DomainError("P is constant over the samples; the surface is not identifiable")
+    s = init if init is not None else _default_fit_init(data)
+    x0 = np.r_[s.p0, s.pmax, np.log([s.tau1, s.tau2, s.beta1, s.beta2])]
+    x0 = np.clip(x0, _FIT_LOWER, _FIT_UPPER)
+    psi = np.stack([data.psi1, data.psi2])
+    pos = psi > 0.0
+    log_psi = np.log(np.where(pos, psi, 1.0))
 
-    def sse(u: np.ndarray) -> float:
-        s = _from_internal(u)
-        resid = eval_surface(s, data.psi1, data.psi2) - data.p
-        return float(np.dot(resid, resid))
+    def decay(x):
+        # u_i = (psi_i/tau_i)^beta_i and log(psi_i/tau_i), 0 where psi_i = 0
+        log_ratio = np.where(pos, log_psi - x[2:4, None], 0.0)
+        return np.where(pos, np.exp(np.exp(x[4:6, None]) * log_ratio), 0.0), log_ratio
 
-    best = nelder_mead_minimize(sse, start, tol)
-    converged = best.converged
-    for _ in range(3):
-        again = nelder_mead_minimize(sse, best.x, tol)
-        converged = converged and again.converged
-        if again.fun >= best.fun * (1.0 - 1e-12):
-            best = again if again.fun < best.fun else best
-            break
-        best = again
-    params = _from_internal(best.x)
-    rmse = math.sqrt(best.fun / len(data))
-    return FitResult(params=params, rmse=rmse, n_samples=len(data), converged=converged)
+    def residual(x):
+        u, _ = decay(x)
+        return x[0] + (x[1] - x[0]) * -np.expm1(-u.sum(axis=0)) - data.p
+
+    def jacobian(x):
+        u, log_ratio = decay(x)
+        e = np.exp(-u.sum(axis=0))
+        bu = np.exp(x[4:6, None]) * u * ((x[1] - x[0]) * e)
+        return np.vstack([e, 1.0 - e, -bu, bu * log_ratio]).T
+
+    # No gradient test: TRF scales the gradient by the distance to the
+    # box, so it reads ~0 near p0 = 0 or pmax = 1 while the fit is still
+    # 1e-8 off; the step and cost tests stop it there.
+    res = least_squares(
+        residual, x0, jac=jacobian, bounds=(_FIT_LOWER, _FIT_UPPER), method="trf",
+        xtol=1e-12, ftol=1e-12, gtol=None,
+    )
+    params = SurfaceParams(*res.x[:2].tolist(), *np.exp(res.x[2:]).tolist())
+    rmse = math.sqrt(2.0 * res.cost / len(data))
+    return FitResult(params=params, rmse=rmse, n_samples=len(data), converged=bool(res.status > 0))
 
 
 def synthetic_sample_set(

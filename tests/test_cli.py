@@ -1,14 +1,21 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+import sempower
 from sempower.cli import SIM_HEADER, SWEEP_HEADER, main
 from sempower.errors import SempowerWarning
 from sempower.perception import (
+    SampleSet,
     default_surface,
     load_surface,
     save_sample_set,
@@ -65,6 +72,14 @@ class TestFit:
         assert (tmp_path / "out" / "surface.yaml").is_file()
         assert "flagged" in capsys.readouterr().err
 
+    def test_constant_samples_exit_2(self, tmp_path, capsys):
+        samples = tmp_path / "constant.csv"
+        psi = np.geomspace(1e-4, 0.5, 10)
+        save_sample_set(SampleSet(psi1=psi, psi2=psi[::-1], p=np.full(10, 0.4)), samples)
+        code = main(["fit", str(samples), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "constant" in capsys.readouterr().err
+
     def test_refit_is_stable(self, tmp_path):
         truth = default_surface()
         samples = tmp_path / "samples.csv"
@@ -77,6 +92,22 @@ class TestFit:
         second = load_surface(tmp_path / "b" / "surface.yaml")
         for name in ("p0", "pmax", "tau1", "tau2", "beta1", "beta2"):
             assert_rel(getattr(second, name), getattr(first, name), 1e-3, name)
+
+
+class TestStartup:
+    """Only ``fit`` needs ``scipy.optimize``; start-up must not load it."""
+
+    @pytest.mark.parametrize("argv", [["-c", "import sempower"],
+                                      ["-m", "sempower.cli", "--version"]],
+                             ids=["import", "version"])
+    def test_scipy_optimize_not_imported(self, argv):
+        src = str(Path(sempower.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        loaded = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
+        assert "sempower" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
 
 class TestSolve:

@@ -1,0 +1,54 @@
+"""Property test of the surface fit over random noiseless surfaces.
+
+Surfaces are drawn over the whole family (derandomised, see
+``conftest.py``), sampled on the noiseless synthetic grid and fitted
+back with every Python warning promoted to an error.
+"""
+
+import warnings
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from sempower.perception import SurfaceParams, fit_surface, synthetic_sample_set
+
+from conftest import assert_rel
+
+
+@st.composite
+def surfaces(draw):
+    p0 = draw(st.floats(0.0, 0.9))
+    pmax = draw(st.floats(p0 + 0.02, 1.0))
+    log_tau = st.floats(-4.0, -1.0)
+    beta = st.floats(0.3, 3.0)  # sub- and super-linear decay shapes
+    return SurfaceParams(
+        p0=p0,
+        pmax=pmax,
+        tau1=10.0 ** draw(log_tau),
+        tau2=10.0 ** draw(log_tau),
+        beta1=draw(beta),
+        beta2=draw(beta),
+    )
+
+
+# A steep decay on a small psi1 scale, where a logistic parametrisation
+# of p0 and pmax overflows.
+@example(SurfaceParams(
+    p0=0.007260849403315617,
+    pmax=0.5126117908149477,
+    tau1=0.0003532944157929304,
+    tau2=0.08220415374960395,
+    beta1=2.2851667137468517,
+    beta2=2.4173962604535704,
+))
+@given(surfaces())
+def test_noiseless_fit_recovers_truth(truth):
+    data = synthetic_sample_set(truth, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_surface(data)
+    assert res.converged
+    assert res.rmse <= 1e-9
+    assert abs(res.params.p0 - truth.p0) <= 1e-9
+    for name in ("pmax", "tau1", "tau2", "beta1", "beta2"):
+        assert_rel(getattr(res.params, name), getattr(truth, name), 1e-6, name)

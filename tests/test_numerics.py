@@ -12,7 +12,6 @@ from sempower.numerics import (
     bisect_root,
     derive_seed,
     finite_difference,
-    nelder_mead_minimize,
     q_function,
     q_inverse,
 )
@@ -130,71 +129,6 @@ class TestBisect:
     def test_iteration_exhaustion(self):
         with pytest.raises(ConvergenceError):
             bisect_root(lambda x: x - 0.1234, 0.0, 1e9, ToleranceConfig(max_iter=3))
-
-
-def grid_refine_minimum(f, lo, hi, rounds=8, n=41):
-    """Brute-force oracle: shrink a grid around the best point."""
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    best = None
-    for _ in range(rounds):
-        axes = [np.linspace(lo[k], hi[k], n) for k in range(lo.size)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = np.array([f(p) for p in pts])
-        best = pts[int(np.argmin(vals))]
-        span = (hi - lo) / (n - 1)
-        lo = best - 2 * span
-        hi = best + 2 * span
-    return best
-
-
-class TestNelderMead:
-    def test_quadratic_bowl(self):
-        res = nelder_mead_minimize(
-            lambda x: float(np.sum((x - 1.0) ** 2)),
-            np.zeros(3),
-            ToleranceConfig(abs_tol=1e-10, max_iter=2000),
-        )
-        assert res.converged
-        assert np.max(np.abs(res.x - 1.0)) < 1e-4
-
-    def test_fixed_point(self):
-        res = nelder_mead_minimize(
-            lambda x: float(np.sum(x**2)), np.zeros(2), ToleranceConfig(abs_tol=1e-10, max_iter=500)
-        )
-        assert np.max(np.abs(res.x)) < 1e-8
-
-    def test_rosenbrock(self):
-        def rosen(v):
-            return float((1 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2)
-
-        res = nelder_mead_minimize(
-            rosen, np.array([-1.2, 1.0]), ToleranceConfig(abs_tol=1e-10, max_iter=5000)
-        )
-        oracle = grid_refine_minimum(rosen, [-2.0, -1.0], [2.0, 3.0])
-        assert np.max(np.abs(res.x - np.array([1.0, 1.0]))) < 1e-3
-        assert np.max(np.abs(res.x - oracle)) < 2e-3
-
-    def test_never_worse_than_init(self):
-        def f(x):
-            return float(np.sum(np.abs(x)) + 1.0)
-
-        init = np.array([0.3, -0.2])
-        res = nelder_mead_minimize(f, init, ToleranceConfig(max_iter=5))
-        assert res.fun <= f(init)
-
-    def test_exhaustion_flagged(self):
-        res = nelder_mead_minimize(
-            lambda x: float(np.sum((x - 5.0) ** 2)),
-            np.zeros(4),
-            ToleranceConfig(abs_tol=1e-14, max_iter=3),
-        )
-        assert not res.converged
-
-    def test_nonfinite_init_rejected(self):
-        with pytest.raises(DomainError):
-            nelder_mead_minimize(lambda x: float("nan"), np.zeros(2))
 
 
 class TestFiniteDifference:

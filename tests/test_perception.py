@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,12 @@ class TestFit:
         for name in ("p0", "pmax", "tau1", "tau2", "beta1", "beta2"):
             assert_rel(getattr(second.params, name), getattr(first.params, name), 1e-3, name)
 
+    def test_rmse_is_residual_rms(self):
+        data = synthetic_sample_set(default_surface(), seed=42, noise_sigma=0.01)
+        res = fit_surface(data)
+        resid = eval_surface(res.params, data.psi1, data.psi2) - data.p
+        assert_rel(res.rmse, math.sqrt(np.mean(resid**2)), 1e-9, "rmse")
+
     def test_too_few_rows(self):
         data = SampleSet(psi1=np.zeros(4), psi2=np.zeros(4), p=np.full(4, 0.4))
         with pytest.raises(DomainError):
@@ -294,6 +301,39 @@ class TestFit:
         data = synthetic_sample_set(truth, seed=1, noise_sigma=0.0)
         res = fit_surface(data, init=truth)
         assert res.rmse < 1e-9
+
+    @pytest.mark.parametrize("error_free", [False, True])
+    def test_constant_p_rejected(self, error_free):
+        psi = np.zeros(10) if error_free else np.geomspace(1e-4, 0.5, 10)
+        data = SampleSet(psi1=psi, psi2=psi[::-1], p=np.full(10, 0.4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="constant"):
+                fit_surface(data)
+
+    @pytest.mark.parametrize("both_axes", [False, True])
+    def test_step_drives_shape_to_box_without_overflow(self, both_axes):
+        # A hard threshold in P pulls beta towards infinity; the fit box
+        # stops it before (psi/tau)^beta overflows (SurfaceParams itself
+        # rejects a non-finite result).
+        psi = np.geomspace(1e-4, 0.5, 10)
+        data = SampleSet(psi1=psi, psi2=psi if both_axes else np.zeros(10),
+                         p=np.repeat([0.3, 0.6], 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_surface(data)
+        assert res.rmse < 1e-6
+
+    def test_error_free_rows_fit_the_floor(self):
+        # With every psi = 0 only p0 is identifiable: it is the mean of P,
+        # and the residual is P's spread about it.
+        p = np.linspace(0.3, 0.5, 10)
+        data = SampleSet(psi1=np.zeros(10), psi2=np.zeros(10), p=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_surface(data)
+        assert_rel(res.params.p0, float(np.mean(p)), 1e-12, "p0")
+        assert_rel(res.rmse, float(np.std(p)), 1e-9, "rmse")
 
 
 class TestFileFormats:
