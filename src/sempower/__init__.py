@@ -29,9 +29,7 @@ from .channel import (
     watt_to_dbm,
 )
 from .errors import (
-    BracketError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     InfeasibleError,
     SempowerError,

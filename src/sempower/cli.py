@@ -27,7 +27,6 @@ from .config import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DomainError,
     InfeasibleError,
     SempowerError,
@@ -97,16 +96,19 @@ def _print_alloc_table(rows: list[SweepRow], file=None) -> None:
 def _checked_sweep(problem, cfg: ExperimentConfig, targets) -> tuple[list[SweepRow], bool]:
     """:func:`sweep_targets` plus whether its result is numerically in doubt.
 
-    Doubt means an allocation that did not converge or a
-    :class:`SempowerWarning` (the bisection/oracle cross-check); warnings
-    still reach stderr as usual.
+    Doubt means a surface fitted from samples without converging, an
+    allocation that did not converge, or a :class:`SempowerWarning` (the
+    bisection/oracle cross-check); warnings still reach stderr as usual.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SempowerWarning)
         rows = sweep_targets(problem, targets, cfg.solvers, cfg.grid_n)
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    doubt = any(issubclass(w.category, SempowerWarning) for w in caught) or any(
+    unfit = cfg.surface_fit is not None and not cfg.surface_fit.converged
+    if unfit:
+        print("warning: the surface fit did not converge", file=sys.stderr)
+    doubt = unfit or any(issubclass(w.category, SempowerWarning) for w in caught) or any(
         r.allocation is not None and not r.allocation.converged for r in rows
     )
     return rows, doubt
@@ -328,9 +330,6 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return 4
-    except ConvergenceError as exc:
-        print(f"warning: {exc}", file=sys.stderr)
-        return 3
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

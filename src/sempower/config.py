@@ -85,7 +85,7 @@ _DEFAULTS: dict = {
 SIM_MIN_BITS = 10_000
 
 
-def _merge(base, override, path: str = ""):
+def _merge(base, override):
     # dicts merge key-wise; a non-dict override (e.g. a list where the
     # default is a range mapping) replaces the default outright
     if override is None and isinstance(base, dict):
@@ -93,9 +93,8 @@ def _merge(base, override, path: str = ""):
     if isinstance(base, dict) and isinstance(override, dict):
         out = copy.deepcopy(base)
         for key, val in override.items():
-            sub = f"{path}.{key}" if path else key
             if key in base and isinstance(base[key], dict):
-                out[key] = _merge(base[key], val, sub)
+                out[key] = _merge(base[key], val)
             else:
                 out[key] = copy.deepcopy(val)
         return out
@@ -122,7 +121,6 @@ class ExperimentConfig:
     """A fully resolved experiment: model objects plus the raw echo."""
 
     raw: dict
-    base_dir: Path
     seed: int
     channel_params: ChannelParams
     fading_mode: str
@@ -333,8 +331,7 @@ def build_config(
     if not isinstance(streams_doc, list) or len(streams_doc) != 2:
         raise ConfigError("streams: exactly two stream sections are required")
     streams = tuple(
-        _resolve_stream(_merge(_DEFAULTS["streams"][i], streams_doc[i], f"streams[{i}]"),
-                        base_dir, i, inputs)
+        _resolve_stream(_merge(_DEFAULTS["streams"][i], streams_doc[i]), base_dir, i, inputs)
         for i in range(2)
     )
 
@@ -402,7 +399,6 @@ def build_config(
 
     return ExperimentConfig(
         raw=merged,
-        base_dir=base_dir,
         seed=seed,
         channel_params=params,
         fading_mode=fading_mode,

@@ -2,7 +2,7 @@
 
 Every failure raised by this package derives from :class:`SempowerError`,
 so callers can catch a single type. Where a builtin fits, the subclass
-also inherits it (ValueError, RuntimeError) to stay friendly to generic
+also inherits it (ValueError) to stay friendly to generic
 handlers.
 """
 
@@ -13,14 +13,6 @@ class SempowerError(Exception):
 
 class DomainError(SempowerError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
-
-
-class BracketError(SempowerError, ValueError):
-    """A root bracket does not enclose a sign change."""
-
-
-class ConvergenceError(SempowerError, RuntimeError):
-    """An iterative routine exhausted its iteration budget."""
 
 
 class SingularityError(SempowerError, ValueError):

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 Gaussian tail function and its inverse (scipy's normal quantile),
-bracketed bisection, central finite differences, and a small
+midpoint bisection on a predicate, central finite differences, and a small
 counter-based random generator used for every stochastic draw in the
 package. All routines are deterministic, double precision, and free of
 global state.
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _special
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "ToleranceConfig",
@@ -194,53 +194,35 @@ def q_inverse(p):
 
 
 def bisect_root(
-    f: Callable[[float], float],
+    below: Callable[[float], bool],
     lo: float,
     hi: float,
     tol: ToleranceConfig | None = None,
-) -> float:
-    """Root of a sign-changing function by plain bisection.
+) -> tuple[float, int, bool]:
+    """Midpoint bisection for the boundary of a monotone predicate.
 
-    ``f(lo)`` and ``f(hi)`` must have opposite signs (or one may be zero).
-    Returns the bracket midpoint once the width drops below
-    ``max(abs_tol, rel_tol * |mid|)``.
-
-    Raises
-    ------
-    BracketError
-        If the endpoint values share a sign.
-    ConvergenceError
-        If ``max_iter`` bisections do not shrink the bracket enough.
+    ``below(x)`` is True when ``x`` lies below the root on ``[lo, hi]``.
+    The ends are never evaluated, so ``below`` may be undefined there;
+    the caller vouches that the root lies inside. Returns
+    ``(x, steps, converged)``: the bracket midpoint once the width drops
+    below ``max(abs_tol, rel_tol * |mid|)``, the number of predicate
+    calls, and False when ``max_iter`` steps did not get there (``x`` is
+    then the midpoint of the last bracket).
     """
     tol = tol or ToleranceConfig()
-    lo = float(lo)
-    hi = float(hi)
-    if lo > hi:
-        lo, hi = hi, lo
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: f(lo)={flo:g}, f(hi)={fhi:g}"
-        )
-    for _ in range(tol.max_iter):
+    lo, hi = min(lo, hi), max(lo, hi)
+    steps = 0
+    while True:
         mid = 0.5 * (lo + hi)
-        if (hi - lo) < max(tol.abs_tol, tol.rel_tol * abs(mid)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        if hi - lo < max(tol.abs_tol, tol.rel_tol * abs(mid)):
+            return mid, steps, True
+        if steps == tol.max_iter:
+            return mid, steps, False
+        if below(mid):
+            lo = mid
         else:
-            hi, fhi = mid, fm
-    raise ConvergenceError(
-        f"bisection did not reach tolerance within {tol.max_iter} iterations"
-    )
+            hi = mid
+        steps += 1
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,7 @@ class StreamCurve:
 
 def _check_psi(psi, what: str = "psi") -> np.ndarray:
     arr = np.asarray(psi, dtype=float)
-    if arr.size and (
-        not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > PSI_MAX)
-    ):
+    if not np.all((arr >= 0.0) & (arr <= PSI_MAX)):  # NaN and +-inf fail too
         raise DomainError(f"{what} must lie in [0, {PSI_MAX}]")
     return arr
 
@@ -205,6 +203,7 @@ def invert_curve(c: StreamCurve, p_value: float) -> float:
 
     Defined for ``p_value in [p0, pmax)``; the inverse can exceed the BER
     domain cap for values close to ``pmax``, callers cap as appropriate.
+    It is infinite where ``(p_value - p0) / (pmax - p0)`` rounds to 1.
     """
     if not (c.p0 <= p_value < c.pmax):
         raise DomainError(
@@ -212,8 +211,10 @@ def invert_curve(c: StreamCurve, p_value: float) -> float:
         )
     if p_value == c.p0:
         return 0.0
-    u = -math.log1p(-(p_value - c.p0) / (c.pmax - c.p0))
-    return c.tau * u ** (1.0 / c.beta)
+    fraction = (p_value - c.p0) / (c.pmax - c.p0)
+    if fraction >= 1.0:
+        return math.inf
+    return c.tau * (-math.log1p(-fraction)) ** (1.0 / c.beta)
 
 
 def semantic_value_transmitted(c: StreamCurve) -> float:
@@ -451,6 +452,11 @@ def fit_surface(data: SampleSet, init: SurfaceParams | None = None) -> FitResult
         residual, x0, jac=jacobian, bounds=(_FIT_LOWER, _FIT_UPPER), method="trf",
         xtol=1e-12, ftol=1e-12, gtol=None,
     )
+    if not res.x[0] < res.x[1]:
+        raise DomainError(
+            f"surface fit failed: it ended with p0={res.x[0]:.6g} >= pmax={res.x[1]:.6g}, "
+            "so the samples do not rise with the BERs as the surface family must"
+        )
     params = SurfaceParams(*res.x[:2].tolist(), *np.exp(res.x[2:]).tolist())
     rmse = math.sqrt(2.0 * res.cost / len(data))
     return FitResult(params=params, rmse=rmse, n_samples=len(data), converged=bool(res.status > 0))

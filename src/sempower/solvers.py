@@ -75,6 +75,16 @@ __all__ = [
 
 SOLVER_ORDER = ("equal_snr", "proportional", "bisection", "grid_oracle")
 
+# Stopping rules of the one-dimensional searches: the common SNR of
+# ``equal_snr`` and ``psi1`` of ``bisection``, and the degradation ratio
+# of ``proportional``. The ratio's rule is tighter: where the rule needs
+# small BERs, ``1 - rho * L_i`` sits just above the curve floor and
+# cancels, so a width of 1e-9 * rho misses the target.
+SEARCH_TOL = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-9, max_iter=200)
+RHO_TOL = ToleranceConfig(abs_tol=1e-16, rel_tol=1e-15, max_iter=200)
+# Largest |P - p_bar| a proportional allocation may leave.
+PROPORTIONAL_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StreamSpec:
@@ -98,7 +108,6 @@ class ProblemSpec:
     streams: tuple[StreamSpec, StreamSpec]
     surface: SurfaceParams
     target: float
-    tol: ToleranceConfig = ToleranceConfig()
     cost_basis: str = "bits"
 
     def __post_init__(self) -> None:
@@ -198,29 +207,25 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     """Semantic-unaware baseline: both streams at the same received SNR.
 
     The common SNR solving ``P(psi1(g), psi2(g)) = target`` is bracketed
-    by doubling and bisected; powers follow as ``g * noise_i / gain_i``.
+    by the first power of 4 that meets the target and found by
+    :func:`bisect_root`; powers follow as ``g * noise_i / gain_i``.
+    ``iterations`` counts the bisection steps.
     """
     free = _check_target(p, "equal_snr")
     if free is not None:
         return free
     m1, m2 = (s.modulation for s in p.streams)
-    evals = 0
 
     def gap(g: float) -> float:
-        nonlocal evals
-        evals += 1
         return eval_surface(p.surface, ber_from_snr(m1, g), ber_from_snr(m2, g)) - p.target
 
-    hi = 1.0
-    for _ in range(80):
-        if gap(hi) < 0.0:
-            break
-        hi *= 4.0
-    else:
+    # the search's upper end: the first power of 4 that meets the target
+    hi = next((4.0**k for k in range(80) if gap(4.0**k) < 0.0), None)
+    if hi is None:
         raise InfeasibleError("could not bracket the equal-SNR solution")
-    g_star = bisect_root(gap, 0.0, hi, replace(p.tol, abs_tol=min(p.tol.abs_tol, 1e-12)))
+    g_star, steps, converged = bisect_root(lambda g: gap(g) > 0.0, 0.0, hi, SEARCH_TOL)
     psi = (ber_from_snr(m1, g_star), ber_from_snr(m2, g_star))
-    alloc = _finish(p, psi, "equal_snr", evals)
+    alloc = _finish(p, psi, "equal_snr", steps, converged)
     # Equal SNR fixes the powers directly; BER inversion would amplify
     # rounding where the curve is flat, so override with the exact values.
     q = tuple(g_star * s.channel.noise_w / s.channel.gain for s in p.streams)
@@ -232,17 +237,19 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     """Both streams keep the same fraction of their semantic value.
 
     For a degradation ratio ``rho`` each stream's BER is the curve
-    inverse of ``1 - rho * L_i``; the ratio is bisected until the joint
-    surface meets the target. Raises :class:`DomainError` when the rule
-    demands a BER beyond the zero-power value of a stream's modulation
-    (the decoupled requirement cannot bind there).
+    inverse of ``1 - rho * L_i``; :func:`bisect_root` finds the ratio in
+    ``(1e-9, 1)`` at which the joint surface meets the target.
+    ``iterations`` counts the bisection steps. Raises
+    :class:`DomainError` when the rule cannot meet the target: it would
+    need a ratio below 1e-9, a BER beyond the zero-power value of a
+    stream's modulation (the decoupled requirement cannot bind there),
+    or more resolution than the curve inverse has in binary64.
     """
     free = _check_target(p, "proportional")
     if free is not None:
         return free
     box = _psi_box(p)
     lvals = tuple(semantic_value_transmitted(s.curve) for s in p.streams)
-    evals = 0
 
     def psi_raw(rho: float, s: StreamSpec, lv: float) -> float:
         wanted = 1.0 - rho * lv
@@ -253,16 +260,20 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
         return invert_curve(s.curve, wanted)
 
     def gap(rho: float) -> float:
-        # BERs are capped at the reachable box while bracketing; the cap
+        # BERs are capped at the reachable box while searching; the cap
         # never binds at an interior solution.
-        nonlocal evals
-        evals += 1
         v1, v2 = (min(psi_raw(rho, s, lv), cap) for s, lv, cap in zip(p.streams, lvals, box))
         return eval_surface(p.surface, v1, v2) - p.target
 
-    # gap is decreasing in rho: gap(1) = p0 - target < 0; a tiny rho caps
-    # both BERs at the box, where the target is beatable by assumption.
-    rho_star = bisect_root(gap, 1e-9, 1.0, replace(p.tol, abs_tol=min(p.tol.abs_tol, 1e-14)))
+    # gap is decreasing in rho and gap(1) = p0 - target < 0; the lower
+    # end is the one to check.
+    rho_lo = 1e-9
+    if not gap(rho_lo) > 0.0:
+        raise DomainError(
+            f"proportional rule cannot reach target {p.target:g}: even at degradation "
+            f"ratio {rho_lo:g} the perception error stays below it"
+        )
+    rho_star, steps, converged = bisect_root(lambda r: gap(r) > 0.0, rho_lo, 1.0, RHO_TOL)
     psi = []
     for s, lv, cap in zip(p.streams, lvals, box):
         raw = psi_raw(rho_star, s, lv)
@@ -272,7 +283,14 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
                 f"value {cap:g} of {s.modulation.name}"
             )
         psi.append(min(raw, cap))
-    return _finish(p, tuple(psi), "proportional", evals)
+    alloc = _finish(p, tuple(psi), "proportional", steps, converged)
+    if converged and abs(alloc.achieved_p - p.target) > PROPORTIONAL_ATOL:
+        raise DomainError(
+            f"proportional rule misses target {p.target:g} by "
+            f"{abs(alloc.achieved_p - p.target):.3g}: the stream curve inverse "
+            "cannot resolve the BER it needs"
+        )
+    return alloc
 
 
 def _dpower_dpsi(m: ModulationScheme, state: ChannelState, psi: float) -> float:
@@ -291,42 +309,37 @@ def _dpower_dpsi(m: ModulationScheme, state: ChannelState, psi: float) -> float:
 def solve_bisection(p: ProblemSpec) -> Allocation:
     """Bisection on the constraint line driven by the cost derivative.
 
-    Starting from the line's end points, each step takes ``psi2`` at the
-    midpoint ``psi1`` from the closed-form constraint inverse
-    (:func:`invert_surface_psi2`), forms the total derivative of the
-    cost along the line (objective partials plus the implicit slope
-    ``dpsi2/dpsi1 = -(dP/dpsi1)/(dP/dpsi2)``), and keeps the half where
-    the derivative changes sign. Stops when the ``psi1`` bracket is
-    narrower than the tolerance.
+    :func:`bisect_root` searches ``psi1`` between the line's end points
+    for the point where the total cost stops falling. Each step takes
+    ``psi2`` at the midpoint ``psi1`` from the closed-form constraint
+    inverse (:func:`invert_surface_psi2`) and forms the total derivative
+    of the cost along the line: objective partials plus the implicit
+    slope ``dpsi2/dpsi1 = -(dP/dpsi1)/(dP/dpsi2)``. The ends, where a
+    zero BER makes the partials singular for ``beta < 1``, are never
+    evaluated.
     """
     free = _check_target(p, "bisection")
     if free is not None:
         return free
     box = _psi_box(p)
-    tol = p.tol
     (l1, _l2), (r1, _r2) = constraint_line_endpoints(p.surface, p.target, psi_max=box)
     s1, s2 = p.streams
     w = _weights(p)
-    iterations = 0
-    converged = True
-    while (r1 - l1) >= max(tol.abs_tol, tol.rel_tol * abs(0.5 * (l1 + r1))):
-        if iterations >= tol.max_iter:
-            converged = False
-            break
-        mid = 0.5 * (l1 + r1)
-        psi2 = invert_surface_psi2(p.surface, mid, p.target, box[1])
-        df1 = w[0] * _dpower_dpsi(s1.modulation, s1.channel, mid)
+
+    def falling(psi1: float) -> bool:
+        psi2 = invert_surface_psi2(p.surface, psi1, p.target, box[1])
+        df1 = w[0] * _dpower_dpsi(s1.modulation, s1.channel, psi1)
         df2 = w[1] * _dpower_dpsi(s2.modulation, s2.channel, psi2)
-        dp1, dp2 = surface_partials(p.surface, mid, psi2)
+        dp1, dp2 = surface_partials(p.surface, psi1, psi2)
         slope = -dp1 / dp2
-        if df1 + slope * df2 >= 0.0:
-            r1 = mid
-        else:
-            l1 = mid
-        iterations += 1
-    psi1 = 0.5 * (l1 + r1)
+        return not (df1 + slope * df2 >= 0.0)  # a NaN derivative counts as falling
+
+    # 1e-12 is coarse where the whole line spans less than 1e-4 in psi1;
+    # resolve at least 1e-8 of the span there.
+    abs_tol = min(SEARCH_TOL.abs_tol, max(1e-8 * (r1 - l1), math.ulp(0.0)))
+    psi1, steps, converged = bisect_root(falling, l1, r1, replace(SEARCH_TOL, abs_tol=abs_tol))
     psi2 = invert_surface_psi2(p.surface, psi1, p.target, box[1])
-    return _finish(p, (psi1, psi2), "bisection", iterations, converged)
+    return _finish(p, (psi1, psi2), "bisection", steps, converged)
 
 
 def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:

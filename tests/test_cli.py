@@ -80,6 +80,15 @@ class TestFit:
         assert code == 2
         assert "constant" in capsys.readouterr().err
 
+    def test_falling_samples_exit_2(self, tmp_path, capsys):
+        samples = tmp_path / "falling.csv"
+        psi = np.linspace(0.01, 0.5, 10)
+        save_sample_set(SampleSet(psi1=psi, psi2=psi, p=np.linspace(0.9, 0.1, 10)), samples)
+        code = main(["fit", str(samples), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "surface fit failed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "surface.yaml").exists()
+
     def test_refit_is_stable(self, tmp_path):
         truth = default_surface()
         samples = tmp_path / "samples.csv"
@@ -216,6 +225,40 @@ class TestSweep:
         assert (out / "sweep.svg").is_file()
         assert "flagged" in capsys.readouterr().err
 
+    def test_unreachable_proportional_target_leaves_error_row(self, tmp_path):
+        # Curves saturating at pmax = 1: the proportional ratio cannot
+        # degrade the streams far enough for 0.92; the other cells solve.
+        from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, save_curve
+
+        streams = []
+        for name, bits, value in (("prompt", 1024, L_PROMPT), ("edge", 8192, L_EDGE)):
+            save_curve(StreamCurve(p0=1.0 - value, pmax=1.0, tau=1e-4, beta=1.0),
+                       tmp_path / f"{name}.yaml")
+            streams.append({"name": name, "bits": bits, "modulation": "16qam",
+                            "curve": f"{name}.yaml"})
+        cfg = write_config(tmp_path, streams=streams, targets=[0.6, 0.92], grid_n=512)
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out / "sweep_16qam.csv")
+        assert len(rows) == 8
+        assert [(r["p_bar"], r["solver"]) for r in rows if r["feasible"] == "false"] == [
+            ("0.92", "proportional")
+        ]
+
+    def test_exhausted_searches_exit_3_still_write(self, tmp_path, monkeypatch, capsys):
+        import sempower.solvers as solvers_mod
+
+        for name in ("SEARCH_TOL", "RHO_TOL"):
+            monkeypatch.setattr(solvers_mod, name, replace(getattr(solvers_mod, name), max_iter=3))
+        cfg = write_config(tmp_path, targets=[0.5, 0.7], solvers=["equal_snr", "proportional"])
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        rows = read_rows(out / "sweep_16qam.csv")
+        assert len(rows) == 4
+        assert all(r["feasible"] == "true" and r["iterations"] == "3" for r in rows)
+        assert (out / "sweep.svg").is_file()
+        assert "flagged" in capsys.readouterr().err
+
     def test_byte_identical_outputs(self, tmp_path):
         cfg = write_config(tmp_path, targets=[0.45, 0.7], grid_n=512, seed=7)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
@@ -325,6 +368,26 @@ class TestConfig:
             target=0.6,
         )
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("command, output", [("solve", "solve.csv"), ("sweep", "sweep_16qam.csv")])
+    def test_nonconverged_surface_fit_exit_3_still_writes(
+        self, tmp_path, monkeypatch, capsys, command, output
+    ):
+        import sempower.config as config_mod
+        from sempower.perception import fit_surface as real_fit
+
+        monkeypatch.setattr(
+            config_mod, "fit_surface", lambda data: replace(real_fit(data), converged=False)
+        )
+        save_sample_set(synthetic_sample_set(default_surface(), seed=3, noise_sigma=0.0),
+                        tmp_path / "samples.csv")
+        cfg = write_config(tmp_path, surface="samples.csv", target=0.6, targets=[0.5, 0.7],
+                           grid_n=512)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert (out / output).is_file() and (out / "manifest.json").is_file()
+        err = capsys.readouterr().err
+        assert "surface fit did not converge" in err and "flagged" in err
 
     def test_rayleigh_seeded_fading(self, tmp_path):
         cfg = write_config(

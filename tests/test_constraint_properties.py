@@ -71,7 +71,7 @@ def reference_psi2(s, psi1, p_bar, m2):
         return 0.0
     if gap(m2) <= 0.0:
         return m2
-    return bisect_root(gap, 0.0, m2, REFERENCE)
+    return bisect_root(lambda x: gap(x) < 0.0, 0.0, m2, REFERENCE)[0]
 
 
 @given(problems(), st.lists(along, min_size=1, max_size=8))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sempower.errors import BracketError, ConvergenceError, DomainError
+from sempower.errors import DomainError
 from sempower.numerics import (
     Rng,
     normal_pdf,
@@ -108,27 +108,33 @@ class TestQInverse:
 class TestBisect:
     def test_linear_root(self):
         tight = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-15)
-        assert abs(bisect_root(lambda x: x - 3.0, 0.0, 10.0, tight) - 3.0) < 1e-11
+        root, _, converged = bisect_root(lambda x: x < 3.0, 0.0, 10.0, tight)
+        assert converged and abs(root - 3.0) < 1e-11
 
     def test_matches_q_inverse(self):
-        root = bisect_root(lambda x: q_function(x) - 0.1, 0.0, 5.0)
+        root, _, _ = bisect_root(lambda x: q_function(x) > 0.1, 0.0, 5.0)
         assert abs(root - q_inverse(0.1)) < 1e-10
-
-    def test_bracket_error(self):
-        with pytest.raises(BracketError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_width_contract(self):
         tol = ToleranceConfig(abs_tol=1e-10, rel_tol=1e-10)
-        root = bisect_root(lambda x: math.cos(x), 0.0, 3.0, tol)
+        root, _, _ = bisect_root(lambda x: math.cos(x) > 0.0, 0.0, 3.0, tol)
         assert abs(root - math.pi / 2) < max(tol.abs_tol, tol.rel_tol * root) + 1e-12
 
-    def test_endpoint_root(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
+    @pytest.mark.parametrize(
+        "below, end", [(lambda x: False, 0.0), (lambda x: True, 1.0)], ids=["lo", "hi"]
+    )
+    def test_converges_to_an_end_without_evaluating_it(self, below, end):
+        seen = []
+        root, steps, converged = bisect_root(lambda x: seen.append(x) or below(x), 0.0, 1.0)
+        assert converged and root == pytest.approx(end, rel=1e-9, abs=1e-12)
+        assert steps == len(seen) and 0.0 < min(seen) and max(seen) < 1.0
 
-    def test_iteration_exhaustion(self):
-        with pytest.raises(ConvergenceError):
-            bisect_root(lambda x: x - 0.1234, 0.0, 1e9, ToleranceConfig(max_iter=3))
+    def test_exhaustion_is_reported(self):
+        root, steps, converged = bisect_root(
+            lambda x: x < 0.1234, 0.0, 1e9, ToleranceConfig(max_iter=3)
+        )
+        assert (steps, converged) == (3, False)
+        assert root == 0.0625e9  # midpoint of the last bracket [0, 1.25e8]
 
 
 class TestFiniteDifference:

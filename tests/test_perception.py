@@ -67,6 +67,22 @@ class TestEvalSurface:
         with pytest.raises(DomainError):
             eval_surface(s, 0.1, 0.51)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 0.5000001])
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("fn", [eval_surface, surface_partials])
+    def test_out_of_domain_psi_rejected(self, fn, as_array, bad):
+        s = default_surface()
+        good = np.array([0.0, 1e-3]) if as_array else 1e-3
+        bad = np.array([1e-3, bad]) if as_array else bad
+        with pytest.raises(DomainError):
+            fn(s, bad, good)
+        with pytest.raises(DomainError):
+            fn(s, good, bad)
+
+    def test_empty_arrays_pass(self):
+        empty = np.array([])
+        assert eval_surface(default_surface(), empty, empty).shape == (0,)
+
     def test_monotone_in_each_argument(self):
         s = default_surface()
         rng = np.random.default_rng(3)
@@ -182,6 +198,12 @@ class TestSemanticValues:
         assert invert_curve(c, c.p0) == 0.0
         with pytest.raises(DomainError):
             invert_curve(c, c.pmax)
+
+    def test_invert_curve_infinite_where_fraction_rounds_to_one(self):
+        # (p - p0) / (pmax - p0) rounds to 1 one ulp below pmax here;
+        # log1p(-1) raised a bare ValueError
+        c = StreamCurve(p0=0.3, pmax=0.825, tau=1e-3, beta=1.0)
+        assert invert_curve(c, 0.8249999999999998) == math.inf
 
 
 class TestConstraintGeometry:
@@ -323,6 +345,14 @@ class TestFit:
             warnings.simplefilter("error")
             res = fit_surface(data)
         assert res.rmse < 1e-6
+
+    def test_falling_samples_fail_with_a_reason(self):
+        # P falls as the BERs rise: the best fit in the family ends with
+        # p0 > pmax, which no surface has.
+        psi = np.linspace(0.01, 0.5, 10)
+        data = SampleSet(psi1=psi, psi2=psi, p=np.linspace(0.9, 0.1, 10))
+        with pytest.raises(DomainError, match="surface fit failed.*p0=.* >= pmax="):
+            fit_surface(data)
 
     def test_error_free_rows_fit_the_floor(self):
         # With every psi = 0 only p0 is identifiable: it is the mean of P,

@@ -18,6 +18,8 @@ from sempower.perception import (
     solve_psi2_on_constraint,
 )
 from sempower.solvers import (
+    PROPORTIONAL_ATOL,
+    SEARCH_TOL,
     SOLVER_ORDER,
     ProblemSpec,
     StreamSpec,
@@ -125,6 +127,36 @@ class TestProportional:
         with pytest.raises(DomainError):
             solve_proportional(p)
 
+    def test_refuses_target_beyond_the_ratio_range(self, ref_state):
+        # Curves saturating at pmax = 1 keep P below 0.92 even at the
+        # smallest ratio searched, 1e-9.
+        p = make_problem(ref_state, target=0.92)
+        p = replace(p, streams=tuple(
+            replace(s, curve=StreamCurve(p0=s.curve.p0, pmax=1.0, tau=1e-4, beta=1.0))
+            for s in p.streams
+        ))
+        with pytest.raises(DomainError, match="cannot reach target 0.92"):
+            solve_proportional(p)
+
+    def test_meets_target_where_rule_needs_small_bers(self):
+        # 1 - rho * L_i sits just above the curve floor here; a ratio
+        # resolved to 1e-9 * rho missed the target by 1.9e-6
+        s = StreamSpec(1, preset("bpsk"), ChannelState(gain=1.0, noise_w=1e-14),
+                       StreamCurve(0.0, 1.0, 0.1, 1.0))
+        p = ProblemSpec((s, s), SurfaceParams(0.0, 1.0, 0.1, 1e-5, 1.0, 1.0), target=0.5)
+        alloc = solve_proportional(p)
+        assert abs(alloc.achieved_p - p.target) <= PROPORTIONAL_ATOL
+
+    def test_refuses_target_the_curve_inverse_cannot_resolve(self):
+        # With beta = 2 the curve inverse saturates in binary64 at about
+        # 0.015 and then jumps to infinity, so no ratio meets 99% of the
+        # range; the rule used to return an allocation 4e-3 off target.
+        s = StreamSpec(400, preset("8qam"), ChannelState(gain=1e-17, noise_w=1e-14),
+                       StreamCurve(0.48, 0.51, 2.5e-3, 2.0))
+        p = ProblemSpec((s, s), SurfaceParams(0.0, 0.06, 0.01, 0.01, 2.5, 2.5), target=0.0594)
+        with pytest.raises(DomainError, match="misses target"):
+            solve_proportional(p)
+
 
 class TestBisection:
     def test_symmetric_optimum(self, ref_state):
@@ -170,8 +202,21 @@ class TestBisection:
         alloc = solve_bisection(p)
         box = tuple(min(0.5, zero_power_ber(s.modulation)) for s in p.streams)
         (l1, _), (r1, _) = constraint_line_endpoints(p.surface, p.target, psi_max=box)
-        eps = max(p.tol.abs_tol, p.tol.rel_tol * alloc.psi[0])
+        eps = max(SEARCH_TOL.abs_tol, SEARCH_TOL.rel_tol * alloc.psi[0])
         assert alloc.iterations <= math.ceil(math.log2((r1 - l1) / eps)) + 2
+
+    def test_resolves_a_line_shorter_than_the_absolute_width(self):
+        # The whole line spans 1.4e-12 in psi1; a flat 1e-12 stopping
+        # width ended after one step, 0.3% above the oracle.
+        bpsk = preset("bpsk")
+        streams = tuple(
+            StreamSpec(1, bpsk, ChannelState(gain=gain, noise_w=1e-14),
+                       StreamCurve(0.0, 1.0, tau, 1.0))
+            for gain, tau in ((0.1, 1e-4), (1.0, 0.1))
+        )
+        p = ProblemSpec(streams, SurfaceParams(0.0, 1.0, 1e-5, 0.1, 0.875, 0.875), target=1e-6)
+        cost_b = solve_bisection(p).total_cost
+        assert cost_b <= solve_grid_oracle(p).total_cost * (1.0 + 1e-6)
 
     def test_infeasible_below_floor(self, ref_state):
         with pytest.raises(InfeasibleError):
