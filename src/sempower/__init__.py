@@ -81,12 +81,8 @@ from .perception import (
     synthetic_sample_set,
 )
 from .simulator import (
-    Constellation,
     EndToEndReport,
     SimConfig,
-    StreamPayload,
-    constellation_for,
-    corrupt_payload,
     end_to_end_check,
     simulate_ber,
 )

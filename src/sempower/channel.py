@@ -61,6 +61,10 @@ class ChannelParams:
             # alpha == 0 is the degenerate distance-free case; negative
             # exponents would amplify with distance and are rejected.
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
+        if not _finite_positive(path_loss_linear, self):
+            raise DomainError(f"h0_db, d_m, d0_m and alpha give a path loss outside (0, inf): {self}")
+        if not _finite_positive(dbm_to_watt, self.noise_dbm):
+            raise DomainError(f"noise_dbm={self.noise_dbm} gives a noise power outside (0, inf) W")
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,13 @@ class ChannelState:
             raise DomainError(f"noise_w must be finite and > 0, got {self.noise_w}")
         if not (math.isfinite(self.fading) and self.fading > 0.0):
             raise DomainError(f"fading must be finite and > 0, got {self.fading}")
+
+
+def _finite_positive(f, *args) -> bool:
+    try:
+        return 0.0 < f(*args) < math.inf
+    except OverflowError:
+        return False
 
 
 def dbm_to_watt(dbm: float) -> float:

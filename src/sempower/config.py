@@ -391,6 +391,11 @@ def build_config(
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"simulation: {exc}") from None
+    for v in sim.snr_db:
+        try:
+            10.0 ** (v / 10.0)
+        except OverflowError:
+            raise ConfigError(f"simulation.snr_db: {v} dB overflows the linear SNR") from None
 
     out_doc = merged["output"]
     out_format = str(out_doc["format"])

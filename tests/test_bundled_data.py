@@ -1,4 +1,6 @@
+import importlib.util
 from importlib import resources
+from pathlib import Path
 
 from sempower.perception import (
     default_edge_curve,
@@ -39,3 +41,20 @@ def test_example_samples_fit_back_to_truth():
     for name in ("p0", "pmax", "tau1", "tau2", "beta1", "beta2"):
         assert_rel(getattr(res.params, name), getattr(truth, name), 0.05, name)
     assert res.rmse <= 0.012
+
+
+def test_generator_script_reproduces_every_file(tmp_path, monkeypatch):
+    # regenerating replays the counter-based Rng and its Box-Muller
+    # normals, which the Monte Carlo simulator shares, so a drift in
+    # either shows here as a byte difference
+    script_path = Path(__file__).resolve().parents[1] / "scripts" / "make_bundled_data.py"
+    spec = importlib.util.spec_from_file_location("make_bundled_data", script_path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "DATA", tmp_path)
+    script.main()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(p.name for p in resources.files("sempower").joinpath("data").iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / name).read_bytes() == data_path(name).read_bytes(), name

@@ -49,6 +49,10 @@ class TestPathLoss:
             ChannelParams(h0_db=-30.0, d_m=1.0, d0_m=1.0, alpha=-2.0, noise_dbm=-110.0)
         with pytest.raises(DomainError):
             ChannelParams(h0_db=float("inf"), d_m=1.0, d0_m=1.0, alpha=2.0, noise_dbm=-110.0)
+        # link budgets whose linear gain or noise power overflows or underflows
+        for h0_db, noise_dbm in ((4000.0, -110.0), (-4000.0, -110.0), (-30.0, 4000.0), (-30.0, -4000.0)):
+            with pytest.raises(DomainError):
+                ChannelParams(h0_db=h0_db, d_m=1.0, d0_m=1.0, alpha=2.0, noise_dbm=noise_dbm)
 
 
 class TestConversions:

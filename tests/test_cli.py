@@ -322,6 +322,11 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "n_bits" in capsys.readouterr().err
 
+    def test_overflowing_snr_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, simulation={"snr_db": [4000]})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "simulation.snr_db: 4000.0" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         # with simulation.seed unset, the sub-seed derives from the master
         # seed, so --seed moves the empirical draw
@@ -338,6 +343,15 @@ class TestConfig:
         path = tmp_path / "bad.yaml"
         path.write_text("streams: [only-one]\n")
         assert main(["solve", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value", [("h0_db", 4000), ("noise_dbm", 4000), ("d0_m", 1.0e300)]
+    )
+    def test_overflowing_link_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, channel={key: value}, target=0.6)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel:") and f"{key}={float(value)}" in err
 
     def test_custom_modulation(self, tmp_path):
         cfg = write_config(

@@ -1,17 +1,13 @@
 import math
 
-import numpy as np
 import pytest
 
 from sempower.errors import DomainError
-from sempower.modulation import ber_from_snr, preset
-from sempower.numerics import Rng, derive_seed, q_function
+from sempower.modulation import ModulationScheme, ber_from_snr, preset
+from sempower.numerics import derive_seed, q_function
 from sempower.simulator import (
     EndToEndReport,
     SimConfig,
-    StreamPayload,
-    constellation_for,
-    corrupt_payload,
     end_to_end_check,
     simulate_ber,
     simulate_stream_report,
@@ -25,24 +21,109 @@ def binomial_3sigma(p, n):
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-class TestConstellation:
-    @pytest.mark.parametrize("name", ["bpsk", "8qam", "16qam"])
-    def test_unit_energy(self, name):
-        con = constellation_for(preset(name))
-        assert abs(np.mean(np.abs(con.points) ** 2) - 1.0) < 1e-12
-        assert len(con.points) == preset(name).M
+def power_at(state, snr_db):
+    return 10.0 ** (snr_db / 10.0) * state.noise_w / state.gain
 
-    def test_bit_split(self):
-        assert (constellation_for(preset("bpsk")).bits_i, constellation_for(preset("bpsk")).bits_q) == (1, 0)
-        assert (constellation_for(preset("8qam")).bits_i, constellation_for(preset("8qam")).bits_q) == (2, 1)
-        assert (constellation_for(preset("16qam")).bits_i, constellation_for(preset("16qam")).bits_q) == (2, 2)
 
-    def test_gray_adjacency(self):
-        # neighbouring amplitude levels differ in exactly one bit
-        con = constellation_for(preset("16qam"))
-        words = [int(con.word_of_pos_i[k]) for k in range(4)]
-        for a, b in zip(words, words[1:]):
-            assert bin(a ^ b).count("1") == 1
+SCHEMES = {
+    "bpsk": preset("bpsk"),
+    "8qam": preset("8qam"),
+    "16qam": preset("16qam"),
+    "qpsk": ModulationScheme("qpsk", 4, 2.0, 1.0),
+    "4": ModulationScheme("custom", 4, 1.0, 1.0),
+    "64": ModulationScheme("custom", 64, 1.0, 1.0),
+}
+
+
+class TestExactBer:
+    """Gray PAM per axis has a closed-form BER; the simulator must meet it.
+
+    With ``x = sqrt(2 snr / E)`` and ``E = sum over axes of (L^2 - 1)/3``,
+    each bit of a Gray 2-PAM axis errs with probability ``Q(x)`` and each
+    bit of a Gray 4-PAM axis with ``(3Q(x) + 2Q(3x) - Q(5x)) / 4``. This
+    checks the unit symbol energy, the bit split and the Gray labelling.
+    """
+
+    AXES = {"bpsk": (2,), "8qam": (4, 2), "16qam": (4, 4), "qpsk": (2, 2)}
+
+    @staticmethod
+    def exact(axes, snr):
+        x = math.sqrt(2.0 * snr / sum((L * L - 1) / 3.0 for L in axes))
+        pam4 = (3.0 * q_function(x) + 2.0 * q_function(3.0 * x) - q_function(5.0 * x)) / 4.0
+        per_bit = {2: q_function(x), 4: pam4}
+        bits = [L.bit_length() - 1 for L in axes]
+        return sum(b * per_bit[L] for b, L in zip(bits, axes)) / sum(bits)
+
+    @pytest.mark.parametrize("name", sorted(AXES))
+    @pytest.mark.parametrize("snr_db", [0.0, 4.0, 8.0, 12.0])
+    def test_within_3_sigma(self, ref_state, name, snr_db):
+        m = SCHEMES[name]
+        k = m.bits_per_symbol
+        n_eff = -(-2_000_000 // k) * k
+        exact = self.exact(self.AXES[name], 10.0 ** (snr_db / 10.0))
+        cfg = SimConfig(n_bits=n_eff, seed=17)
+        psi = simulate_ber(m, ref_state, power_at(ref_state, snr_db), cfg)
+        assert abs(psi - exact) <= binomial_3sigma(exact, n_eff)
+
+    def test_qpsk_pair_is_exact(self):
+        # (M, a, b) = (4, 2, 1) is the exact QPSK model: Q(sqrt(snr)) per bit
+        for snr_db in (0.0, 4.0, 8.0, 12.0):
+            snr = 10.0 ** (snr_db / 10.0)
+            assert ber_from_snr(SCHEMES["qpsk"], snr) == pytest.approx(
+                self.exact(self.AXES["qpsk"], snr), rel=1e-12
+            )
+
+
+# simulate_ber(scheme, ref_state, power_at(snr_db), SimConfig(n_bits, seed))
+# for n_bits = 1, 7, 10, 100_003, keyed by (scheme, seed, snr_db); an
+# snr_db of None is zero power. The values pin the bit draw, the Box-Muller
+# normals and the Gray mapping exactly (per platform up to libm rounding).
+PINNED_N_BITS = (1, 7, 10, 100_003)
+PINNED = {
+    ('bpsk', 0, None): (0.0, 0.7142857142857143, 0.5, 0.5007849764507065),
+    ('bpsk', 0, 2.0): (0.0, 0.14285714285714285, 0.2, 0.03724888253352399),
+    ('bpsk', 0, 7.0): (0.0, 0.0, 0.0, 0.0007299781006569803),
+    ('bpsk', 9, None): (1.0, 0.42857142857142855, 0.5, 0.5006749797506075),
+    ('bpsk', 9, 2.0): (0.0, 0.0, 0.0, 0.03789886303410898),
+    ('bpsk', 9, 7.0): (0.0, 0.0, 0.0, 0.0008699739007829765),
+    ('8qam', 0, None): (0.3333333333333333, 0.4444444444444444, 0.5833333333333334, 0.5024548772561372),
+    ('8qam', 0, 2.0): (0.3333333333333333, 0.2222222222222222, 0.3333333333333333, 0.19982000899955002),
+    ('8qam', 0, 7.0): (0.0, 0.1111111111111111, 0.25, 0.08301584920753963),
+    ('8qam', 9, None): (0.6666666666666666, 0.2222222222222222, 0.25, 0.5024848757562121),
+    ('8qam', 9, 2.0): (0.3333333333333333, 0.0, 0.0, 0.19870006499675016),
+    ('8qam', 9, 7.0): (0.0, 0.0, 0.0, 0.08117594120293985),
+    ('16qam', 0, None): (0.25, 0.25, 0.25, 0.49940002399904004),
+    ('16qam', 0, 2.0): (0.25, 0.125, 0.3333333333333333, 0.23692052317907283),
+    ('16qam', 0, 7.0): (0.25, 0.125, 0.25, 0.11986520539178433),
+    ('16qam', 9, None): (0.75, 0.5, 0.5, 0.49945002199912003),
+    ('16qam', 9, 2.0): (0.5, 0.25, 0.3333333333333333, 0.23473061077556898),
+    ('16qam', 9, 7.0): (0.25, 0.125, 0.08333333333333333, 0.11910523579056838),
+    ('4', 0, None): (0.0, 0.25, 0.6, 0.501329946802128),
+    ('4', 0, 2.0): (0.0, 0.125, 0.1, 0.10389584416623335),
+    ('4', 0, 7.0): (0.0, 0.0, 0.1, 0.012229510819567217),
+    ('4', 9, None): (0.5, 0.25, 0.7, 0.500519979200832),
+    ('4', 9, 2.0): (0.0, 0.0, 0.1, 0.10439582416703332),
+    ('4', 9, 7.0): (0.0, 0.0, 0.0, 0.012839486420543179),
+    ('64', 0, None): (0.5, 0.4166666666666667, 0.4166666666666667, 0.4996400287976962),
+    ('64', 0, 2.0): (0.3333333333333333, 0.16666666666666666, 0.16666666666666666, 0.3260639148868091),
+    ('64', 0, 7.0): (0.16666666666666666, 0.08333333333333333, 0.08333333333333333, 0.21856251499880008),
+    ('64', 9, None): (0.6666666666666666, 0.5833333333333334, 0.5833333333333334, 0.49773018158547316),
+    ('64', 9, 2.0): (0.5, 0.4166666666666667, 0.4166666666666667, 0.3235641148708103),
+    ('64', 9, 7.0): (0.3333333333333333, 0.25, 0.25, 0.216802655787537),
+}
+
+
+@pytest.mark.parametrize("name", ["bpsk", "8qam", "16qam", "4", "64"])
+def test_pinned_values(ref_state, name):
+    for (scheme, seed, snr_db), expected in PINNED.items():
+        if scheme != name:
+            continue
+        q = 0.0 if snr_db is None else power_at(ref_state, snr_db)
+        got = tuple(
+            simulate_ber(SCHEMES[name], ref_state, q, SimConfig(n_bits=n, seed=seed))
+            for n in PINNED_N_BITS
+        )
+        assert got == expected, (scheme, seed, snr_db)
 
 
 class TestSimulateBer:
@@ -90,38 +171,14 @@ class TestSimulateBer:
     def test_validation(self, ref_state):
         with pytest.raises(DomainError):
             simulate_ber(preset("bpsk"), ref_state, -1e-9, SimConfig(n_bits=100, seed=1))
+        for q in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                simulate_ber(preset("bpsk"), ref_state, q, SimConfig(n_bits=100, seed=1))
+        with pytest.raises(DomainError, match="too large"):
+            huge = ModulationScheme("custom", 1 << 17, 1.0, 1.0)
+            simulate_ber(huge, ref_state, 1e-3, SimConfig(n_bits=100, seed=1))
         with pytest.raises(DomainError):
             SimConfig(n_bits=0, seed=1)
-
-
-class TestCorruptPayload:
-    def test_zero_ber_identity(self):
-        payload = StreamPayload(bits=Rng(1).bits(1000))
-        out = corrupt_payload(payload, 0.0, seed=2)
-        assert np.array_equal(out.bits, payload.bits)
-
-    def test_half_ber_flips_half(self):
-        payload = StreamPayload(bits=Rng(1).bits(1_000_000))
-        out = corrupt_payload(payload, 0.5, seed=3)
-        frac = float(np.mean(payload.bits != out.bits))
-        assert abs(frac - 0.5) <= binomial_3sigma(0.5, 1_000_000)
-
-    def test_small_ber_within_ci(self):
-        payload = StreamPayload(bits=Rng(4).bits(1_000_000))
-        out = corrupt_payload(payload, 0.01, seed=5)
-        frac = float(np.mean(payload.bits != out.bits))
-        assert abs(frac - 0.01) <= binomial_3sigma(0.01, 1_000_000)
-
-    def test_deterministic(self):
-        payload = StreamPayload(bits=Rng(6).bits(4096))
-        a = corrupt_payload(payload, 0.1, seed=9)
-        b = corrupt_payload(payload, 0.1, seed=9)
-        assert np.array_equal(a.bits, b.bits)
-
-    def test_psi_domain(self):
-        payload = StreamPayload(bits=np.zeros(8, dtype=np.uint8))
-        with pytest.raises(DomainError):
-            corrupt_payload(payload, 0.6, seed=1)
 
 
 class TestEndToEnd:
