@@ -118,17 +118,21 @@ def snr_from_ber(m: ModulationScheme, psi):
     target above the branch is unreachable at any power (it is already
     beaten for free) and raises :class:`DomainError`.
     """
-    arr = np.asarray(psi, dtype=float)
     top = zero_power_ber(m)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr > top) or not np.all(np.isfinite(arr))):
+    if isinstance(psi, float):
+        inside = 0.0 < psi <= top
+        clamped = max(psi, PSI_FLOOR)
+    else:
+        arr = np.asarray(psi, dtype=float)
+        inside = np.all((arr > 0.0) & (arr <= top))
+        clamped = np.maximum(arr, PSI_FLOOR)
+    if not inside:  # NaN fails too
         raise DomainError(
             f"target BER must lie in (0, {top:g}] for {m.name}; "
             "larger values are met at zero power"
         )
-    clamped = np.maximum(arr, PSI_FLOOR)
-    x = q_inverse(clamped * (m.bits_per_symbol / m.a))
-    out = np.asarray(x, dtype=float) ** 2 / m.b
-    return float(out) if np.ndim(psi) == 0 else out
+    x = q_inverse(clamped * (m.bits_per_symbol / m.a))  # a float for a scalar BER
+    return x * x / m.b
 
 
 def power_from_ber(m: ModulationScheme, state: ChannelState, psi):

@@ -21,18 +21,18 @@ bits, so it is more fragile per bit error rate).
 Serialised documents carry a ``family`` identifier
 (:data:`SURFACE_FAMILY` / :data:`CURVE_FAMILY`) so that alternative
 functional forms can be introduced without ambiguity. The solvers rely
-only on evaluation (:func:`eval_surface`), partial derivatives
-(:func:`surface_partials`), monotonicity, and the inverse in ``psi2``
-along the constraint line (:func:`invert_surface_psi2`, closed-form for
-this family), so swapping the family means providing those four for the
-new form.
+only on evaluation (:func:`eval_surface`), monotonicity, the inverse in
+``psi2`` along the constraint line (:func:`invert_surface_psi2`), and
+the line's decay-share form (:func:`decay_shares` and
+:func:`line_point`), all closed-form for this family, so swapping the
+family means providing those four for the new form.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -55,6 +55,8 @@ __all__ = [
     "semantic_value_transmitted",
     "semantic_value_received",
     "invert_surface_psi2",
+    "decay_shares",
+    "line_point",
     "solve_psi2_on_constraint",
     "constraint_line_endpoints",
     "fit_surface",
@@ -307,6 +309,41 @@ def solve_psi2_on_constraint(
     return float(psi2) if np.ndim(psi1) == 0 else psi2
 
 
+def decay_shares(
+    s: SurfaceParams, p_bar: float, psi_max: tuple[float, float] = (PSI_MAX, PSI_MAX)
+) -> tuple[float, float, float]:
+    """The constraint line ``P(psi1, psi2) = p_bar`` in decay shares.
+
+    ``P = p_bar`` is ``u1 + u2 = U`` with ``u_i = (psi_i/tau_i)^beta_i``
+    and ``U = -log1p(-(p_bar - p0) / (pmax - p0))``. A point of the line
+    is a pair of shares ``s1 + s2 = 1`` of ``U``, with
+    ``psi_i = tau_i (s_i U)^(1/beta_i)`` (:func:`line_point`), so the line
+    needs no inverse. Returns ``(U, top1, top2)``: ``top_i`` is the
+    largest share stream ``i`` can hold inside the box,
+    ``min(1, (psi_max_i/tau_i)^beta_i / U)``, and stream ``i``'s share
+    runs from ``1 - top_j`` to ``top_i``. No validation: the caller
+    keeps ``p0 < p_bar < pmax``.
+    """
+    u = -math.log1p(-(p_bar - s.p0) / (s.pmax - s.p0))
+    return (u, _top_share(psi_max[0], s.tau1, s.beta1, u),
+            _top_share(psi_max[1], s.tau2, s.beta2, u))
+
+
+def _top_share(psi_max: float, tau: float, beta: float, u: float) -> float:
+    try:
+        return min(1.0, (psi_max / tau) ** beta / u)
+    except OverflowError:  # a decay beyond binary64 is far above U
+        return 1.0
+
+
+def line_point(
+    s: SurfaceParams, u: float, shares, psi_max: tuple[float, float] = (PSI_MAX, PSI_MAX)
+) -> tuple[float, float]:
+    """The BERs ``psi_i = tau_i (s_i U)^(1/beta_i)`` at ``shares``, clipped to the box."""
+    return (min(s.tau1 * (shares[0] * u) ** (1.0 / s.beta1), psi_max[0]),
+            min(s.tau2 * (shares[1] * u) ** (1.0 / s.beta2), psi_max[1]))
+
+
 def constraint_line_endpoints(
     s: SurfaceParams,
     p_bar: float,
@@ -318,9 +355,10 @@ def constraint_line_endpoints(
     Within the box ``[0, psi_max1] x [0, psi_max2]`` the feasible set is
     a monotone arc: sorting by ``psi1`` gives non-increasing ``psi2``.
     Returns ``((psi1_L, psi2_L), (psi1_R, psi2_R))`` with the left end at
-    the smallest feasible ``psi1`` and the right end at the largest. The
-    ``psi1`` ends come from :func:`invert_surface_psi2` with the axes
-    swapped. ``tol`` is ignored, as in :func:`solve_psi2_on_constraint`.
+    the smallest feasible ``psi1`` and the right end at the largest: the
+    left end gives stream 2 its largest share of :func:`decay_shares`,
+    the right end stream 1. ``tol`` is ignored, as in
+    :func:`solve_psi2_on_constraint`.
 
     Raises :class:`InfeasibleError` unless ``p0 < p_bar < P(psi_max)``.
     """
@@ -330,18 +368,9 @@ def constraint_line_endpoints(
         raise InfeasibleError(
             f"target {p_bar:g} outside the open achievable range ({s.p0:g}, {top:g})"
         )
-    swapped = replace(s, tau1=s.tau2, tau2=s.tau1, beta1=s.beta2, beta2=s.beta1)
-    # Left end: psi1 as small as the box allows.
-    if eval_surface(s, 0.0, m2) >= p_bar:
-        left = (0.0, solve_psi2_on_constraint(s, 0.0, p_bar, psi2_max=m2))
-    else:
-        left = (invert_surface_psi2(swapped, m2, p_bar, m1), m2)
-    # Right end: psi2 as small as possible, ideally zero.
-    if eval_surface(s, m1, 0.0) >= p_bar:
-        right = (invert_surface_psi2(swapped, 0.0, p_bar, m1), 0.0)
-    else:
-        right = (m1, solve_psi2_on_constraint(s, m1, p_bar, psi2_max=m2))
-    return left, right
+    u, top1, top2 = decay_shares(s, p_bar, psi_max)
+    ends = ((max(0.0, 1.0 - top2), top2), (top1, max(0.0, 1.0 - top1)))
+    return tuple(line_point(s, u, shares, psi_max) for shares in ends)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ with equality, so every method works on the constraint line
     are degraded by the same ratio ``L_hat_i / L_i = rho``, with ``rho``
     chosen so the joint surface meets the target.
 ``bisection``
-    Bisects the constraint line on the sign of the total cost derivative
-    ``df/dpsi1 + (dpsi2/dpsi1) df/dpsi2``, where the line slope comes
-    from implicit differentiation of the constraint.
+    Bisects the constraint line in its decay-share coordinate: the line
+    is ``u1 + u2 = U`` with ``u_i = (psi_i/tau_i)^beta_i``, and the
+    shares ``s_i = u_i / U`` give each BER in closed form,
+    ``psi_i = tau_i (s_i U)^(1/beta_i)``. The search stops where the
+    cost stops falling as one stream's share grows, and keeps the
+    cheapest of that point and the line's two ends.
 ``grid_oracle``
     Brute force: a log-spaced scan of the line, used as independent
     ground truth for the optimisers.
@@ -45,17 +48,17 @@ from .modulation import (
     power_from_ber,
     zero_power_ber,
 )
-from .numerics import ToleranceConfig, bisect_root, normal_pdf, q_inverse
+from .numerics import ToleranceConfig, bisect_root, q_inverse
 from .perception import (
     PSI_MAX,
     StreamCurve,
     SurfaceParams,
     constraint_line_endpoints,
+    decay_shares,
     eval_surface,
-    invert_curve,
     invert_surface_psi2,
+    line_point,
     semantic_value_transmitted,
-    surface_partials,
 )
 
 __all__ = [
@@ -76,10 +79,10 @@ __all__ = [
 SOLVER_ORDER = ("equal_snr", "proportional", "bisection", "grid_oracle")
 
 # Stopping rules of the one-dimensional searches: the common SNR of
-# ``equal_snr`` and ``psi1`` of ``bisection``, and the degradation ratio
-# of ``proportional``. The ratio's rule is tighter: where the rule needs
-# small BERs, ``1 - rho * L_i`` sits just above the curve floor and
-# cancels, so a width of 1e-9 * rho misses the target.
+# ``equal_snr`` and the decay share of ``bisection``, and the degradation
+# ratio of ``proportional``. The ratio's rule is tighter: where the rule
+# needs small BERs, ``rho`` sits just below 1 and each stream's decay is
+# a small remainder of it, so a width of 1e-9 * rho misses the target.
 SEARCH_TOL = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-9, max_iter=200)
 RHO_TOL = ToleranceConfig(abs_tol=1e-16, rel_tol=1e-15, max_iter=200)
 # Largest |P - p_bar| a proportional allocation may leave.
@@ -117,6 +120,16 @@ class ProblemSpec:
             raise DomainError(f"target must lie in (0, 1), got {self.target}")
         if self.cost_basis not in ("bits", "symbols"):
             raise DomainError(f"cost_basis must be 'bits' or 'symbols', got {self.cost_basis!r}")
+        # The dearest allocation holds both streams at the BER floor; a
+        # finite cost there keeps every solver's powers and costs finite.
+        dearest = 0.0
+        for i, (s, w) in enumerate(zip(self.streams, _weights(self))):
+            dearest += w * power_from_ber(s.modulation, s.channel, PSI_FLOOR)
+            if not math.isfinite(dearest):
+                raise DomainError(
+                    f"stream {s.name or i + 1}: the power for BER {PSI_FLOOR:g} overflows over "
+                    f"its link (noise {s.channel.noise_w:g} W, gain {s.channel.gain:g})"
+                )
 
 
 @dataclass(frozen=True)
@@ -155,18 +168,27 @@ def achievable_range(p: ProblemSpec) -> tuple[float, float]:
     return float(p.surface.p0), float(eval_surface(p.surface, box[0], box[1]))
 
 
-def _finish(p: ProblemSpec, psi: tuple[float, float], solver: str, iterations: int,
-            converged: bool = True) -> Allocation:
-    w = _weights(p)
-    q = tuple(
+def _powers(p: ProblemSpec, psi: tuple[float, float]) -> tuple[float, float]:
+    return tuple(
         float(power_from_ber(s.modulation, s.channel, max(v, PSI_FLOOR)))
         for s, v in zip(p.streams, psi)
     )
+
+
+def _finish(p: ProblemSpec, psi: tuple[float, float], solver: str, iterations: int,
+            converged: bool = True, q: tuple[float, float] | None = None) -> Allocation:
+    w = _weights(p)
+    q = _powers(p, psi) if q is None else q
+    cost = w[0] * q[0] + w[1] * q[1]
+    if not math.isfinite(cost):
+        raise DomainError(
+            f"{solver}: the total cost of powers {q[0]:g} W and {q[1]:g} W overflows"
+        )
     return Allocation(
         q=q,
         psi=(float(psi[0]), float(psi[1])),
         achieved_p=eval_surface(p.surface, psi[0], psi[1]),
-        total_cost=w[0] * q[0] + w[1] * q[1],
+        total_cost=cost,
         solver=solver,
         iterations=iterations,
         feasible=True,
@@ -225,12 +247,10 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
         raise InfeasibleError("could not bracket the equal-SNR solution")
     g_star, steps, converged = bisect_root(lambda g: gap(g) > 0.0, 0.0, hi, SEARCH_TOL)
     psi = (ber_from_snr(m1, g_star), ber_from_snr(m2, g_star))
-    alloc = _finish(p, psi, "equal_snr", steps, converged)
     # Equal SNR fixes the powers directly; BER inversion would amplify
-    # rounding where the curve is flat, so override with the exact values.
+    # rounding where the curve is flat, so use the exact values.
     q = tuple(g_star * s.channel.noise_w / s.channel.gain for s in p.streams)
-    w = _weights(p)
-    return replace(alloc, q=q, total_cost=w[0] * q[0] + w[1] * q[1])
+    return _finish(p, psi, "equal_snr", steps, converged, q)
 
 
 def solve_proportional(p: ProblemSpec) -> Allocation:
@@ -252,12 +272,16 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     lvals = tuple(semantic_value_transmitted(s.curve) for s in p.streams)
 
     def psi_raw(rho: float, s: StreamSpec, lv: float) -> float:
-        wanted = 1.0 - rho * lv
-        if wanted <= s.curve.p0:
+        # The curve inverse of 1 - rho * lv, with 1 - fraction written as
+        # the degradation left below pmax, which does not round to 0
+        # where 1 - rho * lv nears pmax.
+        c = s.curve
+        rest = (rho * lv - (1.0 - c.pmax)) / (c.pmax - c.p0)
+        if rest >= 1.0:
             return 0.0
-        if wanted >= s.curve.pmax:
+        if rest <= 0.0:
             return math.inf
-        return invert_curve(s.curve, wanted)
+        return c.tau * (-math.log(rest)) ** (1.0 / c.beta)
 
     def gap(rho: float) -> float:
         # BERs are capped at the reachable box while searching; the cap
@@ -293,53 +317,78 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     return alloc
 
 
-def _dpower_dpsi(m: ModulationScheme, state: ChannelState, psi: float) -> float:
-    """Analytic derivative of :func:`power_from_ber` in the BER.
+def _share_slope(p: ProblemSpec, i: int, u: float, cap: float):
+    """``log |d cost_i / d s_i|`` along the line as a function of the share ``s_i``.
 
-    With ``x = Qinv(psi log2 M / a)`` the derivative is
-    ``-2 (sigma^2 / (b |h|^2)) (log2 M / a) x / phi(x)``; it is negative
-    on the whole invertible branch.
+    With ``x = Qinv(psi log2 M / a)`` the power falls with the BER as
+    ``2 (sigma^2 / (b |h|^2)) (log2 M / a) x / phi(x)``, and
+    ``dpsi/ds = psi / (beta s)``. The logarithm cannot overflow and drops
+    the factor ``2 / sqrt(2 pi)`` both streams share. It is ``-inf`` at
+    the zero-power BER and ``+inf`` where the BER underflows. The slope
+    ignores the clamp at :data:`PSI_FLOOR`: the clamped cost can rise
+    and then fall again along the line, which a bisection cannot follow,
+    so the caller compares the line's ends instead.
     """
+    s = p.streams[i]
+    m, ch = s.modulation, s.channel
+    tau, beta = (p.surface.tau1, p.surface.beta1) if i == 0 else (p.surface.tau2, p.surface.beta2)
     g = m.bits_per_symbol / m.a
-    x = q_inverse(max(psi, PSI_FLOOR) * g)
-    scale = state.noise_w / (m.b * state.gain)
-    return -2.0 * scale * g * x / float(normal_pdf(x))
+    scale = math.log(_weights(p)[i] * g) + math.log(ch.noise_w) - math.log(m.b) - math.log(ch.gain)
+
+    def slope(share: float) -> float:
+        psi = min(tau * (share * u) ** (1.0 / beta), cap)
+        if psi * g == 0.0:
+            return math.inf
+        x = q_inverse(psi * g)
+        if x <= 0.0:
+            return -math.inf
+        return scale + math.log(x) + 0.5 * x * x + math.log(psi) - math.log(beta * share)
+
+    return slope
 
 
 def solve_bisection(p: ProblemSpec) -> Allocation:
-    """Bisection on the constraint line driven by the cost derivative.
+    """Bisection on the constraint line in its decay-share coordinate.
 
-    :func:`bisect_root` searches ``psi1`` between the line's end points
-    for the point where the total cost stops falling. Each step takes
-    ``psi2`` at the midpoint ``psi1`` from the closed-form constraint
-    inverse (:func:`invert_surface_psi2`) and forms the total derivative
-    of the cost along the line: objective partials plus the implicit
-    slope ``dpsi2/dpsi1 = -(dP/dpsi1)/(dP/dpsi2)``. The ends, where a
-    zero BER makes the partials singular for ``beta < 1``, are never
-    evaluated.
+    On the line ``u1 + u2 = U`` (:func:`decay_shares`) each stream's BER
+    follows in closed form from its share of ``U``. :func:`bisect_root`
+    searches one share for the point where the two streams'
+    ``log |d cost_i / d s_i|`` (:func:`_share_slope`) meet, that is where
+    the cost stops falling as that share grows. It searches the stream
+    that holds less than half of ``U`` at the optimum (one comparison at
+    the midpoint decides), so points near either end of the line keep
+    full resolution; the ends are never evaluated. Below the BER floor
+    the power is clamped, which can leave a cheaper minimum at an end,
+    so the cheapest of the found point and both ends is returned.
+    ``iterations`` counts the bisection steps.
     """
     free = _check_target(p, "bisection")
     if free is not None:
         return free
     box = _psi_box(p)
-    (l1, _l2), (r1, _r2) = constraint_line_endpoints(p.surface, p.target, psi_max=box)
-    s1, s2 = p.streams
+    u, *top = decay_shares(p.surface, p.target, box)
+    slope = [_share_slope(p, i, u, box[i]) for i in (0, 1)]
+    if top[0] <= 0.5:
+        j = 0
+    elif top[1] <= 0.5:
+        j = 1
+    else:
+        j = int(slope[0](0.5) > slope[1](0.5))
+    k = 1 - j
+    t, steps, converged = bisect_root(
+        lambda t: slope[j](t) > slope[k](1.0 - t),
+        max(0.0, 1.0 - top[k]), min(top[j], 0.5), SEARCH_TOL,
+    )
+    found = (t, 1.0 - t) if j == 0 else (1.0 - t, t)
+    ends = ((max(0.0, 1.0 - top[1]), top[1]), (top[0], max(0.0, 1.0 - top[0])))
     w = _weights(p)
 
-    def falling(psi1: float) -> bool:
-        psi2 = invert_surface_psi2(p.surface, psi1, p.target, box[1])
-        df1 = w[0] * _dpower_dpsi(s1.modulation, s1.channel, psi1)
-        df2 = w[1] * _dpower_dpsi(s2.modulation, s2.channel, psi2)
-        dp1, dp2 = surface_partials(p.surface, psi1, psi2)
-        slope = -dp1 / dp2
-        return not (df1 + slope * df2 >= 0.0)  # a NaN derivative counts as falling
+    def cost(psi: tuple[float, float]) -> float:
+        q = _powers(p, psi)
+        return w[0] * q[0] + w[1] * q[1]
 
-    # 1e-12 is coarse where the whole line spans less than 1e-4 in psi1;
-    # resolve at least 1e-8 of the span there.
-    abs_tol = min(SEARCH_TOL.abs_tol, max(1e-8 * (r1 - l1), math.ulp(0.0)))
-    psi1, steps, converged = bisect_root(falling, l1, r1, replace(SEARCH_TOL, abs_tol=abs_tol))
-    psi2 = invert_surface_psi2(p.surface, psi1, p.target, box[1])
-    return _finish(p, (psi1, psi2), "bisection", steps, converged)
+    psi = min((line_point(p.surface, u, shares, box) for shares in (found, *ends)), key=cost)
+    return _finish(p, psi, "bisection", steps, converged)
 
 
 def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:

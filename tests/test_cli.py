@@ -103,20 +103,35 @@ class TestFit:
             assert_rel(getattr(second, name), getattr(first, name), 1e-3, name)
 
 
+def imported_modules(*argv, cwd=None):
+    """Modules a fresh ``python -X importtime`` process loads, in order."""
+    src = str(Path(sempower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    return [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if "|" in line]
+
+
 class TestStartup:
-    """Only ``fit`` needs ``scipy.optimize``; start-up must not load it."""
+    """Only ``fit`` needs scipy; start-up and ``solve`` must not load it."""
 
     @pytest.mark.parametrize("argv", [["-c", "import sempower"],
-                                      ["-m", "sempower.cli", "--version"]],
-                             ids=["import", "version"])
-    def test_scipy_optimize_not_imported(self, argv):
-        src = str(Path(sempower.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
-                              capture_output=True, text=True, check=True)
-        loaded = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
+                                      ["-m", "sempower.cli", "--version"],
+                                      ["-m", "sempower.cli", "solve", "--config", "config.yaml"]],
+                             ids=["import", "version", "solve"])
+    def test_scipy_not_imported(self, tmp_path, argv):
+        write_config(tmp_path, target=0.6, output={"dir": str(tmp_path / "run")})
+        loaded = imported_modules(*argv, cwd=tmp_path)
         assert "sempower" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.optimize")]
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+    def test_fit_imports_scipy_when_it_runs(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        save_sample_set(synthetic_sample_set(default_surface(), seed=3), samples)
+        loaded = imported_modules("-m", "sempower.cli", "fit", str(samples),
+                                  "--out", str(tmp_path / "out"))
+        assert "scipy.optimize" in loaded
+        assert load_surface(tmp_path / "out" / "surface.yaml").pmax == pytest.approx(0.95)
 
 
 class TestSolve:
@@ -352,6 +367,17 @@ class TestConfig:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: channel:") and f"{key}={float(value)}" in err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_overflowing_power_exit_2(self, tmp_path, capsys, command):
+        # A representable link whose power at the BER floor is not: every
+        # cost and power used to come out infinite in rows marked feasible.
+        cfg = write_config(tmp_path, channel={"noise_dbm": 3000}, target=0.6)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stream prompt:") and "overflows" in err and "1e+297 W" in err
+        assert not out.exists()
 
     def test_custom_modulation(self, tmp_path):
         cfg = write_config(

@@ -57,6 +57,16 @@ class TestQFunction:
         assert out.shape == (2,)
         assert out[0] == 0.5
 
+    def test_agrees_with_scipy(self):
+        # math.erfc in place of scipy's erfc: about 1e-13 deep in the tail
+        from scipy import special
+
+        xs = np.linspace(-5.0, 37.0, 4001)
+        ref = 0.5 * special.erfc(xs / math.sqrt(2.0))
+        out = q_function(xs)
+        assert np.all(np.abs(out - ref) <= 2e-13 * ref)
+        assert [q_function(float(x)) for x in xs[::100]] == list(out[::100])
+
 
 class TestQInverse:
     def test_half_maps_to_zero(self):
@@ -103,6 +113,17 @@ class TestQInverse:
     def test_extreme_tails(self):
         x = q_inverse(1e-100)
         assert_rel(q_function(x), 1e-100, 1e-9)
+
+    def test_agrees_with_scipy(self):
+        # AS241 in place of scipy's ndtri: a few ulps on both branches
+        from scipy import special
+
+        ps = np.geomspace(1e-300, 0.5, 4001)
+        ps = np.concatenate([ps, 1.0 - ps[(ps > 1e-15) & (ps < 0.5)]])
+        ref = -special.ndtri(ps)
+        out = q_inverse(ps)
+        assert np.all(np.abs(out - ref) <= 8 * np.spacing(np.abs(ref)))
+        assert [q_inverse(float(p)) for p in ps[::100]] == list(out[::100])
 
 
 class TestBisect:

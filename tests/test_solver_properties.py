@@ -17,12 +17,20 @@ from sempower.channel import ChannelState, make_channel_state
 from sempower.errors import SempowerWarning
 from sempower.modulation import PRESETS, ModulationScheme, preset
 from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, SurfaceParams
-from sempower.solvers import ProblemSpec, StreamSpec, achievable_range, sweep_targets
+from sempower.solvers import (
+    ProblemSpec,
+    StreamSpec,
+    achievable_range,
+    solve_bisection,
+    solve_grid_oracle,
+    sweep_targets,
+)
 
 from conftest import REF_CHANNEL, make_problem
 
 TARGET_ATOL = 1e-6  # acceptance c03
 COST_RTOL = 1e-3
+ORACLE_SLACK = 1e-9  # bisection may sit this far above the grid oracle
 
 MODULATIONS = [preset(name) for name in PRESETS] + [ModulationScheme("custom", 4, 1.0, 1.0)]
 NOISE_W = 1e-14  # -110 dBm
@@ -101,3 +109,38 @@ def test_sweep_meets_target_or_refuses(p):
             if name in allocs:
                 assert cost_b <= (1.0 + COST_RTOL) * allocs[name].total_cost, name
 
+
+def _optimum_under_the_ber_floor():
+    # beta = 0.3 on both axes and a stream-2 link 1.5e5 times weaker put
+    # the optimum at psi1 < 1e-15, where the power is clamped at the BER
+    # floor; a search linear in psi1 stopped 0.1% above the oracle there.
+    bpsk = preset("bpsk")
+    s1, s2 = (
+        StreamSpec(bits, bpsk, ChannelState(gain=gain, noise_w=NOISE_W), curve)
+        for bits, gain, curve in ((1024, 1e-10, StreamCurve(1.0 - L_PROMPT, 0.95, 5e-3, 1.0)),
+                                  (8192, 6.8e-16, StreamCurve(1.0 - L_EDGE, 0.95, 1e-3, 1.0)))
+    )
+    return ProblemSpec((s1, s2), SurfaceParams(0.3, 0.95, 1.6e-3, 1.6e-3, 0.3, 0.3), target=0.625)
+
+
+def _optimum_past_the_floor_region():
+    # Near the surface floor psi1 stays under the BER floor for the first
+    # 60% of stream 1's share, where its clamped power is flat; the
+    # optimum lies at a share of 0.89. A slope of -inf in the clamped
+    # stretch made the search stop at psi1 = 0, 0.7% above the oracle.
+    s = StreamSpec(163554, preset("16qam"), ChannelState(gain=5.5e-17, noise_w=NOISE_W),
+                   StreamCurve(0.287, 0.999, 2.8e-3, 2.84))
+    surface = SurfaceParams(0.133, 0.176, 0.01, 2.8e-3, 0.4, 2.84)
+    return ProblemSpec((s, s), surface, target=0.133 + 1e-5 * (0.176 - 0.133))
+
+
+@given(problems())
+@example(_optimum_under_the_ber_floor())
+@example(_optimum_past_the_floor_region())
+def test_bisection_never_above_oracle(p):
+    # The strategy draws beta on both sides of 1 and link gains 20 decades
+    # apart, so optima sit near either end of the line, and on about one
+    # problem in six a BER under the floor.
+    cost_b = solve_bisection(p).total_cost
+    cost_g = solve_grid_oracle(p).total_cost
+    assert cost_b <= cost_g * (1.0 + ORACLE_SLACK), (cost_b, cost_g)

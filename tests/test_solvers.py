@@ -52,6 +52,26 @@ def symmetric_problem(state, target=0.6):
     )
 
 
+class TestOverflow:
+    """Powers and costs beyond binary64 are input errors, never ``inf``."""
+
+    def test_problem_refuses_a_link_whose_floor_power_overflows(self, ref_state):
+        p = make_problem(ref_state)
+        loud = replace(p.streams[1], channel=replace(ref_state, noise_w=1e297))
+        with pytest.raises(DomainError, match="stream edge: the power for BER 1e-15 overflows"):
+            replace(p, streams=(p.streams[0], loud))
+
+    def test_equal_snr_powers_above_the_floor_power_overflow(self):
+        # The floor cost is 6.3e307, but equal SNR needs BERs near 1e-48,
+        # and its powers are not clamped at the floor.
+        s = StreamSpec(1, preset("bpsk"), ChannelState(gain=1.0, noise_w=1e306),
+                       StreamCurve(0.0, 1.0, 1e-3, 1.0))
+        p = ProblemSpec((s, s), SurfaceParams(0.0, 0.65, 1e-3, 1e-3, 1.0, 1.0), target=1e-45)
+        with pytest.raises(DomainError, match="equal_snr: the total cost .* overflows"):
+            solve_equal_snr(p)
+        assert math.isfinite(solve_bisection(p).total_cost)
+
+
 class TestEqualSnr:
     def test_symmetry(self, ref_state):
         alloc = solve_equal_snr(symmetric_problem(ref_state))
@@ -198,12 +218,15 @@ class TestBisection:
         assert abs(slope) / abs(scale) < 1e-4
 
     def test_iteration_bound(self, default_problem):
+        # The search halves a bracket at most 0.5 wide in the smaller decay
+        # share t until it is narrower than max(abs_tol, rel_tol * t).
         p = default_problem
         alloc = solve_bisection(p)
-        box = tuple(min(0.5, zero_power_ber(s.modulation)) for s in p.streams)
-        (l1, _), (r1, _) = constraint_line_endpoints(p.surface, p.target, psi_max=box)
-        eps = max(SEARCH_TOL.abs_tol, SEARCH_TOL.rel_tol * alloc.psi[0])
-        assert alloc.iterations <= math.ceil(math.log2((r1 - l1) / eps)) + 2
+        s = p.surface
+        u = -math.log1p(-(p.target - s.p0) / (s.pmax - s.p0))
+        t = min((alloc.psi[0] / s.tau1) ** s.beta1, (alloc.psi[1] / s.tau2) ** s.beta2) / u
+        eps = max(SEARCH_TOL.abs_tol, SEARCH_TOL.rel_tol * t)
+        assert alloc.iterations <= math.ceil(math.log2(0.5 / eps)) + 1
 
     def test_resolves_a_line_shorter_than_the_absolute_width(self):
         # The whole line spans 1.4e-12 in psi1; a flat 1e-12 stopping
