@@ -14,13 +14,13 @@ power, needed for a target BER:
 Shipped presets (Gray-coded nearest-neighbour approximations; both are
 configuration inputs and can be overridden):
 
-    bpsk   M=2,  a=1, b=2      (exact)
-    8qam   M=8,  a=2, b=6/7    (not the simulator's constellation; see below)
-    16qam  M=16, a=3, b=0.2    (square QAM: a=4(1-1/sqrt(M)), b=3/(M-1))
+    bpsk   M=2,  a=1,   b=2      (exact)
+    8qam   M=8,  a=2.5, b=1/3    (4x2 rectangular grid, as simulated)
+    16qam  M=16, a=3,   b=0.2    (square QAM: a=4(1-1/sqrt(M)), b=3/(M-1))
 
-The simulator's 4x2 Gray 8-QAM errs 2.1x, 25x and 118x as often as the
-8qam pair at 0, 10 and 12 dB; its nearest-neighbour pair is a=2.5,
-b=1/3. So the Monte Carlo check validates the BPSK and 16-QAM pairs only.
+The 8qam pair is the leading term of the exact 4x2 Gray BER
+``(2 BER_4PAM + BER_2PAM) / 3`` at ``x = sqrt(snr/3)``, so the Monte
+Carlo simulator checks all three presets.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class ModulationScheme:
 
 PRESETS = {
     "bpsk": ModulationScheme("bpsk", 2, 1.0, 2.0),
-    "8qam": ModulationScheme("8qam", 8, 2.0, 6.0 / 7.0),
+    "8qam": ModulationScheme("8qam", 8, 2.5, 1.0 / 3.0),
     "16qam": ModulationScheme("16qam", 16, 3.0, 0.2),
 }
 

@@ -70,10 +70,13 @@ _SPAWN_ODD = 0xD1B54A32D192ED03
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser on uint64 arrays (Steele, Lea & Flood)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finaliser on a uint64 array, in place (Steele, Lea & Flood)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -90,6 +93,16 @@ def derive_seed(seed: int, index: int) -> int:
     return int(_mix64(z)[0])
 
 
+def _unit(w: np.ndarray) -> np.ndarray:
+    """[0, 1) from the top 53 bits of each word."""
+    return (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _unit_open(w: np.ndarray) -> np.ndarray:
+    """(0, 1] from the top 53 bits of each word: safe under ``log``."""
+    return ((w >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+
+
 class Rng:
     """Reproducible counter-based pseudo-random generator.
 
@@ -101,9 +114,14 @@ class Rng:
     deterministic for a given platform; across platforms they can differ
     by libm rounding (one ulp in ``log``/``cos``/``sin``).
 
-    Instances are single-owner and advance an internal position; use
-    :func:`derive_seed` (or :meth:`spawn`) to hand independent streams to
-    parallel consumers.
+    Any part of the stream can be computed directly. :meth:`words_at`,
+    :meth:`bits_at` and :meth:`polar_at` take an explicit position and
+    leave the instance unchanged, so threads may share one instance and
+    draw disjoint slices in any order. The sequential draws
+    (:meth:`uniform`, :meth:`normal`, :meth:`exponential`, :meth:`bits`)
+    are the same computation at an internal position that each call
+    advances; such an instance is single-owner. Use :func:`derive_seed`
+    (or :meth:`spawn`) to hand independent streams to parallel consumers.
     """
 
     def __init__(self, seed: int):
@@ -111,39 +129,63 @@ class Rng:
         self._key = int(_mix64(np.asarray([self.seed], dtype=np.uint64))[0])
         self._pos = 0
 
+    def words_at(self, pos: int, n: int) -> np.ndarray:
+        """The ``n`` raw uint64 words at stream positions ``pos, ..., pos+n-1``."""
+        z = np.arange(pos + 1, pos + n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._key)
+        return _mix64(z)
+
+    def bits_at(self, pos: int, n: int) -> np.ndarray:
+        """``n`` bits from bit offset ``pos`` as a uint8 array of 0/1 values.
+
+        Bit ``i`` of the stream is bit ``63 - i % 64`` of word ``i // 64``
+        (most significant first).
+        """
+        w0, off = divmod(pos, 64)
+        # big-endian view fixes the byte order across platforms
+        raw = self.words_at(w0, -(-(off + n) // 64)).astype(">u8").view(np.uint8)
+        return np.unpackbits(raw)[off : off + n]
+
+    def polar_at(self, pos1: int, pos2: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Box-Muller radii and angles of ``n`` pairs.
+
+        The radius ``sqrt(-2 log u1)`` takes ``u1`` in (0, 1] from the words
+        at ``pos1, ...``; the angle ``2 pi u2`` takes ``u2`` in [0, 1) from
+        the words at ``pos2, ...``. ``r cos(ang)`` and ``r sin(ang)`` are two
+        independent standard normal deviates.
+        """
+        r = np.sqrt(-2.0 * np.log(_unit_open(self.words_at(pos1, n))))
+        return r, (2.0 * math.pi) * _unit(self.words_at(pos2, n))
+
     def _words(self, n: int) -> np.ndarray:
-        idx = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
         self._pos += n
-        return _mix64(np.uint64(self._key) + idx * np.uint64(_GOLDEN))
+        return self.words_at(self._pos - n, n)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1), from the top 53 bits per word."""
-        return (self._words(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-    def _uniform_open(self, n: int) -> np.ndarray:
-        # (0, 1]: safe under log()
-        w = (self._words(n) >> np.uint64(11)) + np.uint64(1)
-        return w.astype(np.float64) * 2.0**-53
+        return _unit(self._words(n))
 
     def normal(self, n: int) -> np.ndarray:
-        """``n`` standard normal deviates via Box-Muller pairs."""
+        """``n`` standard normal deviates via Box-Muller pairs.
+
+        The ``m = ceil(n/2)`` radii come from the next ``m`` words and the
+        angles from the ``m`` after; cosines fill the first ``m`` outputs.
+        """
         m = (n + 1) // 2
-        u1 = self._uniform_open(m)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = (2.0 * math.pi) * u2
+        r, ang = self.polar_at(self._pos, self._pos + m, m)
+        self._pos += 2 * m
         return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n]
 
     def exponential(self, n: int) -> np.ndarray:
         """``n`` unit-mean exponential deviates."""
-        return -np.log(self._uniform_open(n))
+        return -np.log(_unit_open(self._words(n)))
 
     def bits(self, n: int) -> np.ndarray:
         """``n`` random bits as a uint8 array of 0/1 values."""
-        nwords = (n + 63) // 64
-        # big-endian view fixes the byte order across platforms
-        raw = self._words(nwords).astype(">u8").view(np.uint8)
-        return np.unpackbits(raw)[:n]
+        out = self.bits_at(64 * self._pos, n)
+        self._pos += (n + 63) // 64
+        return out
 
     def spawn(self, index: int) -> "Rng":
         """A fresh generator on the sub-stream ``index`` of this seed."""

@@ -13,14 +13,31 @@ in quadrature (BPSK: in-phase only; 8-QAM: the 4x2 grid), each axis a
 Gray-coded PAM, so minimum-distance demodulation is per-axis
 quantisation and :func:`simulate_ber` is one loop over the axes. Gray
 word ``pos ^ (pos >> 1)`` sits at the odd integer ``2*pos - (L-1)``,
-scaled to unit mean symbol energy. The random stream yields all payload
-bits, then one normal draw per axis, in-phase first. Channel phase is
-irrelevant under coherent equalisation, so the amplitude is ``sqrt(gain)``.
+scaled to unit mean symbol energy. Channel phase is irrelevant under
+coherent equalisation, so the amplitude is ``sqrt(gain)``.
+
+Stream layout, for ``n_sym`` symbols of ``k`` bits: the first
+``W = ceil(n_sym k / 64)`` words carry the payload bits, symbol after
+symbol. Each axis then takes ``h = ceil(n_sym / 2)`` Box-Muller pairs,
+in-phase first: axis ``a`` reads its radius words from ``W + 2 a h`` and
+its angle words from ``W + (2a + 1) h``. The cosine of pair ``p`` is the
+noise of symbol ``p``, its sine that of symbol ``h + p`` (the last sine
+is unused when ``n_sym`` is odd). This is exactly the sequence of
+``Rng.bits`` followed by one ``Rng.normal(n_sym)`` per axis.
+
+The pairs are counted in fixed blocks of ``_BLOCK_PAIRS``: each block
+draws its symbols' bits and noise by stream position and returns its
+integer error count. With more than one block and more than one CPU
+available to the process, the blocks run on a thread pool that lives for
+one call, one worker per CPU (numpy's kernels release the GIL). The BER
+is the sum of the counts, so it is the same for any block order or
+thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +76,23 @@ class SimConfig:
 
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
+# Box-Muller pairs per block; fixed, so the blocks and their draws are too
+_BLOCK_PAIRS = 1 << 16
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def simulate_ber(m: ModulationScheme, state: ChannelState, q: float, cfg: SimConfig) -> float:
     """Empirical BER of one stream at symbol power ``q`` watts.
 
     Bit count is rounded up to a whole number of symbols. Reproducible:
-    the same config always produces the same error pattern.
+    the same config always produces the same error pattern, whatever the
+    number of threads counting it.
     """
     if not 0.0 <= q < math.inf:
         raise DomainError(f"power must be finite and >= 0, got {q}")
@@ -76,25 +103,54 @@ def simulate_ber(m: ModulationScheme, state: ChannelState, q: float, cfg: SimCon
     # an L-level odd-integer grid has mean square (L^2 - 1) / 3
     norm = math.sqrt(sum((4**nb - 1) // 3 for nb in axes))
     n_sym = -(-cfg.n_bits // k)
+    half = (n_sym + 1) // 2  # Box-Muller pairs per axis
+    n_words = -(-n_sym * k // 64)  # payload words, ahead of the normals
     rng = Rng(cfg.seed)
-    bits = rng.bits(n_sym * k).reshape(n_sym, k)
 
     amp = math.sqrt(q * state.gain)
     sigma = math.sqrt(state.noise_w / 2.0)
     # zero power leaves pure noise; a tiny amplitude floor keeps the
     # equalised samples finite (decisions are then noise-driven)
     amp_eff = max(amp, 1e-150)
-    errors = 0
-    for nb, axis_bits in zip(axes, np.split(bits, [axes[0]], axis=1)):
+    grids = []
+    for col, nb in zip((0, axes[0]), axes):  # col: the axis's first bit in a symbol
         top = (1 << nb) - 1
         pos = np.arange(top + 1)
         gray = pos ^ (pos >> 1)  # word at each level position; argsort inverts it
         level_of_word = ((2.0 * pos - top) / norm)[np.argsort(gray)]
-        words = axis_bits.astype(np.int64) @ (1 << np.arange(nb - 1, -1, -1))
-        x = (amp * level_of_word[words] + sigma * rng.normal(n_sym)) / amp_eff
-        # invert the level map, round to the nearest level, clip to the grid
-        pos_hat = np.clip(np.rint((x * norm + top) / 2.0), 0, top).astype(np.int64)
-        errors += int(_POPCOUNT[words ^ gray[pos_hat]].sum())
+        grids.append((col, nb, top, gray, level_of_word))
+
+    def count(p0: int) -> int:
+        # pairs [p0, p1): their cosines belong to symbols [p0, p1), their
+        # sines to [half + p0, half + p1), cut at n_sym
+        p1 = min(p0 + _BLOCK_PAIRS, half)
+        spans = [(s0, s1, trig) for s0, s1, trig in
+                 ((p0, p1, np.cos), (half + p0, min(half + p1, n_sym), np.sin)) if s1 > s0]
+        payload = [rng.bits_at(s0 * k, (s1 - s0) * k).reshape(-1, k) for s0, s1, _ in spans]
+        errors = 0
+        for a, (col, nb, top, gray, level_of_word) in enumerate(grids):
+            u1 = n_words + 2 * a * half + p0  # the axis's radius words, then its angle words
+            r, ang = rng.polar_at(u1, u1 + half, p1 - p0)
+            for (s0, s1, trig), bits in zip(spans, payload):
+                n = s1 - s0
+                words = bits[:, col].astype(np.int64)  # the axis's bits, MSB first
+                for j in range(col + 1, col + nb):
+                    words = (words << 1) | bits[:, j]
+                x = (amp * level_of_word[words] + sigma * (r[:n] * trig(ang[:n]))) / amp_eff
+                # invert the level map, round to the nearest level, clip to the grid
+                pos_hat = np.clip(np.rint((x * norm + top) / 2.0), 0, top).astype(np.int64)
+                errors += int(_POPCOUNT[words ^ gray[pos_hat]].sum())
+        return errors
+
+    starts = range(0, half, _BLOCK_PAIRS)
+    workers = _cpus()
+    if len(starts) > 1 and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            errors = sum(pool.map(count, starts))
+    else:
+        errors = sum(map(count, starts))
     return errors / (n_sym * k)
 
 

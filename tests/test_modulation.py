@@ -21,7 +21,7 @@ from conftest import assert_rel
 class TestSchemes:
     def test_preset_table(self):
         assert preset("bpsk") == ModulationScheme("bpsk", 2, 1.0, 2.0)
-        assert preset("8qam") == ModulationScheme("8qam", 8, 2.0, 6.0 / 7.0)
+        assert preset("8qam") == ModulationScheme("8qam", 8, 2.5, 1.0 / 3.0)
         assert preset("16qam") == ModulationScheme("16qam", 16, 3.0, 0.2)
         assert preset("BPSK").bits_per_symbol == 1
         assert preset("16qam").bits_per_symbol == 4
@@ -41,7 +41,7 @@ class TestSchemes:
     def test_zero_power_ber(self):
         assert zero_power_ber(preset("bpsk")) == 0.5
         assert zero_power_ber(preset("16qam")) == 0.375
-        assert zero_power_ber(preset("8qam")) == pytest.approx(1.0 / 3.0)
+        assert zero_power_ber(preset("8qam")) == pytest.approx(5.0 / 12.0)
 
 
 class TestBerFromSnr:

@@ -220,6 +220,17 @@ class TestRng:
         parts = np.concatenate([r.uniform(37), r.uniform(63)])
         assert np.array_equal(whole, parts)
 
+    def test_positional_draws_match_sequential_ones(self):
+        r, seq = Rng(12), Rng(12)
+        bits = seq.bits(1000)  # 16 words
+        normal = seq.normal(9)  # 5 radius words, then 5 angle words
+        for pos, n in [(0, 1000), (0, 0), (63, 2), (64, 64), (130, 777)]:
+            assert np.array_equal(r.bits_at(pos, n), bits[pos : pos + n])
+        rad, ang = r.polar_at(16, 21, 5)
+        assert np.array_equal(np.concatenate([rad * np.cos(ang), rad * np.sin(ang)])[:9], normal)
+        assert np.array_equal(r.words_at(3, 4), r.words_at(0, 7)[3:])
+        assert r.uniform(3).tolist() == Rng(12).uniform(3).tolist()  # nothing advanced
+
     def test_known_word_stream(self):
         # frozen first draws for seed 0: guards the generator definition
         first = Rng(0).uniform(2)

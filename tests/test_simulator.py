@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import sempower
+import sempower.simulator as simulator
 from sempower.errors import DomainError
 from sempower.modulation import ModulationScheme, ber_from_snr, preset
 from sempower.numerics import derive_seed, q_function
@@ -126,6 +133,81 @@ def test_pinned_values(ref_state, name):
         assert got == expected, (scheme, seed, snr_db)
 
 
+# The same for n_bits = 1_000_003: two (16-QAM) to eight (BPSK) blocks of
+# Box-Muller pairs, counted on a thread pool when more than one CPU is free.
+PINNED_MULTI_BLOCK = {
+    ('bpsk', 0, None): 0.5010304969085093,
+    ('bpsk', 0, 2.0): 0.03741988774033678,
+    ('bpsk', 9, None): 0.49965250104249687,
+    ('bpsk', 9, 2.0): 0.03713488859533422,
+    ('8qam', 0, None): 0.5007284963575183,
+    ('8qam', 0, 2.0): 0.19994700026499868,
+    ('8qam', 9, None): 0.49909850450747745,
+    ('8qam', 9, 2.0): 0.19906700466497668,
+    ('16qam', 0, None): 0.5001359994560022,
+    ('16qam', 0, 2.0): 0.2375760496958012,
+    ('16qam', 9, None): 0.4999500001999992,
+    ('16qam', 9, 2.0): 0.23668605325578698,
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_MULTI_BLOCK, key=repr), ids=repr)
+def test_pinned_multi_block_values(ref_state, key):
+    scheme, seed, snr_db = key
+    q = 0.0 if snr_db is None else power_at(ref_state, snr_db)
+    got = simulate_ber(SCHEMES[scheme], ref_state, q, SimConfig(n_bits=1_000_003, seed=seed))
+    assert got == PINNED_MULTI_BLOCK[key]
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestBlocks:
+    """The error count is a sum over fixed blocks of the counter stream, so
+    the BER depends neither on the block size nor on the thread count."""
+
+    # symbol counts around the pair and block boundaries of 1, 3 and 7 pairs
+    N_SYM = (1, 2, 3, 5, 6, 7, 13, 14, 15, 16, 29, 42, 43)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_block_size_and_threads_do_not_matter(self, ref_state, monkeypatch, k, cpus):
+        m = ModulationScheme("custom", 1 << k, 1.0, 1.0)
+        q = power_at(ref_state, 2.0)
+        # whole symbols and a final partial one
+        cases = [(n * k - j, seed) for n in self.N_SYM for j in {0, k - 1} for seed in (0, 9)]
+        want = [simulate_ber(m, ref_state, q, SimConfig(n_bits=n, seed=s)) for n, s in cases]
+        use_cpus(monkeypatch, cpus)
+        # with threads, switch often so the workers interleave inside each call
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for block in (1, 3, 7):
+                monkeypatch.setattr(simulator, "_BLOCK_PAIRS", block)
+                got = [simulate_ber(m, ref_state, q, SimConfig(n_bits=n, seed=s)) for n, s in cases]
+                assert got == want, block
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestThreads:
+    def test_pool_is_shut_down(self, ref_state, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        simulate_ber(preset("bpsk"), ref_state, power_at(ref_state, 2.0),
+                     SimConfig(n_bits=1_000_003, seed=0))
+        assert threading.active_count() == before
+
+    def test_cli_import_starts_no_thread(self):
+        src = str(Path(sempower.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import threading, sempower.cli; print(threading.active_count())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "1"
+
+
 class TestSimulateBer:
     def test_zero_power_is_coin_flip(self, ref_state):
         for name in ("bpsk", "16qam"):
@@ -145,6 +227,14 @@ class TestSimulateBer:
         q = snr * ref_state.noise_w / ref_state.gain
         psi = simulate_ber(preset("16qam"), ref_state, q, SimConfig(n_bits=1_000_000, seed=11))
         model = ber_from_snr(preset("16qam"), snr)
+        assert abs(psi - model) / model < 0.15
+
+    @pytest.mark.parametrize("snr_db", [8.0, 10.0, 12.0, 15.0])
+    def test_8qam_matches_model(self, ref_state, snr_db):
+        snr = 10.0 ** (snr_db / 10.0)
+        q = snr * ref_state.noise_w / ref_state.gain
+        psi = simulate_ber(preset("8qam"), ref_state, q, SimConfig(n_bits=2_000_001, seed=19))
+        model = ber_from_snr(preset("8qam"), snr)
         assert abs(psi - model) / model < 0.15
 
     def test_seed_determinism(self, ref_state):
