@@ -68,7 +68,6 @@ from .perception import (
     eval_curve,
     eval_surface,
     fit_surface,
-    invert_curve,
     invert_surface_psi2,
     load_sample_set,
     load_surface,

@@ -101,8 +101,13 @@ def ber_from_snr(m: ModulationScheme, snr_value):
     """BER at a given (linear) SNR; clamped to at most 0.5.
 
     Strictly decreasing in ``snr`` wherever below the clamp. Accepts
-    scalars or arrays.
+    scalars or arrays; a float comes back as a float, by the same
+    arithmetic.
     """
+    if isinstance(snr_value, float):
+        if not 0.0 <= snr_value < math.inf:  # NaN fails too
+            raise DomainError("snr must be finite and >= 0")
+        return min(0.5, (m.a / m.bits_per_symbol) * q_function(math.sqrt(snr_value * m.b)))
     arr = np.asarray(snr_value, dtype=float)
     if arr.size and (np.any(arr < 0.0) or not np.all(np.isfinite(arr))):
         raise DomainError("snr must be finite and >= 0")

@@ -25,13 +25,11 @@ __all__ = [
     "derive_seed",
     "q_function",
     "q_inverse",
-    "normal_pdf",
     "bisect_root",
     "finite_difference",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -217,12 +215,6 @@ def q_function(x):
         return _q(x)
     arr = np.asarray(x, dtype=float)
     return _q(float(arr)) if arr.ndim == 0 else _q_many(arr).astype(float)
-
-
-def normal_pdf(x):
-    """Standard normal density ``exp(-x^2 / 2) / sqrt(2 pi)``."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 _quantile = NormalDist().inv_cdf

@@ -51,7 +51,6 @@ __all__ = [
     "eval_surface",
     "surface_partials",
     "eval_curve",
-    "invert_curve",
     "semantic_value_transmitted",
     "semantic_value_received",
     "invert_surface_psi2",
@@ -142,8 +141,10 @@ class StreamCurve:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be finite and > 0, got {v}")
-        if self.value is not None and abs((1.0 - self.p0) - self.value) > 1e-12:
-            raise DomainError("value must agree with 1 - p0 (within rounding)")
+        if self.value is not None and not (
+            self.value > 0.0 and abs((1.0 - self.p0) - self.value) <= 1e-12
+        ):
+            raise DomainError("value must be > 0 and agree with 1 - p0 (within rounding)")
 
 
 def _check_psi(psi, what: str = "psi") -> np.ndarray:
@@ -198,25 +199,6 @@ def eval_curve(c: StreamCurve, psi):
     a = _check_psi(psi)
     out = c.p0 + (c.pmax - c.p0) * (-np.expm1(-((a / c.tau) ** c.beta)))
     return float(out) if np.ndim(psi) == 0 else out
-
-
-def invert_curve(c: StreamCurve, p_value: float) -> float:
-    """BER at which the curve reaches ``p_value``.
-
-    Defined for ``p_value in [p0, pmax)``; the inverse can exceed the BER
-    domain cap for values close to ``pmax``, callers cap as appropriate.
-    It is infinite where ``(p_value - p0) / (pmax - p0)`` rounds to 1.
-    """
-    if not (c.p0 <= p_value < c.pmax):
-        raise DomainError(
-            f"curve value must lie in [{c.p0:g}, {c.pmax:g}), got {p_value}"
-        )
-    if p_value == c.p0:
-        return 0.0
-    fraction = (p_value - c.p0) / (c.pmax - c.p0)
-    if fraction >= 1.0:
-        return math.inf
-    return c.tau * (-math.log1p(-fraction)) ** (1.0 / c.beta)
 
 
 def semantic_value_transmitted(c: StreamCurve) -> float:

@@ -11,19 +11,23 @@ with equality, so every method works on the constraint line
     Semantic-unaware baseline. Both streams get the same received SNR;
     the common SNR is found by a one-dimensional root solve.
 ``proportional``
-    Decouples the constraint per stream: both received semantic values
-    are degraded by the same ratio ``L_hat_i / L_i = rho``, with ``rho``
-    chosen so the joint surface meets the target.
+    Decouples the constraint per stream: both streams keep the same
+    fraction ``L_hat_i / L_i`` of their semantic value. A decay-share
+    search compares the fractions the two streams have lost.
 ``bisection``
-    Bisects the constraint line in its decay-share coordinate: the line
-    is ``u1 + u2 = U`` with ``u_i = (psi_i/tau_i)^beta_i``, and the
-    shares ``s_i = u_i / U`` give each BER in closed form,
-    ``psi_i = tau_i (s_i U)^(1/beta_i)``. The search stops where the
-    cost stops falling as one stream's share grows, and keeps the
-    cheapest of that point and the line's two ends.
+    A decay-share search for the point where the cost stops falling as
+    one stream's share grows; keeps the cheapest of that point and the
+    line's two ends.
 ``grid_oracle``
     Brute force: a log-spaced scan of the line, used as independent
     ground truth for the optimisers.
+
+The two semantic-aware methods run one search. The line is
+``u1 + u2 = U`` with ``u_i = (psi_i/tau_i)^beta_i``, and the shares
+``s_i = u_i / U`` give each BER in closed form,
+``psi_i = tau_i (s_i U)^(1/beta_i)``; each method bisects one share on
+its own comparison of the two streams, so its point is on the line by
+construction.
 
 Costs use symbol power times the stream's bit count by default
 (``cost_basis="bits"``); ``cost_basis="symbols"`` divides the bit count
@@ -35,7 +39,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,13 +83,11 @@ __all__ = [
 
 SOLVER_ORDER = ("equal_snr", "proportional", "bisection", "grid_oracle")
 
-# Stopping rules of the one-dimensional searches: the common SNR of
-# ``equal_snr`` and the decay share of ``bisection``, and the degradation
-# ratio of ``proportional``. The ratio's rule is tighter: where the rule
-# needs small BERs, ``rho`` sits just below 1 and each stream's decay is
-# a small remainder of it, so a width of 1e-9 * rho misses the target.
-SEARCH_TOL = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-9, max_iter=200)
-RHO_TOL = ToleranceConfig(abs_tol=1e-16, rel_tol=1e-15, max_iter=200)
+# Stopping rule of the one-dimensional searches (the common SNR of
+# ``equal_snr``, the decay share of ``proportional`` and ``bisection``).
+# It is relative only, so a root anywhere down to the subnormals is found
+# to 1e-9 of itself; about 1,000 halvings of a share bracket get there.
+SEARCH_TOL = ToleranceConfig(abs_tol=1e-300, rel_tol=1e-9, max_iter=1100)
 # Largest |P - p_bar| a proportional allocation may leave.
 PROPORTIONAL_ATOL = 1e-9
 
@@ -228,8 +231,9 @@ def _check_target(p: ProblemSpec, solver: str) -> Allocation | None:
 def solve_equal_snr(p: ProblemSpec) -> Allocation:
     """Semantic-unaware baseline: both streams at the same received SNR.
 
-    The common SNR solving ``P(psi1(g), psi2(g)) = target`` is bracketed
-    by the first power of 4 that meets the target and found by
+    The common SNR at which the decays ``u1 + u2`` of the two BERs reach
+    ``U`` (:func:`decay_shares`), that is where ``P = target``, is
+    bracketed by the first power of 4 that meets the target and found by
     :func:`bisect_root`; powers follow as ``g * noise_i / gain_i``.
     ``iterations`` counts the bisection steps.
     """
@@ -237,15 +241,21 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     if free is not None:
         return free
     m1, m2 = (s.modulation for s in p.streams)
+    sf = p.surface
+    u = decay_shares(sf, p.target)[0]
 
-    def gap(g: float) -> float:
-        return eval_surface(p.surface, ber_from_snr(m1, g), ber_from_snr(m2, g)) - p.target
+    def decay(g: float) -> float:
+        try:
+            return ((ber_from_snr(m1, g) / sf.tau1) ** sf.beta1
+                    + (ber_from_snr(m2, g) / sf.tau2) ** sf.beta2)
+        except OverflowError:  # a decay beyond binary64 is far above U
+            return math.inf
 
     # the search's upper end: the first power of 4 that meets the target
-    hi = next((4.0**k for k in range(80) if gap(4.0**k) < 0.0), None)
+    hi = next((4.0**k for k in range(80) if decay(4.0**k) < u), None)
     if hi is None:
         raise InfeasibleError("could not bracket the equal-SNR solution")
-    g_star, steps, converged = bisect_root(lambda g: gap(g) > 0.0, 0.0, hi, SEARCH_TOL)
+    g_star, steps, converged = bisect_root(lambda g: decay(g) > u, 0.0, hi, SEARCH_TOL)
     psi = (ber_from_snr(m1, g_star), ber_from_snr(m2, g_star))
     # Equal SNR fixes the powers directly; BER inversion would amplify
     # rounding where the curve is flat, so use the exact values.
@@ -253,66 +263,79 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     return _finish(p, psi, "equal_snr", steps, converged, q)
 
 
+def _share_search(
+    top: Sequence[float], below: Callable[[int, float], bool]
+) -> tuple[tuple[float, float], int, bool]:
+    """Bisect the constraint line in one decay share for a solver's point.
+
+    ``below(i, t)`` is True when stream ``i``'s share ``t`` lies below the
+    point; ``top`` holds each stream's largest share inside the box
+    (:func:`decay_shares`). The search runs on the share of the stream
+    that holds less than half of ``U`` at the point (the box decides, or
+    one call at share 0.5), so points near either end of the line keep
+    full relative resolution; the ends are never evaluated. Returns
+    ``((s1, s2), steps, converged)``.
+    """
+    if top[0] <= 0.5:
+        j = 0
+    elif top[1] <= 0.5:
+        j = 1
+    else:
+        j = int(below(0, 0.5))
+    t, steps, converged = bisect_root(
+        partial(below, j), max(0.0, 1.0 - top[1 - j]), min(top[j], 0.5), SEARCH_TOL
+    )
+    return ((t, 1.0 - t) if j == 0 else (1.0 - t, t)), steps, converged
+
+
+def _lost_value(c: StreamCurve, psi: float) -> float:
+    """Fraction of a stream's semantic value lost at BER ``psi``, ``1 - L_hat / L``."""
+    try:
+        decay = -math.expm1(-((psi / c.tau) ** c.beta))
+    except OverflowError:  # a decay beyond binary64 loses the whole range
+        decay = 1.0
+    return (c.pmax - c.p0) / semantic_value_transmitted(c) * decay
+
+
 def solve_proportional(p: ProblemSpec) -> Allocation:
     """Both streams keep the same fraction of their semantic value.
 
-    For a degradation ratio ``rho`` each stream's BER is the curve
-    inverse of ``1 - rho * L_i``; :func:`bisect_root` finds the ratio in
-    ``(1e-9, 1)`` at which the joint surface meets the target.
-    ``iterations`` counts the bisection steps. Raises
-    :class:`DomainError` when the rule cannot meet the target: it would
-    need a ratio below 1e-9, a BER beyond the zero-power value of a
-    stream's modulation (the decoupled requirement cannot bind there),
-    or more resolution than the curve inverse has in binary64.
+    Along the constraint line the fraction stream ``i`` has lost,
+    ``(pmax_i - p0_i) / L_i * (1 - exp(-(psi_i/tau_i)^beta_i))`` on its
+    curve, rises with its decay share while the other stream's falls.
+    :func:`_share_search` finds the share where the two are equal and
+    :func:`line_point` gives the BERs, so the target is met by
+    construction. ``iterations`` counts the bisection steps. Raises
+    :class:`DomainError` when the rule needs a BER beyond the zero-power
+    value of a stream's modulation (the decoupled requirement cannot bind
+    there), or when rounding leaves the target missed by more than
+    :data:`PROPORTIONAL_ATOL`.
     """
     free = _check_target(p, "proportional")
     if free is not None:
         return free
     box = _psi_box(p)
-    lvals = tuple(semantic_value_transmitted(s.curve) for s in p.streams)
+    u, *top = decay_shares(p.surface, p.target, box)
+    curves = [s.curve for s in p.streams]
 
-    def psi_raw(rho: float, s: StreamSpec, lv: float) -> float:
-        # The curve inverse of 1 - rho * lv, with 1 - fraction written as
-        # the degradation left below pmax, which does not round to 0
-        # where 1 - rho * lv nears pmax.
-        c = s.curve
-        rest = (rho * lv - (1.0 - c.pmax)) / (c.pmax - c.p0)
-        if rest >= 1.0:
-            return 0.0
-        if rest <= 0.0:
-            return math.inf
-        return c.tau * (-math.log(rest)) ** (1.0 / c.beta)
+    def below(i: int, t: float) -> bool:
+        psi = line_point(p.surface, u, (t, 1.0 - t) if i == 0 else (1.0 - t, t), box)
+        return _lost_value(curves[i], psi[i]) < _lost_value(curves[1 - i], psi[1 - i])
 
-    def gap(rho: float) -> float:
-        # BERs are capped at the reachable box while searching; the cap
-        # never binds at an interior solution.
-        v1, v2 = (min(psi_raw(rho, s, lv), cap) for s, lv, cap in zip(p.streams, lvals, box))
-        return eval_surface(p.surface, v1, v2) - p.target
-
-    # gap is decreasing in rho and gap(1) = p0 - target < 0; the lower
-    # end is the one to check.
-    rho_lo = 1e-9
-    if not gap(rho_lo) > 0.0:
-        raise DomainError(
-            f"proportional rule cannot reach target {p.target:g}: even at degradation "
-            f"ratio {rho_lo:g} the perception error stays below it"
-        )
-    rho_star, steps, converged = bisect_root(lambda r: gap(r) > 0.0, rho_lo, 1.0, RHO_TOL)
-    psi = []
-    for s, lv, cap in zip(p.streams, lvals, box):
-        raw = psi_raw(rho_star, s, lv)
-        if raw > cap * (1.0 + 1e-9):
+    for i, s in enumerate(p.streams):
+        # Still below the point at the largest share inside the box: the
+        # rule needs a larger BER on stream i than its modulation shows.
+        if below(i, top[i]):
             raise DomainError(
-                f"proportional rule requires BER {raw:g} beyond the zero-power "
-                f"value {cap:g} of {s.modulation.name}"
+                f"proportional rule requires BER on stream {s.name or i + 1} beyond the "
+                f"zero-power value {box[i]:g} of {s.modulation.name}"
             )
-        psi.append(min(raw, cap))
-    alloc = _finish(p, tuple(psi), "proportional", steps, converged)
+    shares, steps, converged = _share_search(top, below)
+    alloc = _finish(p, line_point(p.surface, u, shares, box), "proportional", steps, converged)
     if converged and abs(alloc.achieved_p - p.target) > PROPORTIONAL_ATOL:
         raise DomainError(
             f"proportional rule misses target {p.target:g} by "
-            f"{abs(alloc.achieved_p - p.target):.3g}: the stream curve inverse "
-            "cannot resolve the BER it needs"
+            f"{abs(alloc.achieved_p - p.target):.3g}: its point rounds off the constraint line"
         )
     return alloc
 
@@ -351,15 +374,12 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     """Bisection on the constraint line in its decay-share coordinate.
 
     On the line ``u1 + u2 = U`` (:func:`decay_shares`) each stream's BER
-    follows in closed form from its share of ``U``. :func:`bisect_root`
-    searches one share for the point where the two streams'
-    ``log |d cost_i / d s_i|`` (:func:`_share_slope`) meet, that is where
-    the cost stops falling as that share grows. It searches the stream
-    that holds less than half of ``U`` at the optimum (one comparison at
-    the midpoint decides), so points near either end of the line keep
-    full resolution; the ends are never evaluated. Below the BER floor
-    the power is clamped, which can leave a cheaper minimum at an end,
-    so the cheapest of the found point and both ends is returned.
+    follows in closed form from its share of ``U``. :func:`_share_search`
+    finds the share where the two streams' ``log |d cost_i / d s_i|``
+    (:func:`_share_slope`) meet, that is where the cost stops falling as
+    that share grows. Below the BER floor the power is clamped, which can
+    leave a cheaper minimum at an end, so the cheapest of the found point
+    and both ends is returned.
     ``iterations`` counts the bisection steps.
     """
     free = _check_target(p, "bisection")
@@ -368,18 +388,9 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     box = _psi_box(p)
     u, *top = decay_shares(p.surface, p.target, box)
     slope = [_share_slope(p, i, u, box[i]) for i in (0, 1)]
-    if top[0] <= 0.5:
-        j = 0
-    elif top[1] <= 0.5:
-        j = 1
-    else:
-        j = int(slope[0](0.5) > slope[1](0.5))
-    k = 1 - j
-    t, steps, converged = bisect_root(
-        lambda t: slope[j](t) > slope[k](1.0 - t),
-        max(0.0, 1.0 - top[k]), min(top[j], 0.5), SEARCH_TOL,
+    found, steps, converged = _share_search(
+        top, lambda i, t: slope[i](t) > slope[1 - i](1.0 - t)
     )
-    found = (t, 1.0 - t) if j == 0 else (1.0 - t, t)
     ends = ((max(0.0, 1.0 - top[1]), top[1]), (top[0], max(0.0, 1.0 - top[0])))
     w = _weights(p)
 

@@ -10,6 +10,8 @@ from sempower import (
     default_surface,
     make_channel_state,
     preset,
+    semantic_value_received,
+    semantic_value_transmitted,
 )
 
 # Property tests are deterministic and bounded so the suite stays fast
@@ -52,6 +54,12 @@ def make_problem(state, modulation="16qam", target=0.6, bits=(1024, 8192), cost_
 @pytest.fixture
 def default_problem(ref_state):
     return make_problem(ref_state)
+
+
+def kept_fractions(p, alloc):
+    """``L_hat_i / L_i`` of both streams at the allocation's BERs."""
+    return tuple(semantic_value_received(s.curve, v) / semantic_value_transmitted(s.curve)
+                 for s, v in zip(p.streams, alloc.psi))
 
 
 def rel_err(a, b):

@@ -241,30 +241,32 @@ class TestSweep:
         assert "flagged" in capsys.readouterr().err
 
     def test_unreachable_proportional_target_leaves_error_row(self, tmp_path):
-        # Curves saturating at pmax = 1: the proportional ratio cannot
-        # degrade the streams far enough for 0.92; the other cells solve.
-        from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, save_curve
+        # Stream 1 barely moves the surface but its curve is very
+        # BER-tolerant, so above P = 0.258 the rule needs a BER beyond
+        # what 16-QAM shows at zero power; the other cells solve.
+        from sempower.perception import StreamCurve, SurfaceParams, save_curve, save_surface
 
+        save_surface(SurfaceParams(p0=0.25, pmax=0.9999, tau1=50.0, tau2=1e-3, beta1=1.0,
+                                   beta2=1.0), tmp_path / "surface.yaml")
         streams = []
-        for name, bits, value in (("prompt", 1024, L_PROMPT), ("edge", 8192, L_EDGE)):
-            save_curve(StreamCurve(p0=1.0 - value, pmax=1.0, tau=1e-4, beta=1.0),
-                       tmp_path / f"{name}.yaml")
-            streams.append({"name": name, "bits": bits, "modulation": "16qam",
+        for name, tau in (("tolerant", 10.0), ("fragile", 1e-4)):
+            save_curve(StreamCurve(p0=0.3, pmax=0.95, tau=tau, beta=1.0), tmp_path / f"{name}.yaml")
+            streams.append({"name": name, "bits": 1000, "modulation": "16qam",
                             "curve": f"{name}.yaml"})
-        cfg = write_config(tmp_path, streams=streams, targets=[0.6, 0.92], grid_n=512)
+        cfg = write_config(tmp_path, surface="surface.yaml", streams=streams,
+                           targets=[0.255, 0.8], grid_n=512)
         out = tmp_path / "run"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out / "sweep_16qam.csv")
         assert len(rows) == 8
         assert [(r["p_bar"], r["solver"]) for r in rows if r["feasible"] == "false"] == [
-            ("0.92", "proportional")
+            ("0.8", "proportional")
         ]
 
     def test_exhausted_searches_exit_3_still_write(self, tmp_path, monkeypatch, capsys):
         import sempower.solvers as solvers_mod
 
-        for name in ("SEARCH_TOL", "RHO_TOL"):
-            monkeypatch.setattr(solvers_mod, name, replace(getattr(solvers_mod, name), max_iter=3))
+        monkeypatch.setattr(solvers_mod, "SEARCH_TOL", replace(solvers_mod.SEARCH_TOL, max_iter=3))
         cfg = write_config(tmp_path, targets=[0.5, 0.7], solvers=["equal_snr", "proportional"])
         out = tmp_path / "run"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3

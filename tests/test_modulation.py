@@ -6,6 +6,7 @@ import pytest
 from sempower.channel import ChannelState
 from sempower.errors import DomainError
 from sempower.modulation import (
+    PRESETS,
     ModulationScheme,
     ber_from_snr,
     power_from_ber,
@@ -70,6 +71,18 @@ class TestBerFromSnr:
     def test_negative_snr_rejected(self):
         with pytest.raises(DomainError):
             ber_from_snr(preset("bpsk"), -0.1)
+
+    def test_float_path_equals_array_path(self):
+        snrs = np.concatenate([[0.0, 1e-300, 1e300], np.geomspace(1e-6, 2e3, 500)])
+        for m in (*PRESETS.values(), ModulationScheme("heavy", 2, 4.0, 1.0)):
+            scalar = [ber_from_snr(m, float(g)) for g in snrs]
+            assert all(type(v) is float for v in scalar)
+            assert scalar == ber_from_snr(m, snrs).tolist(), m.name
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ber_from_snr(preset("bpsk"), bad)
+            with pytest.raises(DomainError):
+                ber_from_snr(preset("bpsk"), np.array([1.0, bad]))
 
 
 class TestSnrFromBer:

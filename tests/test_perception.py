@@ -17,7 +17,6 @@ from sempower.perception import (
     eval_curve,
     eval_surface,
     fit_surface,
-    invert_curve,
     load_curve,
     load_sample_set,
     load_surface,
@@ -148,6 +147,13 @@ class TestSemanticValues:
         c = StreamCurve(p0=1.0 - 1e-9, pmax=1.0, tau=1e-3, beta=1.0)
         assert semantic_value_transmitted(c) <= 1e-9
 
+    @pytest.mark.parametrize("value", [0.0, -1e-13])
+    def test_pinned_value_must_be_positive(self, value):
+        # within 1e-12 of 1 - p0 but no value to keep a fraction of: the
+        # proportional rule divided by it
+        with pytest.raises(DomainError, match="value must be > 0"):
+            StreamCurve(p0=1.0 - 1e-13, pmax=1.0, tau=1e-3, beta=1.0, value=value)
+
     def test_received_equals_transmitted_at_zero(self):
         for c in (default_prompt_curve(), default_edge_curve()):
             assert semantic_value_received(c, 0.0) == semantic_value_transmitted(c)
@@ -183,27 +189,6 @@ class TestSemanticValues:
 
         assert np.all(progress(edge, grid) >= progress(prompt, grid) - 1e-12)
         assert np.any(progress(edge, grid) > progress(prompt, grid) + 1e-3)
-        # equivalently, half of the recoverable value is gone at a
-        # smaller BER for the edge stream
-        half_p = invert_curve(prompt, prompt.p0 + 0.5 * (prompt.pmax - prompt.p0))
-        half_e = invert_curve(edge, edge.p0 + 0.5 * (edge.pmax - edge.p0))
-        assert half_e < half_p
-
-    def test_invert_curve_round_trip(self):
-        c = default_edge_curve()
-        for p_val in np.linspace(c.p0, c.pmax - 1e-6, 25):
-            assert abs(eval_curve(c, min(invert_curve(c, p_val), 0.5)) - p_val) < 1e-9 or (
-                invert_curve(c, p_val) > 0.5
-            )
-        assert invert_curve(c, c.p0) == 0.0
-        with pytest.raises(DomainError):
-            invert_curve(c, c.pmax)
-
-    def test_invert_curve_infinite_where_fraction_rounds_to_one(self):
-        # (p - p0) / (pmax - p0) rounds to 1 one ulp below pmax here;
-        # log1p(-1) raised a bare ValueError
-        c = StreamCurve(p0=0.3, pmax=0.825, tau=1e-3, beta=1.0)
-        assert invert_curve(c, 0.8249999999999998) == math.inf
 
 
 class TestConstraintGeometry:

@@ -26,9 +26,10 @@ from sempower.solvers import (
     sweep_targets,
 )
 
-from conftest import REF_CHANNEL, make_problem
+from conftest import REF_CHANNEL, kept_fractions, make_problem
 
 TARGET_ATOL = 1e-6  # acceptance c03
+RATIO_ATOL = 1e-8  # the proportional rule's |r1 - r2|, as in test_solvers.py
 COST_RTOL = 1e-3
 ORACLE_SLACK = 1e-9  # bisection may sit this far above the grid oracle
 
@@ -69,8 +70,8 @@ def problems(draw):
 
 
 def _saturating_curves():
-    # Curves that reach pmax = 1: the proportional ratio would need to
-    # fall below its lower end 1e-9 to degrade the streams to 0.92.
+    # Curves that reach pmax = 1: to reach 0.92 the proportional rule
+    # leaves each stream about 7.4e-12 of its semantic value.
     p = make_problem(make_channel_state(REF_CHANNEL), target=0.92)
     return replace(p, streams=tuple(
         replace(s, curve=StreamCurve(p0=1.0 - value, pmax=1.0, tau=1e-4, beta=1.0))
@@ -85,9 +86,33 @@ def _small_ber_rule():
     return ProblemSpec((s, s), SurfaceParams(0.0, 1.0, 0.1, 1e-5, 1.0, 1.0), target=0.5)
 
 
+def _rule_near_a_saturated_curve():
+    # Both streams lose 28% of their value, all that stream 2's curve can
+    # take: the rule's point sits where that curve has saturated.
+    s1 = StreamSpec(9636454, preset("8qam"), ChannelState(gain=3.48e-12, noise_w=NOISE_W),
+                    StreamCurve(0.092, 0.878, 6.89e-4, 2.89))
+    s2 = StreamSpec(6826047, preset("bpsk"), ChannelState(gain=5.53e-5, noise_w=NOISE_W),
+                    StreamCurve(0.618, 0.725, 2.59e-4, 1.16))
+    return ProblemSpec((s1, s2), SurfaceParams(0.705, 0.817, 0.0729, 5.88e-3, 2.45, 1.21),
+                       target=0.7844)
+
+
+def _rule_where_the_curve_inverse_overflowed():
+    # Both streams lose 17.7% of their value, all that stream 2's curve
+    # can take, so the curve inverse of that loss overflows to infinity.
+    s1 = StreamSpec(5915832, preset("8qam"), ChannelState(gain=2.77e-14, noise_w=NOISE_W),
+                    StreamCurve(0.867, 0.933, 3.49e-5, 1.69))
+    s2 = StreamSpec(5510048, MODULATIONS[-1], ChannelState(gain=3.73e-9, noise_w=NOISE_W),
+                    StreamCurve(0.0887, 0.25, 3.09e-5, 2.22))
+    return ProblemSpec((s1, s2), SurfaceParams(0.206, 0.685, 8.45e-5, 0.0597, 2.6, 2.21),
+                       target=0.6319)
+
+
 @given(problems())
 @example(_saturating_curves())
 @example(_small_ber_rule())
+@example(_rule_near_a_saturated_curve())
+@example(_rule_where_the_curve_inverse_overflowed())
 def test_sweep_meets_target_or_refuses(p):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SempowerWarning)
@@ -103,6 +128,9 @@ def test_sweep_meets_target_or_refuses(p):
         assert all(math.isfinite(q) and q >= 0.0 for q in a.q), (name, a.q)
         assert math.isfinite(a.total_cost), name
         assert abs(a.achieved_p - p.target) <= TARGET_ATOL, (name, a.achieved_p)
+    if "proportional" in allocs:
+        r1, r2 = kept_fractions(p, allocs["proportional"])
+        assert abs(r1 - r2) <= RATIO_ATOL, (r1, r2)
     if not any(issubclass(w.category, SempowerWarning) for w in caught):
         cost_b = allocs["bisection"].total_cost
         for name in ("equal_snr", "proportional"):

@@ -13,8 +13,6 @@ from sempower.perception import (
     SurfaceParams,
     constraint_line_endpoints,
     eval_surface,
-    semantic_value_received,
-    semantic_value_transmitted,
     solve_psi2_on_constraint,
 )
 from sempower.solvers import (
@@ -32,7 +30,7 @@ from sempower.solvers import (
     sweep_targets,
 )
 
-from conftest import assert_rel, make_problem
+from conftest import assert_rel, kept_fractions, make_problem
 
 TARGETS = np.linspace(0.33, 0.92, 10)
 
@@ -110,13 +108,20 @@ class TestEqualSnr:
         g2 = alloc.q[1] * s2.channel.gain / s2.channel.noise_w
         assert_rel(g1, g2, 1e-12)
 
+    def test_surface_decay_beyond_binary64(self, ref_state):
+        # (psi2/tau2)^beta2 overflows a float above psi2 = 1.4e-5, where the
+        # decay is far above U. The achievable range evaluates the surface
+        # at the box in numpy, which overflows there too and warns.
+        p = replace(make_problem(ref_state, target=0.6),
+                    surface=SurfaceParams(0.3, 0.95, 5e-3, 1e-10, 1.0, 60.0))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            alloc = solve_equal_snr(p)
+        assert abs(alloc.achieved_p - p.target) < 1e-6
+
 
 class TestProportional:
     def test_ratio_contract(self, default_problem):
-        alloc = solve_proportional(default_problem)
-        s1, s2 = default_problem.streams
-        r1 = semantic_value_received(s1.curve, alloc.psi[0]) / semantic_value_transmitted(s1.curve)
-        r2 = semantic_value_received(s2.curve, alloc.psi[1]) / semantic_value_transmitted(s2.curve)
+        r1, r2 = kept_fractions(default_problem, solve_proportional(default_problem))
         assert abs(r1 - r2) < 1e-8
 
     def test_meets_target(self, default_problem):
@@ -147,16 +152,29 @@ class TestProportional:
         with pytest.raises(DomainError):
             solve_proportional(p)
 
-    def test_refuses_target_beyond_the_ratio_range(self, ref_state):
-        # Curves saturating at pmax = 1 keep P below 0.92 even at the
-        # smallest ratio searched, 1e-9.
+    def test_meets_target_where_the_rule_keeps_little_value(self, ref_state):
+        # Curves saturating at pmax = 1: to reach 0.92 both streams keep
+        # only 7.4e-12 of their value.
         p = make_problem(ref_state, target=0.92)
         p = replace(p, streams=tuple(
             replace(s, curve=StreamCurve(p0=s.curve.p0, pmax=1.0, tau=1e-4, beta=1.0))
             for s in p.streams
         ))
-        with pytest.raises(DomainError, match="cannot reach target 0.92"):
-            solve_proportional(p)
+        alloc = solve_proportional(p)
+        assert abs(alloc.achieved_p - p.target) <= PROPORTIONAL_ATOL
+        r1, r2 = kept_fractions(p, alloc)
+        assert r1 < 1e-9 and abs(r1 - r2) <= 1e-8
+
+    def test_curve_decay_beyond_binary64_is_a_full_loss(self, ref_state):
+        # (psi/tau)^beta of the edge curve overflows a float above
+        # psi = 1.4e-5; there the edge stream has lost its whole range.
+        p = make_problem(ref_state, target=0.6)
+        edge = replace(p.streams[1], curve=StreamCurve(0.3, 0.6, 1e-10, 60.0))
+        p = replace(p, streams=(p.streams[0], edge))
+        alloc = solve_proportional(p)
+        assert abs(alloc.achieved_p - p.target) <= PROPORTIONAL_ATOL
+        r1, r2 = kept_fractions(p, alloc)
+        assert abs(r1 - r2) <= 1e-8
 
     def test_meets_target_where_rule_needs_small_bers(self):
         # 1 - rho * L_i sits just above the curve floor here; a ratio
@@ -167,15 +185,18 @@ class TestProportional:
         alloc = solve_proportional(p)
         assert abs(alloc.achieved_p - p.target) <= PROPORTIONAL_ATOL
 
-    def test_refuses_target_the_curve_inverse_cannot_resolve(self):
+    def test_meets_target_where_the_curve_inverse_saturates(self):
         # With beta = 2 the curve inverse saturates in binary64 at about
-        # 0.015 and then jumps to infinity, so no ratio meets 99% of the
-        # range; the rule used to return an allocation 4e-3 off target.
+        # 0.015 and then jumps to infinity; the rule must not rely on it
+        # to meet a target at 99% of the range.
         s = StreamSpec(400, preset("8qam"), ChannelState(gain=1e-17, noise_w=1e-14),
                        StreamCurve(0.48, 0.51, 2.5e-3, 2.0))
         p = ProblemSpec((s, s), SurfaceParams(0.0, 0.06, 0.01, 0.01, 2.5, 2.5), target=0.0594)
-        with pytest.raises(DomainError, match="misses target"):
-            solve_proportional(p)
+        alloc = solve_proportional(p)
+        assert abs(alloc.achieved_p - p.target) <= PROPORTIONAL_ATOL
+        r1, r2 = kept_fractions(p, alloc)
+        assert abs(r1 - r2) <= 1e-8
+        assert alloc.total_cost >= solve_bisection(p).total_cost * (1 - 1e-9)
 
 
 class TestBisection:
@@ -288,6 +309,23 @@ class TestCrossCutting:
             floor = solve_grid_oracle(p, 4096).total_cost
             for name in ("equal_snr", "proportional", "bisection"):
                 assert solve(p, name).total_cost >= floor * (1 - 0.005)
+
+    def test_searches_leave_the_surface_out(self, default_problem, monkeypatch):
+        # The surface is evaluated for the achievable range and for the
+        # finished allocation; every search step works in decay space.
+        import sempower.solvers as solvers_mod
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_surface(*args)
+
+        monkeypatch.setattr(solvers_mod, "eval_surface", counted)
+        for solver in (solve_equal_snr, solve_proportional, solve_bisection):
+            calls.clear()
+            solver(default_problem)
+            assert len(calls) <= 2, (solver.__name__, len(calls))
 
     def test_psi_consistent_with_power(self, ref_state):
         # re-deriving the BER from the allocated power reproduces the
