@@ -186,6 +186,7 @@ def cmd_fit(args) -> int:
     s = result.params
     print(
         f"fit: n={result.n_samples} rmse={result.rmse:.6g} "
+        f"iterations={result.iterations} evaluations={result.evaluations} "
         f"p0={s.p0:.6g} pmax={s.pmax:.6g} tau1={s.tau1:.6g} tau2={s.tau2:.6g} "
         f"beta1={s.beta1:.6g} beta2={s.beta2:.6g} -> {out_path}"
     )

@@ -4,7 +4,7 @@ Gaussian tail function and its inverse, midpoint bisection on a
 predicate, central finite differences, and a small counter-based random
 generator used for every stochastic draw in the package. The tail is
 ``math.erfc`` and its inverse the standard library's normal quantile
-(Wichura's AS241), so the package needs scipy only to fit surfaces. All
+(Wichura's AS241), so the package does not need scipy. All
 routines are deterministic, double precision, and free of global state.
 """
 

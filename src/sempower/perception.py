@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +161,13 @@ def eval_surface(s: SurfaceParams, psi1, psi2):
     Non-decreasing in each argument, with range ``[p0, pmax)`` over the
     BER domain ``[0, 0.5]^2``. Evaluated as
     ``p0 + (pmax - p0) * (1 - exp(-u))`` with ``expm1``, which is exact
-    at the floor and accurate for small decay arguments.
+    at the floor and accurate for small decay arguments. A decay beyond
+    binary64 is infinite and gives exactly ``pmax``.
     """
     a1 = _check_psi(psi1, "psi1")
     a2 = _check_psi(psi2, "psi2")
-    u = (a1 / s.tau1) ** s.beta1 + (a2 / s.tau2) ** s.beta2
+    with np.errstate(over="ignore"):
+        u = (a1 / s.tau1) ** s.beta1 + (a2 / s.tau2) ** s.beta2
     out = s.p0 + (s.pmax - s.p0) * (-np.expm1(-u))
     if np.ndim(psi1) == 0 and np.ndim(psi2) == 0:
         return float(out)
@@ -390,6 +393,8 @@ class FitResult:
     rmse: float
     n_samples: int
     converged: bool
+    iterations: int = 0  # accepted solver steps
+    evaluations: int = 0  # residual evaluations
 
 
 _N_SURFACE_PARAMS = 6
@@ -401,6 +406,14 @@ _N_SURFACE_PARAMS = 6
 _FIT_LOWER = np.r_[0.0, 0.0, np.log([1e-12, 1e-12, 0.05, 0.05])]
 _FIT_UPPER = np.r_[1.0, 1.0, np.log([1e3, 1e3, 20.0, 20.0])]
 
+# Levenberg–Marquardt: step budget, relative step and cost tolerance,
+# starting damping (relative to Marquardt's scaling), and the damping
+# below which a step counts as Gauss–Newton for the cost test.
+_FIT_MAX_STEPS = 500
+_FIT_TOL = 1e-12
+_LM_LAMBDA0 = 1e-3
+_LM_GAUSS_NEWTON = 1e-6
+
 
 def _default_fit_init(data: SampleSet) -> SurfaceParams:
     p_lo = float(np.min(data.p))
@@ -409,31 +422,43 @@ def _default_fit_init(data: SampleSet) -> SurfaceParams:
     p0 = min(max(p_lo, 1e-4), 0.98 * pmax)
     pos1 = data.psi1[data.psi1 > 0.0]
     pos2 = data.psi2[data.psi2 > 0.0]
-    tau1 = float(np.median(pos1)) if pos1.size else 1e-2
-    tau2 = float(np.median(pos2)) if pos2.size else 1e-2
+    # statistics.median, as np.median would import numpy.ma (14 ms)
+    tau1 = statistics.median(pos1.tolist()) if pos1.size else 1e-2
+    tau2 = statistics.median(pos2.tolist()) if pos2.size else 1e-2
     return SurfaceParams(p0=p0, pmax=pmax, tau1=tau1, tau2=tau2, beta1=1.0, beta2=1.0)
 
 
 def fit_surface(data: SampleSet, init: SurfaceParams | None = None) -> FitResult:
     """Least-squares fit of the surface family to sampled ``(psi, P)`` rows.
 
-    One bounded trust-region-reflective solve
-    (:func:`scipy.optimize.least_squares`, ``method="trf"``; Branch,
-    Coleman & Li 1999) over ``(p0, pmax, log tau1, log tau2, log beta1,
-    log beta2)`` with the analytic Jacobian. ``p0`` and ``pmax`` are
-    boxed to ``[0, 1]``, the log scales and shapes to a finite box.
-    ``converged`` is False when the evaluation budget ran out. Constant
-    ``P``, or a fit that does not end with ``p0 < pmax``, raises
+    One bounded Levenberg–Marquardt solve (:func:`_bounded_lm`;
+    Levenberg 1944, Marquardt 1963) over ``(p0, pmax, log tau1, log tau2,
+    log beta1, log beta2)`` with the analytic Jacobian. ``p0`` and
+    ``pmax`` are boxed to ``[0, 1]``, the log scales and shapes to a
+    finite box. ``converged`` is False when the step budget ran out.
+    Constant ``P``, or a fit that does not end with ``p0 < pmax``, raises
     :class:`DomainError`.
     """
-    from scipy.optimize import least_squares
-
     if len(data) < _N_SURFACE_PARAMS:
         raise DomainError(
             f"need at least {_N_SURFACE_PARAMS} samples to fit, got {len(data)}"
         )
     if np.ptp(data.p) == 0.0:
         raise DomainError("P is constant over the samples; the surface is not identifiable")
+    residual, jacobian, x0 = _fit_problem(data, init)
+    x, cost, converged, steps, evals = _bounded_lm(residual, jacobian, x0, _FIT_LOWER, _FIT_UPPER)
+    if not x[0] < x[1]:
+        raise DomainError(
+            f"surface fit failed: it ended with p0={x[0]:.6g} >= pmax={x[1]:.6g}, "
+            "so the samples do not rise with the BERs as the surface family must"
+        )
+    params = SurfaceParams(*x[:2].tolist(), *np.exp(x[2:]).tolist())
+    return FitResult(params=params, rmse=math.sqrt(2.0 * cost / len(data)), n_samples=len(data),
+                     converged=converged, iterations=steps, evaluations=evals)
+
+
+def _fit_problem(data: SampleSet, init: SurfaceParams | None):
+    """``(residual, jacobian, x0)`` of the fit in its six coordinates."""
     s = init if init is not None else _default_fit_init(data)
     x0 = np.r_[s.p0, s.pmax, np.log([s.tau1, s.tau2, s.beta1, s.beta2])]
     x0 = np.clip(x0, _FIT_LOWER, _FIT_UPPER)
@@ -456,21 +481,54 @@ def fit_surface(data: SampleSet, init: SurfaceParams | None = None) -> FitResult
         bu = np.exp(x[4:6, None]) * u * ((x[1] - x[0]) * e)
         return np.vstack([e, 1.0 - e, -bu, bu * log_ratio]).T
 
-    # No gradient test: TRF scales the gradient by the distance to the
-    # box, so it reads ~0 near p0 = 0 or pmax = 1 while the fit is still
-    # 1e-8 off; the step and cost tests stop it there.
-    res = least_squares(
-        residual, x0, jac=jacobian, bounds=(_FIT_LOWER, _FIT_UPPER), method="trf",
-        xtol=1e-12, ftol=1e-12, gtol=None,
-    )
-    if not res.x[0] < res.x[1]:
-        raise DomainError(
-            f"surface fit failed: it ended with p0={res.x[0]:.6g} >= pmax={res.x[1]:.6g}, "
-            "so the samples do not rise with the BERs as the surface family must"
-        )
-    params = SurfaceParams(*res.x[:2].tolist(), *np.exp(res.x[2:]).tolist())
-    rmse = math.sqrt(2.0 * res.cost / len(data))
-    return FitResult(params=params, rmse=rmse, n_samples=len(data), converged=bool(res.status > 0))
+    return residual, jacobian, x0
+
+
+def _bounded_lm(residual, jacobian, x, lower, upper):
+    """Minimise ``|residual(x)|^2 / 2`` over the box ``[lower, upper]``.
+
+    Levenberg–Marquardt: the step solves ``[J; sqrt(lam D)] dx = [-r; 0]``
+    by least squares, with Marquardt's scaling ``D`` the running maximum
+    of ``diag(J^T J)`` (Moré 1978), and ``lam`` follows Nielsen's
+    gain-ratio rule (Madsen, Nielsen & Tingleff 2004). A variable at a
+    bound whose gradient points out of the box is held out of the step,
+    and each trial point is clipped to the box. Stops on a relative step
+    of at most ``_FIT_TOL``, on a decrease of at most ``_FIT_TOL * cost``
+    once ``lam`` is near Gauss–Newton, or on a zero decrease. Returns
+    ``(x, cost, converged, steps, evaluations)``; not converged means
+    ``_FIT_MAX_STEPS`` accepted steps did not stop it.
+    """
+    r = residual(x)
+    cost, evals, lam, scale = 0.5 * (r @ r), 1, _LM_LAMBDA0, np.zeros_like(x)
+    for step in range(1, _FIT_MAX_STEPS + 1):
+        jac = jacobian(x)
+        grad = jac.T @ r
+        scale = np.maximum(scale, np.einsum("ij,ij->j", jac, jac))
+        free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
+        rhs, grow = np.r_[-r, np.zeros(np.count_nonzero(free))], 2.0
+        while True:
+            damped = np.vstack([jac[:, free], np.diag(np.sqrt(lam * scale[free]))])
+            dx = np.zeros_like(x)
+            dx[free] = np.linalg.lstsq(damped, rhs, rcond=None)[0]
+            trial = np.clip(x + dx, lower, upper)
+            r_trial = residual(trial)
+            evals += 1
+            cost_trial = 0.5 * (r_trial @ r_trial)
+            tiny = np.linalg.norm(trial - x) <= _FIT_TOL * (_FIT_TOL + np.linalg.norm(x))
+            if cost_trial <= cost or tiny:
+                break
+            lam, grow = lam * grow, 2.0 * grow
+        if cost_trial > cost:  # a tiny step that does not lower the cost
+            return x, cost, True, step - 1, evals
+        decrease, gauss_newton = cost - cost_trial, lam <= _LM_GAUSS_NEWTON
+        model = r + jac @ (trial - x)
+        predicted = cost - 0.5 * (model @ model)
+        gain = decrease / predicted if predicted > 0.0 else 0.0
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        x, r, cost = trial, r_trial, cost_trial
+        if tiny or decrease == 0.0 or (gauss_newton and decrease <= _FIT_TOL * cost):
+            return x, cost, True, step, evals
+    return x, cost, False, _FIT_MAX_STEPS, evals
 
 
 def synthetic_sample_set(

@@ -72,6 +72,19 @@ class TestFit:
         assert (tmp_path / "out" / "surface.yaml").is_file()
         assert "flagged" in capsys.readouterr().err
 
+    def test_exhausted_step_budget_exit_3(self, tmp_path, monkeypatch, capsys):
+        import sempower.perception as perception_mod
+
+        monkeypatch.setattr(perception_mod, "_FIT_MAX_STEPS", 1)
+        samples = tmp_path / "samples.csv"
+        save_sample_set(synthetic_sample_set(default_surface(), seed=3, noise_sigma=0.01), samples)
+        code = main(["fit", str(samples), "--out", str(tmp_path / "out")])
+        assert code == 3
+        doc = yaml.safe_load((tmp_path / "out" / "surface.yaml").read_text())
+        assert doc["fit"]["converged"] is False
+        out, err = capsys.readouterr()
+        assert "iterations=1 evaluations=" in out and "flagged" in err
+
     def test_constant_samples_exit_2(self, tmp_path, capsys):
         samples = tmp_path / "constant.csv"
         psi = np.geomspace(1e-4, 0.5, 10)
@@ -113,7 +126,7 @@ def imported_modules(*argv, cwd=None):
 
 
 class TestStartup:
-    """Only ``fit`` needs scipy; start-up and ``solve`` must not load it."""
+    """No command loads scipy: it is a test-only dependency."""
 
     @pytest.mark.parametrize("argv", [["-c", "import sempower"],
                                       ["-m", "sempower.cli", "--version"],
@@ -125,13 +138,16 @@ class TestStartup:
         assert "sempower" in loaded
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
-    def test_fit_imports_scipy_when_it_runs(self, tmp_path):
-        samples = tmp_path / "samples.csv"
-        save_sample_set(synthetic_sample_set(default_surface(), seed=3), samples)
-        loaded = imported_modules("-m", "sempower.cli", "fit", str(samples),
-                                  "--out", str(tmp_path / "out"))
-        assert "scipy.optimize" in loaded
-        assert load_surface(tmp_path / "out" / "surface.yaml").pmax == pytest.approx(0.95)
+    @pytest.mark.parametrize("argv, output", [(["fit", "samples.csv"], "surface.yaml"),
+                                              (["solve", "--config", "config.yaml"], "solve.csv")],
+                             ids=["fit", "solve-csv-surface"])
+    def test_fit_runs_without_scipy(self, tmp_path, argv, output):
+        save_sample_set(synthetic_sample_set(default_surface(), seed=3), tmp_path / "samples.csv")
+        write_config(tmp_path, surface="samples.csv", target=0.6, grid_n=512)
+        loaded = imported_modules("-m", "sempower.cli", *argv, "--out", "out", cwd=tmp_path)
+        assert "sempower.perception" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+        assert (tmp_path / "out" / output).is_file()
 
 
 class TestSolve:

@@ -1,8 +1,9 @@
-"""Property test of the surface fit over random noiseless surfaces.
+"""Property tests of the surface fit over random surfaces.
 
 Surfaces are drawn over the whole family (derandomised, see
-``conftest.py``), sampled on the noiseless synthetic grid and fitted
-back with every Python warning promoted to an error.
+``conftest.py``), sampled on the synthetic grid and fitted back with
+every Python warning promoted to an error. On noisy samples scipy's
+trust-region-reflective ``least_squares`` is the oracle for the cost.
 """
 
 import warnings
@@ -10,6 +11,7 @@ import warnings
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import sempower.perception as perception
 from sempower.perception import SurfaceParams, fit_surface, synthetic_sample_set
 
 from conftest import assert_rel
@@ -52,3 +54,30 @@ def test_noiseless_fit_recovers_truth(truth):
     assert abs(res.params.p0 - truth.p0) <= 1e-9
     for name in ("pmax", "tau1", "tau2", "beta1", "beta2"):
         assert_rel(getattr(res.params, name), getattr(truth, name), 1e-6, name)
+
+
+# Below this rise of the surface over the sample noise, P's spread is
+# mostly noise: the cost has several local minima, and two local solvers
+# from the same start can settle in different ones (see CHANGES.md).
+_IDENTIFIABLE_RISE = 8.0
+
+
+@given(surfaces(), st.integers(0, 2**31 - 1), st.floats(0.005, 0.02))
+def test_noisy_fit_is_no_worse_than_trf(truth, seed, sigma):
+    # scipy's bounded trust-region-reflective solve on the same residual,
+    # Jacobian, start and box is the oracle.
+    from scipy.optimize import least_squares
+
+    data = synthetic_sample_set(truth, seed=seed, noise_sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit_surface(data)
+    assert res.converged
+    if truth.pmax - truth.p0 < _IDENTIFIABLE_RISE * sigma:
+        return
+    residual, jacobian, x0 = perception._fit_problem(data, None)
+    trf = least_squares(residual, x0, jac=jacobian, method="trf",
+                        bounds=(perception._FIT_LOWER, perception._FIT_UPPER),
+                        xtol=1e-12, ftol=1e-12, gtol=None)
+    cost = 0.5 * len(data) * res.rmse**2
+    assert cost <= trf.cost * (1.0 + 1e-9)
