@@ -378,6 +378,31 @@ class TestConfig:
         assert main(["solve", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"targets": {"start": 0.4, "stop": 0.8, "count": 0}}, "targets.count"),
+            ({"solvers": ["newton"]}, "solvers"),
+            ({"cost_basis": "joules"}, "cost_basis"),
+            ({"grid_n": 32}, "grid_n"),
+            ({"modulations": ["8qam", "64qam"]}, "modulations"),
+            ({"output": {"format": "pdf"}}, "output.format"),
+            ({"channel": {"fading": "nakagami"}}, "channel.fading"),
+            (
+                {"streams": [{"bits": 8, "modulation": "custom", "a": 1.0, "b": 1.0}, {}]},
+                "streams[0]",
+            ),
+            ({"streams": [{}, {}, {}]}, "streams"),
+            ({"target": 1.5}, "target"),
+        ],
+    )
+    def test_invalid_value_exit_2(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value", [("h0_db", 4000), ("noise_dbm", 4000), ("d0_m", 1.0e300)]
     )
     def test_overflowing_link_exit_2(self, tmp_path, capsys, key, value):
