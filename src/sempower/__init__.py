@@ -26,7 +26,6 @@ from .channel import (
     path_loss_linear,
     sample_fading,
     snr,
-    watt_to_dbm,
 )
 from .errors import (
     ConfigError,

@@ -30,7 +30,6 @@ __all__ = [
     "sample_fading",
     "snr",
     "dbm_to_watt",
-    "watt_to_dbm",
 ]
 
 
@@ -97,12 +96,6 @@ def _finite_positive(f, *args) -> bool:
 
 def dbm_to_watt(dbm: float) -> float:
     return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
-def watt_to_dbm(watt: float) -> float:
-    if watt <= 0.0:
-        raise DomainError(f"power must be > 0 W, got {watt}")
-    return 10.0 * math.log10(watt / 1e-3)
 
 
 def path_loss_linear(p: ChannelParams) -> float:

@@ -227,11 +227,8 @@ def cmd_sweep(args) -> int:
     out_dir = cfg.out_dir
     for variant in variants:
         scheme = preset(variant) if variant else None
-        label = variant or (
-            cfg.streams[0].scheme.name
-            if cfg.streams[0].scheme.name == cfg.streams[1].scheme.name
-            else "mixed"
-        )
+        mod1, mod2 = (s.modulation.name for s in cfg.streams)
+        label = variant or (mod1 if mod1 == mod2 else "mixed")
         template = cfg.problem(cfg.targets[0], scheme)
         rows, doubt = _checked_sweep(template, cfg, cfg.targets)
         any_doubt = any_doubt or doubt
@@ -259,7 +256,6 @@ def cmd_sweep(args) -> int:
             xlabel="perception target",
             ylabel="total power cost (W)",
             title="total cost vs perception target",
-            log_y=True,
         )
         _write_text(out_dir / "sweep.svg", svg)
         outputs.append("sweep.svg")
@@ -275,18 +271,17 @@ def cmd_simulate(args) -> int:
             f"simulation.n_bits: need at least {SIM_MIN_BITS} bits for CI-based "
             f"validation, got {cfg.sim.n_bits}"
         )
-    states = cfg.channel_states()
     lines = [SIM_HEADER]
     violations = 0
     total = 0
-    for i, (stream, state) in enumerate(zip(cfg.streams, states)):
+    for i, s in enumerate(cfg.streams):
         for j, snr_db in enumerate(cfg.sim.snr_db):
             snr_lin = 10.0 ** (snr_db / 10.0)
-            q = snr_lin * state.noise_w / state.gain
+            q = snr_lin * s.channel.noise_w / s.channel.gain
             row = simulate_stream_report(
-                stream.name,
-                stream.scheme,
-                state,
+                s.name,
+                s.modulation,
+                s.channel,
                 q,
                 cfg.sim.n_bits,
                 derive_seed(cfg.sim.seed, i * 1000 + j),

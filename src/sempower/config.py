@@ -1,11 +1,17 @@
 """Experiment configuration and run manifests.
 
 Configurations are YAML documents of nested sections; every key has a
-default, so a config file only states what it changes. Paths inside the
-document resolve relative to the document's own directory. A run
-manifest (JSON) echoes the fully resolved configuration together with
-input digests, and is itself accepted wherever a config file is, which
-makes any recorded run repeatable byte for byte.
+default, so a config file only states what it changes, and a key with no
+default (a misspelt one) is a :class:`ConfigError` naming its path. A
+``targets`` range (``{start, stop, count}`` or ``{start, stop, step}``)
+replaces the default range whole. Paths inside the document resolve
+relative to the document's own directory. :func:`load_config` resolves
+the document once into the objects the solvers take: each stream is a
+:class:`StreamSpec` carrying its realised link, the surface a
+:class:`SurfaceParams`. A run manifest (JSON) echoes the fully resolved
+configuration together with input digests, and is itself accepted
+wherever a config file is, which makes any recorded run repeatable byte
+for byte.
 
 Default parameter set: 100 m link with -30 dB reference loss and
 exponent 3.4 (a -98 dB channel), -110 dBm noise, two 16-QAM streams of
@@ -19,7 +25,7 @@ import copy
 import datetime as _dt
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -31,7 +37,6 @@ from .modulation import ModulationScheme, preset
 from .numerics import derive_seed
 from .perception import (
     FitResult,
-    StreamCurve,
     SurfaceParams,
     default_curve,
     default_surface,
@@ -84,21 +89,30 @@ _DEFAULTS: dict = {
 
 SIM_MIN_BITS = 10_000
 
+# Keys a stream entry may carry beyond its defaults: those of a custom modulation.
+_CUSTOM_MODULATION_KEYS = ("M", "a", "b", "label")
 
-def _merge(base, override):
-    # dicts merge key-wise; a non-dict override (e.g. a list where the
-    # default is a range mapping) replaces the default outright
-    if override is None and isinstance(base, dict):
+
+def _merge(base: dict, override, path: str = "", extra: tuple[str, ...] = ()) -> dict:
+    """``base`` overlaid with ``override``, every key of which must be in ``base`` or ``extra``.
+
+    Sections (mapping defaults) merge key by key and a null section keeps its
+    defaults; any other value, a ``targets`` range included, replaces its default.
+    """
+    if override is None:
         return copy.deepcopy(base)
-    if isinstance(base, dict) and isinstance(override, dict):
-        out = copy.deepcopy(base)
-        for key, val in override.items():
-            if key in base and isinstance(base[key], dict):
-                out[key] = _merge(base[key], val)
-            else:
-                out[key] = copy.deepcopy(val)
-        return out
-    return copy.deepcopy(override)
+    if not isinstance(override, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    out = copy.deepcopy(base)
+    for key, val in override.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key not in base and key not in extra:
+            raise ConfigError(f"{where}: unknown key")
+        if isinstance(base.get(key), dict) and (val is None or key != "targets"):
+            out[key] = _merge(base[key], val, where)
+        else:
+            out[key] = copy.deepcopy(val)
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,24 +123,15 @@ class SimSettings:
 
 
 @dataclass(frozen=True)
-class ResolvedStream:
-    name: str
-    bits: int
-    scheme: ModulationScheme
-    curve: StreamCurve
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully resolved experiment: model objects plus the raw echo."""
+    """A fully resolved experiment: model objects plus the raw echo.
+
+    Each stream carries its link, realised once per the configured fading.
+    """
 
     raw: dict
     seed: int
-    channel_params: ChannelParams
-    fading_mode: str
-    independent_fades: bool
-    channel_seed: int
-    streams: tuple[ResolvedStream, ResolvedStream]
+    streams: tuple[StreamSpec, StreamSpec]
     surface: SurfaceParams
     surface_fit: FitResult | None
     target: float | None
@@ -140,37 +145,15 @@ class ExperimentConfig:
     out_format: str
     input_files: tuple[Path, ...] = field(default_factory=tuple)
 
-    def channel_states(self) -> tuple[ChannelState, ChannelState]:
-        """Realise both links per the configured fading mode."""
-        if self.fading_mode == "rayleigh":
-            fades = sample_fading(self.channel_seed, 2)
-            if not self.independent_fades:
-                fades = [fades[0], fades[0]]
-        else:
-            fades = [1.0, 1.0]
-        return tuple(
-            make_channel_state(self.channel_params, float(f)) for f in fades
-        )
-
     def problem(self, target: float, scheme_override: ModulationScheme | None = None) -> ProblemSpec:
-        """Build a :class:`ProblemSpec` for one target.
+        """The allocation problem for one target.
 
         ``scheme_override`` swaps the modulation of both streams, used by
         sweeps that compare modulation orders.
         """
-        states = self.channel_states()
-        specs = tuple(
-            StreamSpec(
-                bits=s.bits,
-                modulation=scheme_override or s.scheme,
-                channel=st,
-                curve=s.curve,
-                name=s.name,
-            )
-            for s, st in zip(self.streams, states)
-        )
+        streams = tuple(replace(s, modulation=scheme_override or s.modulation) for s in self.streams)
         return ProblemSpec(
-            streams=specs,
+            streams=streams,
             surface=self.surface,
             target=float(target),
             cost_basis=self.cost_basis,
@@ -181,11 +164,16 @@ def _expand_targets(spec, path: str) -> tuple[float, ...]:
     if isinstance(spec, (list, tuple)):
         vals = [float(v) for v in spec]
     elif isinstance(spec, dict):
+        for key in spec:
+            if key not in ("start", "stop", "count", "step"):
+                raise ConfigError(f"{path}.{key}: unknown key")
+        if ("count" in spec) == ("step" in spec):
+            raise ConfigError(f"{path}: a range takes exactly one of 'count' and 'step'")
         try:
             start = float(spec["start"])
             stop = float(spec["stop"])
         except KeyError as exc:
-            raise ConfigError(f"{path}: missing {exc} in target range") from None
+            raise ConfigError(f"{path}.{exc.args[0]}: required in a target range") from None
         if "count" in spec:
             count = int(spec["count"])
             if count < 1:
@@ -195,14 +183,12 @@ def _expand_targets(spec, path: str) -> tuple[float, ...]:
             else:
                 step = (stop - start) / (count - 1)
                 vals = [start + k * step for k in range(count)]
-        elif "step" in spec:
+        else:
             step = float(spec["step"])
             if step <= 0.0:
                 raise ConfigError(f"{path}.step: must be > 0")
             n = int(round((stop - start) / step)) + 1
             vals = [start + k * step for k in range(max(n, 1)) if start + k * step <= stop + 1e-12]
-        else:
-            raise ConfigError(f"{path}: range needs 'count' or 'step'")
     else:
         raise ConfigError(f"{path}: expected a list or a start/stop range")
     if not vals:
@@ -213,16 +199,23 @@ def _expand_targets(spec, path: str) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def _resolve_stream(doc: dict, base_dir: Path, idx: int, inputs: list[Path]) -> ResolvedStream:
+def _input_file(base_dir: Path, ref, where: str, inputs: list[Path]) -> Path:
+    path = (base_dir / str(ref)).resolve()
+    if not path.is_file():
+        raise ConfigError(f"{where}: file not found: {path}")
+    inputs.append(path)
+    return path
+
+
+def _resolve_stream(entry, idx: int, link: ChannelState, base_dir: Path,
+                    inputs: list[Path]) -> StreamSpec:
     where = f"streams[{idx}]"
-    name = str(doc.get("name") or f"stream{idx + 1}")
+    doc = _merge(_DEFAULTS["streams"][idx], entry, where, _CUSTOM_MODULATION_KEYS)
     try:
         bits = int(doc["bits"])
-    except (KeyError, TypeError, ValueError):
+    except (TypeError, ValueError):
         raise ConfigError(f"{where}.bits: required positive integer") from None
-    mod = str(doc.get("modulation", "")).lower()
-    if not mod:
-        raise ConfigError(f"{where}.modulation: required")
+    mod = str(doc["modulation"]).lower()
     if mod == "custom":
         try:
             scheme = ModulationScheme(
@@ -240,17 +233,13 @@ def _resolve_stream(doc: dict, base_dir: Path, idx: int, inputs: list[Path]) -> 
             scheme = preset(mod)
         except DomainError as exc:
             raise ConfigError(f"{where}.modulation: {exc}") from None
-    curve_ref = doc.get("curve", "default-prompt" if idx == 0 else "default-edge")
-    if curve_ref in ("default-prompt", "default-edge", "prompt", "edge"):
-        curve = default_curve(curve_ref.removeprefix("default-"))
-    else:
-        curve_path = (base_dir / str(curve_ref)).resolve()
-        if not curve_path.is_file():
-            raise ConfigError(f"{where}.curve: file not found: {curve_path}")
-        curve = load_curve(curve_path)
-        inputs.append(curve_path)
     try:
-        return ResolvedStream(name=name, bits=bits, scheme=scheme, curve=curve)
+        curve = default_curve(str(doc["curve"]))
+    except DomainError:  # not a bundled curve: a path to a curve document
+        curve = load_curve(_input_file(base_dir, doc["curve"], f"{where}.curve", inputs))
+    try:
+        return StreamSpec(bits=bits, modulation=scheme, channel=link, curve=curve,
+                          name=str(doc["name"] or f"stream{idx + 1}"))
     except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -261,14 +250,14 @@ def load_config(
     out_override: str | None = None,
     format_override: str | None = None,
 ) -> ExperimentConfig:
-    """Load and resolve a config document (or a run manifest)."""
+    """Load a config document (or a run manifest) and resolve it against the defaults."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if doc is None:
         doc = {}
@@ -278,26 +267,6 @@ def load_config(
         doc = doc["config"]
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: manifest 'config' is not a mapping")
-    return build_config(
-        doc,
-        base_dir=path.parent,
-        seed_override=seed_override,
-        out_override=out_override,
-        format_override=format_override,
-        config_path=path,
-    )
-
-
-def build_config(
-    doc: dict,
-    base_dir: Path | str = ".",
-    seed_override: int | None = None,
-    out_override: str | None = None,
-    format_override: str | None = None,
-    config_path: Path | None = None,
-) -> ExperimentConfig:
-    """Resolve a config mapping against the defaults."""
-    base_dir = Path(base_dir)
     merged = _merge(_DEFAULTS, doc)
     if seed_override is not None:
         merged["seed"] = int(seed_override)
@@ -306,44 +275,36 @@ def build_config(
     if format_override is not None:
         merged["output"]["format"] = str(format_override)
 
-    inputs: list[Path] = []
-    if config_path is not None:
-        inputs.append(config_path.resolve())
-
+    base_dir = path.parent
+    inputs = [path.resolve()]
     seed = int(merged["seed"])
     ch = merged["channel"]
-    try:
-        params = ChannelParams(
-            h0_db=float(ch["h0_db"]),
-            d_m=float(ch["d_m"]),
-            d0_m=float(ch["d0_m"]),
-            alpha=float(ch["alpha"]),
-            noise_dbm=float(ch["noise_dbm"]),
-        )
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"channel: {exc}") from None
     fading_mode = str(ch["fading"]).lower()
     if fading_mode not in ("deterministic", "rayleigh"):
-        raise ConfigError(f"channel.fading: must be 'deterministic' or 'rayleigh'")
-    channel_seed = int(ch["seed"]) if ch["seed"] is not None else derive_seed(seed, 1001)
+        raise ConfigError("channel.fading: must be 'deterministic' or 'rayleigh'")
+    fades = [1.0, 1.0]
+    if fading_mode == "rayleigh":
+        fading_seed = int(ch["seed"]) if ch["seed"] is not None else derive_seed(seed, 1001)
+        fades = sample_fading(fading_seed, 2)
+        if not ch["independent_fades"]:
+            fades = [fades[0], fades[0]]
+    try:
+        params = ChannelParams(**{f.name: float(ch[f.name]) for f in fields(ChannelParams)})
+        links = [make_channel_state(params, float(f)) for f in fades]
+    except (TypeError, ValueError, DomainError) as exc:
+        raise ConfigError(f"channel: {exc}") from None
 
-    streams_doc = merged["streams"]
-    if not isinstance(streams_doc, list) or len(streams_doc) != 2:
+    entries = merged["streams"]
+    if not isinstance(entries, list) or len(entries) != 2:
         raise ConfigError("streams: exactly two stream sections are required")
-    streams = tuple(
-        _resolve_stream(_merge(_DEFAULTS["streams"][i], streams_doc[i]), base_dir, i, inputs)
-        for i in range(2)
-    )
+    streams = tuple(_resolve_stream(entries[i], i, links[i], base_dir, inputs) for i in range(2))
 
     surface_ref = merged["surface"]
     surface_fit: FitResult | None = None
     if surface_ref in (None, "default"):
         surface = default_surface()
     else:
-        surface_path = (base_dir / str(surface_ref)).resolve()
-        if not surface_path.is_file():
-            raise ConfigError(f"surface: file not found: {surface_path}")
-        inputs.append(surface_path)
+        surface_path = _input_file(base_dir, surface_ref, "surface", inputs)
         if surface_path.suffix.lower() == ".csv":
             surface_fit = fit_surface(load_sample_set(surface_path))
             surface = surface_fit.params
@@ -389,7 +350,7 @@ def build_config(
             snr_db=tuple(float(v) for v in sim_doc["snr_db"]),
             seed=int(sim_doc["seed"]) if sim_doc["seed"] is not None else derive_seed(seed, 2001),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulation: {exc}") from None
     for v in sim.snr_db:
         try:
@@ -405,10 +366,6 @@ def build_config(
     return ExperimentConfig(
         raw=merged,
         seed=seed,
-        channel_params=params,
-        fading_mode=fading_mode,
-        independent_fades=bool(ch["independent_fades"]),
-        channel_seed=channel_seed,
         streams=streams,
         surface=surface,
         surface_fit=surface_fit,

@@ -119,7 +119,7 @@ class Rng:
     (:meth:`uniform`, :meth:`normal`, :meth:`exponential`, :meth:`bits`)
     are the same computation at an internal position that each call
     advances; such an instance is single-owner. Use :func:`derive_seed`
-    (or :meth:`spawn`) to hand independent streams to parallel consumers.
+    to hand independent streams to parallel consumers.
     """
 
     def __init__(self, seed: int):
@@ -184,10 +184,6 @@ class Rng:
         out = self.bits_at(64 * self._pos, n)
         self._pos += (n + 63) // 64
         return out
-
-    def spawn(self, index: int) -> "Rng":
-        """A fresh generator on the sub-stream ``index`` of this seed."""
-        return Rng(derive_seed(self.seed, index))
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +292,7 @@ def bisect_root(
 # ---------------------------------------------------------------------------
 
 
-def finite_difference(f, x, step: float):
-    """Central-difference derivative estimate.
-
-    For scalar ``x`` returns the scalar derivative ``(f(x+h) - f(x-h)) / 2h``;
-    for a vector returns the gradient estimated one coordinate at a time.
-    """
-    h = float(step)
-    if np.ndim(x) == 0:
-        x0 = float(x)
-        return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-    x0 = np.asarray(x, dtype=float)
-    grad = np.empty_like(x0)
-    for k in range(x0.size):
-        hi = x0.copy()
-        lo = x0.copy()
-        hi[k] += h
-        lo[k] -= h
-        grad[k] = (f(hi) - f(lo)) / (2.0 * h)
-    return grad
+def finite_difference(f, x: float, step: float) -> float:
+    """Central-difference derivative estimate ``(f(x+h) - f(x-h)) / 2h``."""
+    x, h = float(x), float(step)
+    return (f(x + h) - f(x - h)) / (2.0 * h)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
@@ -237,6 +237,7 @@ def default_edge_curve() -> StreamCurve:
 
 
 def default_curve(name: str) -> StreamCurve:
+    """Bundled curve by name: ``prompt`` or ``edge``, optionally ``default-`` prefixed."""
     if name in ("prompt", "default-prompt"):
         return default_prompt_curve()
     if name in ("edge", "default-edge"):
@@ -590,8 +591,11 @@ def _read_csv_rows(path, header: list[str]) -> list[list[float]]:
 
 
 def load_sample_set(path) -> SampleSet:
-    """Read ``psi1,psi2,P`` rows; malformed input raises :class:`ConfigError`."""
-    rows = _read_csv_rows(path, _SAMPLE_HEADER)
+    """Read ``psi1,psi2,P`` rows; unreadable or malformed input raises :class:`ConfigError`."""
+    try:
+        rows = _read_csv_rows(path, _SAMPLE_HEADER)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     arr = np.asarray(rows, dtype=float).reshape(-1, 3)
     try:
         return SampleSet(psi1=arr[:, 0], psi2=arr[:, 1], p=arr[:, 2])
@@ -607,85 +611,63 @@ def save_sample_set(data: SampleSet, path) -> None:
             writer.writerow([f"{v1:.12g}", f"{v2:.12g}", f"{vp:.12g}"])
 
 
-def save_surface(result: FitResult | SurfaceParams, path) -> None:
-    """Write a surface document (YAML) with optional fit metadata."""
-    if isinstance(result, FitResult):
-        params, meta = result.params, {
-            "rmse": float(result.rmse),
-            "n_samples": int(result.n_samples),
-            "converged": bool(result.converged),
-        }
-    else:
-        params, meta = result, None
-    doc = {
-        "family": SURFACE_FAMILY,
-        "p0": float(params.p0),
-        "pmax": float(params.pmax),
-        "tau1": float(params.tau1),
-        "tau2": float(params.tau2),
-        "beta1": float(params.beta1),
-        "beta2": float(params.beta2),
-    }
-    if meta is not None:
-        doc["fit"] = meta
+# Document family and name of each serialised model class.
+_DOCUMENTS = {SurfaceParams: (SURFACE_FAMILY, "surface"), StreamCurve: (CURVE_FAMILY, "curve")}
+
+
+def _write_document(obj, path) -> None:
+    """Write ``obj``'s family and fields (unset optional ones left out) as YAML.
+
+    A :class:`FitResult` writes its parameters plus a ``fit`` section.
+    """
+    fit = obj if isinstance(obj, FitResult) else None
+    params = fit.params if fit else obj
+    doc = {"family": _DOCUMENTS[type(params)][0]}
+    for f in fields(params):
+        if getattr(params, f.name) is not None:
+            doc[f.name] = float(getattr(params, f.name))
+    if fit:
+        doc["fit"] = {"rmse": float(fit.rmse), "n_samples": int(fit.n_samples),
+                      "converged": bool(fit.converged)}
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
+
+
+def _read_document(cls, path):
+    """Read a ``cls`` document; any defect in it raises :class:`ConfigError`."""
+    family, name = _DOCUMENTS[cls]
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    if doc.get("family", family) != family:
+        raise ConfigError(f"{path}: unknown {name} family {doc['family']!r}")
+    try:
+        return cls(**{
+            f.name: float(doc[f.name]) for f in fields(cls)
+            if f.default is MISSING or doc.get(f.name) is not None
+        })
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError, DomainError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def save_surface(result: FitResult | SurfaceParams, path) -> None:
+    """Write a surface document (YAML) with optional fit metadata."""
+    _write_document(result, path)
 
 
 def load_surface(path) -> SurfaceParams:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    family = doc.get("family", SURFACE_FAMILY)
-    if family != SURFACE_FAMILY:
-        raise ConfigError(f"{path}: unknown surface family {family!r}")
-    try:
-        return SurfaceParams(
-            p0=float(doc["p0"]),
-            pmax=float(doc["pmax"]),
-            tau1=float(doc["tau1"]),
-            tau2=float(doc["tau2"]),
-            beta1=float(doc["beta1"]),
-            beta2=float(doc["beta2"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _read_document(SurfaceParams, path)
 
 
 def save_curve(curve: StreamCurve, path) -> None:
-    doc = {
-        "family": CURVE_FAMILY,
-        "p0": float(curve.p0),
-        "pmax": float(curve.pmax),
-        "tau": float(curve.tau),
-        "beta": float(curve.beta),
-    }
-    if curve.value is not None:
-        doc["value"] = float(curve.value)
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    _write_document(curve, path)
 
 
 def load_curve(path) -> StreamCurve:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    family = doc.get("family", CURVE_FAMILY)
-    if family != CURVE_FAMILY:
-        raise ConfigError(f"{path}: unknown curve family {family!r}")
-    try:
-        return StreamCurve(
-            p0=float(doc["p0"]),
-            pmax=float(doc["pmax"]),
-            tau=float(doc["tau"]),
-            beta=float(doc["beta"]),
-            value=float(doc["value"]) if doc.get("value") is not None else None,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _read_document(StreamCurve, path)

@@ -52,22 +52,20 @@ def line_chart(
     xlabel: str,
     ylabel: str,
     title: str = "",
-    log_y: bool = True,
     width: int = 760,
     height: int = 500,
 ) -> str:
     """Render labelled (x, y) series to an SVG document string.
 
-    With ``log_y`` the vertical axis is logarithmic with decade ticks;
-    points that are non-finite (or non-positive on a log axis) are
-    dropped from their polyline.
+    The vertical axis is logarithmic with decade ticks; points that are
+    non-finite or non-positive are dropped from their polyline.
     """
     cleaned = []
     for label, xs, ys in series:
         pts = [
             (float(x), float(y))
             for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0.0)
+            if math.isfinite(x) and math.isfinite(y) and y > 0.0
         ]
         if pts:
             cleaned.append((label, pts))
@@ -79,15 +77,10 @@ def line_chart(
     x_lo, x_hi = min(all_x), max(all_x)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if log_y:
-        y_lo = math.floor(math.log10(min(all_y)))
-        y_hi = math.ceil(math.log10(max(all_y)))
-        if y_hi == y_lo:
-            y_hi += 1
-    else:
-        y_lo, y_hi = min(all_y), max(all_y)
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    y_lo = math.floor(math.log10(min(all_y)))
+    y_hi = math.ceil(math.log10(max(all_y)))
+    if y_hi == y_lo:
+        y_hi += 1
 
     ml, mr, mt, mb = 86, 24, 42 if title else 24, 58
     pw, ph = width - ml - mr, height - mt - mb
@@ -96,7 +89,7 @@ def line_chart(
         return ml + (x - x_lo) / (x_hi - x_lo) * pw
 
     def py(y: float) -> float:
-        t = (math.log10(y) - y_lo) / (y_hi - y_lo) if log_y else (y - y_lo) / (y_hi - y_lo)
+        t = (math.log10(y) - y_lo) / (y_hi - y_lo)
         return mt + (1.0 - t) * ph
 
     out = [
@@ -112,20 +105,14 @@ def line_chart(
         )
 
     # gridlines and ticks
-    if log_y:
-        y_tick_vals = [10.0**e for e in range(int(y_lo), int(y_hi) + 1)]
-        y_tick_text = [f"1e{e:d}" for e in range(int(y_lo), int(y_hi) + 1)]
-    else:
-        y_tick_vals = _nice_ticks(y_lo, y_hi)
-        y_tick_text = [_fmt(v) for v in y_tick_vals]
-    for v, txt in zip(y_tick_vals, y_tick_text):
-        yy = py(v)
+    for e in range(y_lo, y_hi + 1):
+        yy = py(10.0**e)
         out.append(
             f'<line x1="{ml}" y1="{yy:.2f}" x2="{ml + pw}" y2="{yy:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{ml - 8}" y="{yy + 4:.2f}" text-anchor="end">{escape(txt)}</text>'
+            f'<text x="{ml - 8}" y="{yy + 4:.2f}" text-anchor="end">1e{e:d}</text>'
         )
     for v in _nice_ticks(x_lo, x_hi):
         xx = px(v)

@@ -56,6 +56,17 @@ class TestFit:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"psi1,psi2,P\n\xff\xfe,0,0.4\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_csv_exit_2(self, tmp_path, capsys, content):
+        samples = tmp_path / "samples.csv"
+        if content is not None:
+            samples.write_bytes(content)
+        code = main(["fit", str(samples), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "samples.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nonconverged_fit_exit_3_still_writes(self, tmp_path, monkeypatch, capsys):
         import sempower.cli as cli_mod
         from sempower.perception import FitResult, fit_surface as real_fit
@@ -220,6 +231,16 @@ class TestSweep:
                 costs = [float(r["total_cost_w"]) for r in rows if r["solver"] == solver]
                 assert all(b <= a for a, b in zip(costs, costs[1:]))
 
+    def test_step_range(self, tmp_path):
+        cfg = write_config(tmp_path, targets={"start": 0.4, "stop": 0.8, "step": 0.1},
+                           solvers=["bisection"], grid_n=512)
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        p_bars = [r["p_bar"] for r in read_rows(out / "sweep_16qam.csv")]
+        assert p_bars == ["0.4", "0.5", "0.6", "0.7", "0.8"]
+        echo = json.loads((out / "manifest.json").read_text())["config"]["targets"]
+        assert echo == {"start": 0.4, "stop": 0.8, "step": 0.1}
+
     def test_svg_well_formed_one_polyline_per_series(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -377,6 +398,12 @@ class TestConfig:
         path.write_text("streams: [only-one]\n")
         assert main(["solve", "--config", str(path)]) == 2
 
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"target: \xff\xfe\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "bad.yaml" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "overrides, key",
         [
@@ -393,6 +420,9 @@ class TestConfig:
             ),
             ({"streams": [{}, {}, {}]}, "streams"),
             ({"target": 1.5}, "target"),
+            ({"targets": {"start": 0.4, "stop": 0.8, "step": 0.0}}, "targets.step"),
+            ({"targets": {"start": 0.4, "step": 0.1}}, "targets.stop"),
+            ({"targets": {"start": 0.4, "stop": 0.8, "count": 5, "step": 0.1}}, "targets"),
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, overrides, key):
@@ -422,12 +452,43 @@ class TestConfig:
         assert err.startswith("error: stream prompt:") and "overflows" in err and "1e+297 W" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"taget": 0.45}, "taget"),
+            ({"channel": {"nosie_dbm": -100}}, "channel.nosie_dbm"),
+            ({"simulation": {"nbits": 20000}}, "simulation.nbits"),
+            ({"streams": [{"bitz": 8}, {}]}, "streams[0].bitz"),
+            ({"targets": {"start": 0.4, "stop": 0.8, "count": 5, "cnt": 3}}, "targets.cnt"),
+        ],
+    )
+    def test_unknown_key_exit_2(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"p0: [0.3\npmax: 0.95\n", b"p0: \xff\xfe\n"],
+                             ids=["bad-yaml", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["surface", "curve"])
+    def test_malformed_document_exit_2(self, tmp_path, capsys, kind, content):
+        (tmp_path / "doc.yaml").write_bytes(content)
+        overrides = (
+            {"surface": "doc.yaml"} if kind == "surface"
+            else {"streams": [{"curve": "doc.yaml"}, {}]}
+        )
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "doc.yaml" in capsys.readouterr().err
+
     def test_custom_modulation(self, tmp_path):
         cfg = write_config(
             tmp_path,
             streams=[
                 {"name": "p", "bits": 1000, "modulation": "custom", "M": 4, "a": 1.0, "b": 1.0},
-                {"name": "e", "bits": 2000, "modulation": "custom", "M": 4, "a": 1.0, "b": 1.0},
+                {"name": "e", "bits": 2000, "modulation": "custom", "M": 4, "a": 1.0, "b": 1.0,
+                 "label": "qpsk"},
             ],
             target=0.6,
         )
@@ -435,6 +496,10 @@ class TestConfig:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out / "solve.csv")
         assert len(rows) == 4
+        # the manifest echoes the custom keys, and replaying it accepts them
+        replay = tmp_path / "replay"
+        assert main(["solve", "--config", str(out / "manifest.json"), "--out", str(replay)]) == 0
+        assert (replay / "solve.csv").read_bytes() == (out / "solve.csv").read_bytes()
 
     def test_surface_from_file_and_curves_from_file(self, tmp_path):
         from sempower.perception import default_edge_curve, save_curve, save_surface
