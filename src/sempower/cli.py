@@ -18,13 +18,7 @@ import warnings
 from pathlib import Path
 
 from ._version import __version__
-from .config import (
-    SIM_MIN_BITS,
-    ExperimentConfig,
-    build_manifest,
-    load_config,
-    write_manifest,
-)
+from .config import ExperimentConfig, build_manifest, load_config, write_manifest
 from .errors import (
     ConfigError,
     DomainError,
@@ -266,11 +260,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    if cfg.sim.n_bits < SIM_MIN_BITS:
-        raise ConfigError(
-            f"simulation.n_bits: need at least {SIM_MIN_BITS} bits for CI-based "
-            f"validation, got {cfg.sim.n_bits}"
-        )
     lines = [SIM_HEADER]
     violations = 0
     total = 0

@@ -5,13 +5,18 @@ default, so a config file only states what it changes, and a key with no
 default (a misspelt one) is a :class:`ConfigError` naming its path. A
 ``targets`` range (``{start, stop, count}`` or ``{start, stop, step}``)
 replaces the default range whole. Paths inside the document resolve
-relative to the document's own directory. :func:`load_config` resolves
-the document once into the objects the solvers take: each stream is a
-:class:`StreamSpec` carrying its realised link, the surface a
-:class:`SurfaceParams`. A run manifest (JSON) echoes the fully resolved
-configuration together with input digests, and is itself accepted
-wherever a config file is, which makes any recorded run repeatable byte
-for byte.
+relative to the document's own directory. :func:`load_config` reads
+every value once, whatever the command, through one typed reader: a
+number is a finite int or float (YAML ``true`` is not one), a flag a
+real boolean, a stream name or modulation label a ``[A-Za-z0-9_+-]``
+word, and ``grid_n``, the target count and ``simulation.n_bits`` have
+upper bounds; every failure is a :class:`ConfigError` that starts with
+the key path. It resolves the document into the objects the solvers
+take: each stream is a :class:`StreamSpec` carrying its realised link,
+the surface a :class:`SurfaceParams`. A run manifest (JSON) echoes the
+fully resolved configuration together with input digests, and is itself
+accepted wherever a config file is, which makes any recorded run
+repeatable byte for byte.
 
 Default parameter set: 100 m link with -30 dB reference loss and
 exponent 3.4 (a -98 dB channel), -110 dBm noise, two 16-QAM streams of
@@ -25,6 +30,9 @@ import copy
 import datetime as _dt
 import hashlib
 import json
+import math
+import re
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -33,7 +41,7 @@ import yaml
 from ._version import __version__
 from .channel import ChannelParams, ChannelState, make_channel_state, sample_fading
 from .errors import ConfigError, DomainError
-from .modulation import ModulationScheme, preset
+from .modulation import PRESETS, ModulationScheme, preset
 from .numerics import derive_seed
 from .perception import (
     FitResult,
@@ -87,10 +95,19 @@ _DEFAULTS: dict = {
     "output": {"dir": "out", "format": "csv+svg"},
 }
 
-SIM_MIN_BITS = 10_000
-
+SIM_MIN_BITS = 10_000  # for simulate's 3-sigma check
+# Upper size bounds: beyond them a run exhausts memory or takes minutes.
+SIM_MAX_BITS = 10**9
+GRID_N_MAX = 10**6
+TARGETS_MAX = 10**4
+# 10^(v/10) overflows binary64 above 3082.5 dB
+_SNR_DB_MAX = 3080.0
+_FLOAT_MAX = sys.float_info.max
+# Stream names and modulation labels reach file names and CSV rows.
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_+-]*")
 # Keys a stream entry may carry beyond its defaults: those of a custom modulation.
 _CUSTOM_MODULATION_KEYS = ("M", "a", "b", "label")
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _merge(base: dict, override, path: str = "", extra: tuple[str, ...] = ()) -> dict:
@@ -160,47 +177,86 @@ class ExperimentConfig:
         )
 
 
-def _expand_targets(spec, path: str) -> tuple[float, ...]:
-    if isinstance(spec, (list, tuple)):
-        vals = [float(v) for v in spec]
-    elif isinstance(spec, dict):
+def _key_path(doc, key, where: str) -> str:
+    # the elements of a list share the list's path
+    return where if isinstance(doc, list) else f"{where}.{key}" if where else key
+
+
+def _value(doc, key, where: str, kind=float, lo=-math.inf, hi=math.inf, optional=False):
+    """``doc[key]`` read as a ``kind``: ``float``, ``int``, ``bool`` or ``str``.
+
+    A number is a real int or float (not a boolean) no larger in magnitude
+    than the largest binary64; an ``int`` may be given as a whole float. It
+    must lie in ``[lo, hi]`` for an ``int`` and in ``(lo, hi)`` for a
+    ``float``. ``optional`` lets a null through as ``None``. Every failure,
+    a missing key included, is a :class:`ConfigError` that starts with the
+    key path.
+    """
+    path = _key_path(doc, key, where)
+    if isinstance(doc, dict) and key not in doc:
+        raise ConfigError(f"{path}: required")
+    v = doc[key]
+    if v is None and optional:
+        return None
+    if kind in (bool, str):
+        if isinstance(v, kind):
+            return v
+    elif (isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+          and (kind is float or v == int(v))):
+        v = kind(v)
+        if lo <= v <= hi if kind is int else lo < v < hi:
+            return v
+        raise ConfigError(f"{path}: {v!r} outside "
+                          + (f"[{lo}, {hi}]" if kind is int else f"({lo:g}, {hi:g})"))
+    raise ConfigError(f"{path}: expected {_KINDS[kind]}, got {v!r}")
+
+
+def _choice(doc, key, where: str, options) -> str:
+    """``doc[key]``, a string among ``options`` or matching the pattern ``options``."""
+    v = _value(doc, key, where, str)
+    pattern = isinstance(options, re.Pattern)
+    if options.fullmatch(v) if pattern else v in options:
+        return v
+    want = f"match {options.pattern}" if pattern else f"be one of {', '.join(options)}"
+    raise ConfigError(f"{_key_path(doc, key, where)}: {v!r} must {want}")
+
+
+def _each(doc, key, where: str, read, *args, **kwargs) -> tuple:
+    """``read(items, i, path, ...)`` of every element of the non-empty list ``doc[key]``."""
+    items = doc[key]
+    path = _key_path(doc, key, where)
+    if not isinstance(items, list) or not items:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    return tuple(read(items, i, path, *args, **kwargs) for i in range(len(items)))
+
+
+def _expand_targets(spec) -> tuple[float, ...]:
+    if isinstance(spec, dict):
         for key in spec:
             if key not in ("start", "stop", "count", "step"):
-                raise ConfigError(f"{path}.{key}: unknown key")
+                raise ConfigError(f"targets.{key}: unknown key")
         if ("count" in spec) == ("step" in spec):
-            raise ConfigError(f"{path}: a range takes exactly one of 'count' and 'step'")
-        try:
-            start = float(spec["start"])
-            stop = float(spec["stop"])
-        except KeyError as exc:
-            raise ConfigError(f"{path}.{exc.args[0]}: required in a target range") from None
+            raise ConfigError("targets: a range takes exactly one of 'count' and 'step'")
+        start = _value(spec, "start", "targets")
+        stop = _value(spec, "stop", "targets")
         if "count" in spec:
-            count = int(spec["count"])
-            if count < 1:
-                raise ConfigError(f"{path}.count: must be >= 1")
-            if count == 1:
-                vals = [start]
-            else:
-                step = (stop - start) / (count - 1)
-                vals = [start + k * step for k in range(count)]
+            n = _value(spec, "count", "targets", int, 1, TARGETS_MAX)
+            step = (stop - start) / max(n - 1, 1)
+            spec = [start + k * step for k in range(n)]
         else:
-            step = float(spec["step"])
-            if step <= 0.0:
-                raise ConfigError(f"{path}.step: must be > 0")
-            n = int(round((stop - start) / step)) + 1
-            vals = [start + k * step for k in range(max(n, 1)) if start + k * step <= stop + 1e-12]
-    else:
-        raise ConfigError(f"{path}: expected a list or a start/stop range")
-    if not vals:
-        raise ConfigError(f"{path}: no targets")
-    for v in vals:
-        if not (0.0 < v < 1.0):
-            raise ConfigError(f"{path}: target {v} outside (0, 1)")
-    return tuple(vals)
+            step = _value(spec, "step", "targets", lo=0.0)
+            # at most TARGETS_MAX + 1 values, which the length check refuses
+            n = round(min(max((stop - start) / step, 0.0), TARGETS_MAX)) + 1
+            spec = [start + k * step for k in range(n) if start + k * step <= stop + 1e-12]
+    if not isinstance(spec, list):
+        raise ConfigError("targets: expected a list or a start/stop range")
+    if len(spec) > TARGETS_MAX:
+        raise ConfigError(f"targets: more than {TARGETS_MAX} targets")
+    return _each({"targets": spec}, "targets", "", _value, lo=0.0, hi=1.0)
 
 
-def _input_file(base_dir: Path, ref, where: str, inputs: list[Path]) -> Path:
-    path = (base_dir / str(ref)).resolve()
+def _input_file(base_dir: Path, ref: str, where: str, inputs: list[Path]) -> Path:
+    path = (base_dir / ref).resolve()
     if not path.is_file():
         raise ConfigError(f"{where}: file not found: {path}")
     inputs.append(path)
@@ -211,37 +267,29 @@ def _resolve_stream(entry, idx: int, link: ChannelState, base_dir: Path,
                     inputs: list[Path]) -> StreamSpec:
     where = f"streams[{idx}]"
     doc = _merge(_DEFAULTS["streams"][idx], entry, where, _CUSTOM_MODULATION_KEYS)
-    try:
-        bits = int(doc["bits"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.bits: required positive integer") from None
-    mod = str(doc["modulation"]).lower()
+    mod = _choice(doc, "modulation", where, (*PRESETS, "custom"))
     if mod == "custom":
         try:
             scheme = ModulationScheme(
-                name=str(doc.get("label", "custom")),
-                M=int(doc["M"]),
-                a=float(doc["a"]),
-                b=float(doc["b"]),
+                name=_choice(doc, "label", where, _NAME) if "label" in doc else "custom",
+                M=_value(doc, "M", where, int),
+                a=_value(doc, "a", where),
+                b=_value(doc, "b", where),
             )
-        except KeyError as exc:
-            raise ConfigError(f"{where}: custom modulation needs M, a, b (missing {exc})") from None
         except DomainError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     else:
-        try:
-            scheme = preset(mod)
-        except DomainError as exc:
-            raise ConfigError(f"{where}.modulation: {exc}") from None
+        for key in _CUSTOM_MODULATION_KEYS:
+            if key in doc:
+                raise ConfigError(f"{where}.{key}: only a custom modulation takes it")
+        scheme = preset(mod)
+    curve_ref = _value(doc, "curve", where, str)
     try:
-        curve = default_curve(str(doc["curve"]))
+        curve = default_curve(curve_ref)
     except DomainError:  # not a bundled curve: a path to a curve document
-        curve = load_curve(_input_file(base_dir, doc["curve"], f"{where}.curve", inputs))
-    try:
-        return StreamSpec(bits=bits, modulation=scheme, channel=link, curve=curve,
-                          name=str(doc["name"] or f"stream{idx + 1}"))
-    except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        curve = load_curve(_input_file(base_dir, curve_ref, f"{where}.curve", inputs))
+    return StreamSpec(bits=_value(doc, "bits", where, int, lo=1), modulation=scheme, channel=link,
+                      curve=curve, name=_choice(doc, "name", where, _NAME))
 
 
 def load_config(
@@ -269,29 +317,29 @@ def load_config(
             raise ConfigError(f"{path}: manifest 'config' is not a mapping")
     merged = _merge(_DEFAULTS, doc)
     if seed_override is not None:
-        merged["seed"] = int(seed_override)
+        merged["seed"] = seed_override
     if out_override is not None:
-        merged["output"]["dir"] = str(out_override)
+        merged["output"]["dir"] = out_override
     if format_override is not None:
-        merged["output"]["format"] = str(format_override)
+        merged["output"]["format"] = format_override
 
     base_dir = path.parent
     inputs = [path.resolve()]
-    seed = int(merged["seed"])
+    seed = _value(merged, "seed", "", int)
     ch = merged["channel"]
-    fading_mode = str(ch["fading"]).lower()
-    if fading_mode not in ("deterministic", "rayleigh"):
-        raise ConfigError("channel.fading: must be 'deterministic' or 'rayleigh'")
+    fading_mode = _choice(ch, "fading", "channel", ("deterministic", "rayleigh"))
+    fading_seed = _value(ch, "seed", "channel", int, optional=True)
+    independent_fades = _value(ch, "independent_fades", "channel", bool)
     fades = [1.0, 1.0]
     if fading_mode == "rayleigh":
-        fading_seed = int(ch["seed"]) if ch["seed"] is not None else derive_seed(seed, 1001)
-        fades = sample_fading(fading_seed, 2)
-        if not ch["independent_fades"]:
+        fades = sample_fading(derive_seed(seed, 1001) if fading_seed is None else fading_seed,
+                              2).tolist()
+        if not independent_fades:
             fades = [fades[0], fades[0]]
+    params = {f.name: _value(ch, f.name, "channel") for f in fields(ChannelParams)}
     try:
-        params = ChannelParams(**{f.name: float(ch[f.name]) for f in fields(ChannelParams)})
-        links = [make_channel_state(params, float(f)) for f in fades]
-    except (TypeError, ValueError, DomainError) as exc:
+        links = [make_channel_state(ChannelParams(**params), f) for f in fades]
+    except DomainError as exc:
         raise ConfigError(f"channel: {exc}") from None
 
     entries = merged["streams"]
@@ -299,7 +347,7 @@ def load_config(
         raise ConfigError("streams: exactly two stream sections are required")
     streams = tuple(_resolve_stream(entries[i], i, links[i], base_dir, inputs) for i in range(2))
 
-    surface_ref = merged["surface"]
+    surface_ref = _value(merged, "surface", "", str, optional=True)
     surface_fit: FitResult | None = None
     if surface_ref in (None, "default"):
         surface = default_surface()
@@ -311,73 +359,30 @@ def load_config(
         else:
             surface = load_surface(surface_path)
 
-    target = merged["target"]
-    if target is not None:
-        target = float(target)
-        if not (0.0 < target < 1.0):
-            raise ConfigError(f"target: {target} outside (0, 1)")
-    targets = _expand_targets(merged["targets"], "targets")
-
-    solvers = merged["solvers"]
-    if not isinstance(solvers, list) or not solvers:
-        raise ConfigError("solvers: need a non-empty list")
-    for s in solvers:
-        if s not in SOLVER_ORDER:
-            raise ConfigError(f"solvers: unknown solver {s!r}; choose from {list(SOLVER_ORDER)}")
-
-    cost_basis = str(merged["cost_basis"])
-    if cost_basis not in ("bits", "symbols"):
-        raise ConfigError("cost_basis: must be 'bits' or 'symbols'")
-    grid_n = int(merged["grid_n"])
-    if grid_n < 64:
-        raise ConfigError(f"grid_n: must be >= 64, got {grid_n}")
-
-    modulations = merged["modulations"]
-    if modulations is not None:
-        if not isinstance(modulations, list) or not modulations:
-            raise ConfigError("modulations: need a non-empty list when given")
-        for m in modulations:
-            try:
-                preset(str(m))
-            except DomainError as exc:
-                raise ConfigError(f"modulations: {exc}") from None
-        modulations = tuple(str(m).lower() for m in modulations)
-
     sim_doc = merged["simulation"]
-    try:
-        sim = SimSettings(
-            n_bits=int(sim_doc["n_bits"]),
-            snr_db=tuple(float(v) for v in sim_doc["snr_db"]),
-            seed=int(sim_doc["seed"]) if sim_doc["seed"] is not None else derive_seed(seed, 2001),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation: {exc}") from None
-    for v in sim.snr_db:
-        try:
-            10.0 ** (v / 10.0)
-        except OverflowError:
-            raise ConfigError(f"simulation.snr_db: {v} dB overflows the linear SNR") from None
-
+    sim_seed = _value(sim_doc, "seed", "simulation", int, optional=True)
+    sim = SimSettings(
+        n_bits=_value(sim_doc, "n_bits", "simulation", int, SIM_MIN_BITS, SIM_MAX_BITS),
+        snr_db=_each(sim_doc, "snr_db", "simulation", _value, hi=_SNR_DB_MAX),
+        seed=derive_seed(seed, 2001) if sim_seed is None else sim_seed,
+    )
     out_doc = merged["output"]
-    out_format = str(out_doc["format"])
-    if out_format not in ("csv", "csv+svg"):
-        raise ConfigError("output.format: must be 'csv' or 'csv+svg'")
-
     return ExperimentConfig(
         raw=merged,
         seed=seed,
         streams=streams,
         surface=surface,
         surface_fit=surface_fit,
-        target=target,
-        targets=targets,
-        solvers=tuple(solvers),
-        cost_basis=cost_basis,
-        grid_n=grid_n,
-        modulations=modulations,
+        target=_value(merged, "target", "", lo=0.0, hi=1.0, optional=True),
+        targets=_expand_targets(merged["targets"]),
+        solvers=_each(merged, "solvers", "", _choice, SOLVER_ORDER),
+        cost_basis=_choice(merged, "cost_basis", "", ("bits", "symbols")),
+        grid_n=_value(merged, "grid_n", "", int, 64, GRID_N_MAX),
+        modulations=None if merged["modulations"] is None
+        else _each(merged, "modulations", "", _choice, tuple(PRESETS)),
         sim=sim,
-        out_dir=Path(out_doc["dir"]),
-        out_format=out_format,
+        out_dir=Path(_value(out_doc, "dir", "output", str)),
+        out_format=_choice(out_doc, "format", "output", ("csv", "csv+svg")),
         input_files=tuple(inputs),
     )
 

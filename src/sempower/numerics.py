@@ -116,10 +116,10 @@ class Rng:
     :meth:`bits_at` and :meth:`polar_at` take an explicit position and
     leave the instance unchanged, so threads may share one instance and
     draw disjoint slices in any order. The sequential draws
-    (:meth:`uniform`, :meth:`normal`, :meth:`exponential`, :meth:`bits`)
-    are the same computation at an internal position that each call
-    advances; such an instance is single-owner. Use :func:`derive_seed`
-    to hand independent streams to parallel consumers.
+    (:meth:`normal`, :meth:`exponential`) are the same computation at an
+    internal position that each call advances; such an instance is
+    single-owner. Use :func:`derive_seed` to hand independent streams to
+    parallel consumers.
     """
 
     def __init__(self, seed: int):
@@ -160,10 +160,6 @@ class Rng:
         self._pos += n
         return self.words_at(self._pos - n, n)
 
-    def uniform(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on [0, 1), from the top 53 bits per word."""
-        return _unit(self._words(n))
-
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal deviates via Box-Muller pairs.
 
@@ -178,12 +174,6 @@ class Rng:
     def exponential(self, n: int) -> np.ndarray:
         """``n`` unit-mean exponential deviates."""
         return -np.log(_unit_open(self._words(n)))
-
-    def bits(self, n: int) -> np.ndarray:
-        """``n`` random bits as a uint8 array of 0/1 values."""
-        out = self.bits_at(64 * self._pos, n)
-        self._pos += (n + 63) // 64
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,11 @@ class TestConfig:
             ({"targets": {"start": 0.4, "stop": 0.8, "step": 0.0}}, "targets.step"),
             ({"targets": {"start": 0.4, "step": 0.1}}, "targets.stop"),
             ({"targets": {"start": 0.4, "stop": 0.8, "count": 5, "step": 0.1}}, "targets"),
+            ({"channel": {"independent_fades": "abc"}}, "channel.independent_fades"),
+            ({"simulation": {"snr_db": []}}, "simulation.snr_db"),
+            ({"channel": {"h0_db": True}}, "channel.h0_db"),
+            ({"grid_n": 64.5}, "grid_n"),
+            ({"streams": [{"M": 4}, {}]}, "streams[0].M"),
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, overrides, key):
@@ -500,6 +505,23 @@ class TestConfig:
         replay = tmp_path / "replay"
         assert main(["solve", "--config", str(out / "manifest.json"), "--out", str(replay)]) == 0
         assert (replay / "solve.csv").read_bytes() == (out / "solve.csv").read_bytes()
+
+    def test_label_cannot_leave_out_dir(self, tmp_path, capsys):
+        # both streams share the label, so it names the sweep CSV
+        custom = {"modulation": "custom", "M": 4, "a": 1.0, "b": 1.0, "label": "x/../../escaped"}
+        cfg = write_config(tmp_path, streams=[custom, custom])
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: streams[0].label" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "escaped.csv").exists()
+
+    def test_name_cannot_split_csv_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, streams=[{"name": "p,x"}, {}],
+                           simulation={"n_bits": 10_000, "snr_db": [0.0]})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: streams[0].name" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_surface_from_file_and_curves_from_file(self, tmp_path):
         from sempower.perception import default_edge_curve, save_curve, save_surface

@@ -175,16 +175,16 @@ class TestTolerance:
 
 class TestRng:
     def test_equal_seeds_equal_streams(self):
-        a = Rng(123456789).uniform(1_000_000)
-        b = Rng(123456789).uniform(1_000_000)
+        a = Rng(123456789).words_at(0, 1_000_000)
+        b = Rng(123456789).words_at(0, 1_000_000)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(Rng(1).uniform(100), Rng(2).uniform(100))
+        assert not np.array_equal(Rng(1).words_at(0, 100), Rng(2).words_at(0, 100))
 
-    def test_uniform_range_and_mean(self):
-        u = Rng(5).uniform(200_000)
-        assert u.min() >= 0.0 and u.max() < 1.0
+    def test_words_range_and_mean(self):
+        u = Rng(5).words_at(0, 200_000) * 2.0**-64
+        assert u.min() >= 0.0 and u.max() <= 1.0
         assert abs(u.mean() - 0.5) < 0.005
 
     def test_normal_moments(self):
@@ -197,39 +197,41 @@ class TestRng:
         assert abs(e.mean() - 1.0) < 0.005
 
     def test_bits_balance_and_determinism(self):
-        b1 = Rng(9).bits(100_000)
-        b2 = Rng(9).bits(100_000)
+        b1 = Rng(9).bits_at(0, 100_000)
+        b2 = Rng(9).bits_at(0, 100_000)
         assert np.array_equal(b1, b2)
         assert set(np.unique(b1)) <= {0, 1}
         assert abs(b1.mean() - 0.5) < 0.01
 
     def test_chunking_is_stream_stable(self):
-        whole = Rng(11).uniform(100)
         r = Rng(11)
-        parts = np.concatenate([r.uniform(37), r.uniform(63)])
-        assert np.array_equal(whole, parts)
+        parts = np.concatenate([r.words_at(0, 37), r.words_at(37, 63)])
+        assert np.array_equal(r.words_at(0, 100), parts)
+        parts = np.concatenate([r.bits_at(0, 370), r.bits_at(370, 630)])
+        assert np.array_equal(r.bits_at(0, 1000), parts)
+        whole = Rng(11).exponential(100)
+        assert np.array_equal(whole, np.concatenate([r.exponential(37), r.exponential(63)]))
 
     def test_positional_draws_match_sequential_ones(self):
         r, seq = Rng(12), Rng(12)
-        bits = seq.bits(1000)  # 16 words
+        seq.exponential(16)  # 16 words
         normal = seq.normal(9)  # 5 radius words, then 5 angle words
+        bits = np.unpackbits(r.words_at(0, 16).astype(">u8").view(np.uint8))
         for pos, n in [(0, 1000), (0, 0), (63, 2), (64, 64), (130, 777)]:
             assert np.array_equal(r.bits_at(pos, n), bits[pos : pos + n])
         rad, ang = r.polar_at(16, 21, 5)
         assert np.array_equal(np.concatenate([rad * np.cos(ang), rad * np.sin(ang)])[:9], normal)
         assert np.array_equal(r.words_at(3, 4), r.words_at(0, 7)[3:])
-        assert r.uniform(3).tolist() == Rng(12).uniform(3).tolist()  # nothing advanced
+        assert r.normal(3).tolist() == Rng(12).normal(3).tolist()  # nothing advanced
 
     def test_known_word_stream(self):
-        # frozen first draws for seed 0: guards the generator definition
-        first = Rng(0).uniform(2)
-        again = Rng(0).uniform(2)
-        assert np.array_equal(first, again)
-        assert first.dtype == np.float64
+        # frozen first words for seed 0 (key 0): the first two SplitMix64
+        # outputs from state 0; guards the generator definition
+        assert Rng(0).words_at(0, 2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
 
     def test_spawn_and_derive(self):
         children = [Rng(derive_seed(77, i)) for i in range(8)]
         assert len({c.seed for c in children}) == 8
         assert derive_seed(77, 0) != derive_seed(77, 1)
         assert derive_seed(77, 0) == derive_seed(77, 0)
-        assert not np.array_equal(children[0].uniform(64), children[1].uniform(64))
+        assert not np.array_equal(children[0].words_at(0, 64), children[1].words_at(0, 64))
