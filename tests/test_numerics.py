@@ -182,7 +182,7 @@ class TestRng:
     def test_different_seeds_differ(self):
         assert not np.array_equal(Rng(1).words_at(0, 100), Rng(2).words_at(0, 100))
 
-    def test_words_range_and_mean(self):
+    def test_uniform_range_and_mean(self):
         u = Rng(5).words_at(0, 200_000) * 2.0**-64
         assert u.min() >= 0.0 and u.max() <= 1.0
         assert abs(u.mean() - 0.5) < 0.005
