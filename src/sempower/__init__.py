@@ -78,12 +78,7 @@ from .perception import (
     surface_partials,
     synthetic_sample_set,
 )
-from .simulator import (
-    EndToEndReport,
-    SimConfig,
-    end_to_end_check,
-    simulate_ber,
-)
+from .simulator import SimConfig, simulate_ber
 from .solvers import (
     Allocation,
     ProblemSpec,

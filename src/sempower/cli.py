@@ -3,8 +3,9 @@
 Subcommands: ``fit`` (surface fitting from sample CSVs), ``solve`` (one
 target, all selected solvers), ``sweep`` (cost versus target curves with
 CSV and SVG output), ``simulate`` (Monte Carlo BER validation). Every
-run writes a JSON manifest; re-running with the manifest as the config
-reproduces the CSV/SVG outputs byte for byte.
+run writes a JSON manifest; re-running ``solve``, ``sweep`` or
+``simulate`` with its manifest as the config reproduces the CSV/SVG
+outputs byte for byte.
 
 Exit codes: 0 success, 2 input error, 3 numerical warning (result
 written but flagged), 4 infeasible target.
@@ -19,13 +20,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .config import ExperimentConfig, build_manifest, load_config, write_manifest
-from .errors import (
-    ConfigError,
-    DomainError,
-    InfeasibleError,
-    SempowerError,
-    SempowerWarning,
-)
+from .errors import ConfigError, InfeasibleError, SempowerError, SempowerWarning
 from .modulation import preset
 from .perception import fit_surface, load_sample_set, save_surface
 from .simulator import simulate_stream_report
@@ -138,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a perception surface to psi1,psi2,P samples")
     p_fit.add_argument("samples", type=str, help="sample CSV with header psi1,psi2,P")
-    _common_flags(p_fit)
+    p_fit.add_argument("--out", type=str, default="out", help="output directory (default: out)")
 
     for name, help_text in [
         ("solve", "solve one target with the selected solvers"),
@@ -165,7 +160,7 @@ def cmd_fit(args) -> int:
     samples_path = Path(args.samples).resolve()
     data = load_sample_set(samples_path)
     result = fit_surface(data)
-    out_dir = Path(args.out or "out")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "surface.yaml"
     save_surface(result, out_path)
@@ -265,13 +260,11 @@ def cmd_simulate(args) -> int:
     total = 0
     for i, s in enumerate(cfg.streams):
         for j, snr_db in enumerate(cfg.sim.snr_db):
-            snr_lin = 10.0 ** (snr_db / 10.0)
-            q = snr_lin * s.channel.noise_w / s.channel.gain
             row = simulate_stream_report(
                 s.name,
                 s.modulation,
                 s.channel,
-                q,
+                snr_db,
                 cfg.sim.n_bits,
                 derive_seed(cfg.sim.seed, i * 1000 + j),
             )
@@ -315,11 +308,11 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SempowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # inputs are read through ConfigError: this is an output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

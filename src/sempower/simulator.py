@@ -5,8 +5,8 @@ constellation, scaled by the allocated power and the channel amplitude,
 hit with complex Gaussian noise, coherently equalised (the receiver
 knows the channel) and demodulated by minimum distance. The resulting
 empirical bit error fraction is compared against the two-parameter BER
-model, and fitted back through the perception surface to close the loop
-on a solver's allocation.
+model at the same SNR, within a 3-sigma binomial band
+(:func:`simulate_stream_report`).
 
 Each symbol carries ``k - k//2`` bits on the in-phase axis and ``k//2``
 in quadrature (BPSK: in-phase only; 8-QAM: the 4x2 grid), each axis a
@@ -45,27 +45,13 @@ import numpy as np
 from .channel import ChannelState
 from .errors import DomainError
 from .modulation import ModulationScheme, ber_from_snr
-from .numerics import Rng, derive_seed
-from .perception import PSI_MAX, eval_surface
-from .solvers import Allocation, ProblemSpec
+from .numerics import Rng
 
-__all__ = [
-    "SimConfig",
-    "simulate_ber",
-    "simulate_stream_report",
-    "StreamSimResult",
-    "EndToEndReport",
-    "end_to_end_check",
-]
+__all__ = ["SimConfig", "simulate_ber", "simulate_stream_report", "StreamSimResult"]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo settings: bits per stream and seed.
-
-    The simulation always uses the channel states already frozen into
-    the problem (the caller draws or pins the fading before solving),
-    matching the quasi-static assumption.
-    """
+    """Monte Carlo settings: bits per stream and seed."""
 
     n_bits: int
     seed: int
@@ -172,72 +158,44 @@ class StreamSimResult:
         return self.ci_low <= self.psi_empirical <= self.ci_high
 
 
-@dataclass(frozen=True)
-class EndToEndReport:
-    """Loop closure: simulated BERs pushed through the perception surface."""
-
-    rows: tuple[StreamSimResult, ...]
-    p_empirical: float
-    p_analytic: float
-    target: float
-    gap: float
-
-
 def simulate_stream_report(
     name: str,
     m: ModulationScheme,
     state: ChannelState,
-    q: float,
+    snr_db: float,
     n_bits: int,
     seed: int,
 ) -> StreamSimResult:
+    """Simulated against analytic BER of stream ``name`` at ``snr_db`` dB.
+
+    The symbol power is the one that gives that SNR over ``state``; a
+    power beyond binary64 is a :class:`DomainError` naming the stream.
+    The band is the analytic BER plus or minus three binomial standard
+    deviations over the simulated bits (``n_bits`` rounded up to whole
+    symbols).
+    """
+    try:
+        snr_lin = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr_lin = math.inf
+    q = snr_lin * state.noise_w / state.gain
+    if q == math.inf:
+        raise DomainError(
+            f"stream {name}: the power for {snr_db:g} dB overflows over its link "
+            f"(noise {state.noise_w:g} W, gain {state.gain:g})"
+        )
     k = m.bits_per_symbol
     n_eff = -(-n_bits // k) * k
-    snr_lin = q * state.gain / state.noise_w
     psi_a = ber_from_snr(m, snr_lin)
     psi_e = simulate_ber(m, state, q, SimConfig(n_bits=n_bits, seed=seed))
     half = 3.0 * math.sqrt(max(psi_a * (1.0 - psi_a), 0.0) / n_eff)
     return StreamSimResult(
         stream=name,
         q_w=q,
-        snr_db=10.0 * math.log10(snr_lin) if snr_lin > 0.0 else -math.inf,
+        snr_db=snr_db,
         psi_analytic=psi_a,
         psi_empirical=psi_e,
         n_bits=n_eff,
         ci_low=psi_a - half,
         ci_high=psi_a + half,
-    )
-
-
-def end_to_end_check(p: ProblemSpec, alloc: Allocation, cfg: SimConfig) -> EndToEndReport:
-    """Simulate an allocation and compare achieved perception error.
-
-    Each stream is simulated at its allocated power on an independent
-    sub-stream of ``cfg.seed``; the empirical BERs feed the perception
-    surface and the report carries the gap to the target. The gap
-    shrinks as ``n_bits`` grows (Monte Carlo error scales as
-    ``1/sqrt(n_bits)``).
-    """
-    if not alloc.feasible:
-        raise DomainError("cannot simulate an infeasible allocation")
-    rows = []
-    psi_hat = []
-    for i, s in enumerate(p.streams):
-        row = simulate_stream_report(
-            s.name or f"stream{i + 1}",
-            s.modulation,
-            s.channel,
-            alloc.q[i],
-            cfg.n_bits,
-            derive_seed(cfg.seed, i),
-        )
-        rows.append(row)
-        psi_hat.append(min(max(row.psi_empirical, 0.0), PSI_MAX))
-    p_emp = eval_surface(p.surface, psi_hat[0], psi_hat[1])
-    return EndToEndReport(
-        rows=tuple(rows),
-        p_empirical=p_emp,
-        p_analytic=alloc.achieved_p,
-        target=p.target,
-        gap=abs(p_emp - p.target),
     )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +56,17 @@ class TestFit:
         code = main(["fit", str(bad), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--config", "/nonexistent.yaml"], ["--seed", "5"],
+                                      ["--format", "csv"]], ids=["config", "seed", "format"])
+    def test_unread_flags_rejected(self, tmp_path, flag):
+        # fit reads only its samples and --out; these flags were ignored
+        samples = tmp_path / "samples.csv"
+        save_sample_set(synthetic_sample_set(default_surface(), seed=3), samples)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(samples), *flag, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content", [None, b"psi1,psi2,P\n\xff\xfe,0,0.4\n"],
                              ids=["missing", "not-utf8"])
@@ -446,11 +458,13 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: channel:") and f"{key}={float(value)}" in err
 
-    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "simulate"])
     def test_overflowing_power_exit_2(self, tmp_path, capsys, command):
-        # A representable link whose power at the BER floor is not: every
-        # cost and power used to come out infinite in rows marked feasible.
-        cfg = write_config(tmp_path, channel={"noise_dbm": 3000}, target=0.6)
+        # A representable link whose power at the BER floor (or at 30 dB
+        # SNR) is not: every cost and power used to come out infinite in
+        # rows marked feasible, and simulate named neither stream nor SNR.
+        cfg = write_config(tmp_path, channel={"noise_dbm": 3000}, target=0.6,
+                           simulation={"snr_db": [30]})
         out = tmp_path / "run"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -570,3 +584,42 @@ class TestConfig:
         assert main(["solve", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["solve", "--config", str(cfg), "--out", str(b)]) == 0
         assert (a / "solve.csv").read_bytes() == (b / "solve.csv").read_bytes()
+
+
+REPO = Path(__file__).resolve().parents[1]
+# SHA-256 of every CSV/SVG/surface output of the four README commands. An
+# intended change to one of these outputs updates its pin here.
+README_PINS = {
+    "solve/solve.csv": "11e897df7528fe84ae86f42b5596ee3dd7a76138b12543a569f28dd7f5bd8253",
+    "sweep/sweep_8qam.csv": "5a6b141cb53dea503953da5549d3288eca20acf60e85e3c048ae123265686420",
+    "sweep/sweep_16qam.csv": "8b4c250f39b2428770b431028edd16d393b232fa0b6a729e7d0fdf3e55d3f370",
+    "sweep/sweep.svg": "c2e7269a4365e7d08772ec757f52444fb45e0892ff5cdef02ef6c15055b062bf",
+    "simulate/simulate.csv": "04a282fa124d37ab35cb3b1b39057bb61e193a9330a76adf653a2728dd64f550",
+    "fit/surface.yaml": "2e4479cd0bb4a52283ece89ae12063764f2d1d8e8f96be7cb0472d07a74300c1",
+}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", ["solve", "fit"])
+    def test_out_at_existing_file_exit_2(self, tmp_path, capsys, command):
+        save_sample_set(synthetic_sample_set(default_surface(), seed=3), tmp_path / "samples.csv")
+        cfg = write_config(tmp_path, target=0.6, grid_n=512)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["fit", str(tmp_path / "samples.csv")] if command == "fit" else [
+            "solve", "--config", str(cfg)]
+        assert main([*argv, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {taken}:")
+
+    def test_readme_outputs_pinned(self, tmp_path):
+        runs = {
+            "solve": ["solve", "--config", str(REPO / "configs" / "default.yaml")],
+            "sweep": ["sweep", "--config", str(REPO / "configs" / "sweep_modulations.yaml")],
+            "simulate": ["simulate", "--config", str(REPO / "configs" / "simulate_bpsk.yaml")],
+            "fit": ["fit", str(REPO / "src" / "sempower" / "data" / "surface_samples_example.csv")],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+        for name, digest in README_PINS.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digest, f"{name} moved: sha256 {got}"

@@ -9,19 +9,11 @@ import pytest
 
 import sempower
 import sempower.simulator as simulator
+from sempower.channel import ChannelState
 from sempower.errors import DomainError
 from sempower.modulation import ModulationScheme, ber_from_snr, preset
 from sempower.numerics import derive_seed, q_function
-from sempower.simulator import (
-    EndToEndReport,
-    SimConfig,
-    end_to_end_check,
-    simulate_ber,
-    simulate_stream_report,
-)
-from sempower.solvers import solve_bisection
-
-from conftest import make_problem
+from sempower.simulator import SimConfig, simulate_ber, simulate_stream_report
 
 
 def binomial_3sigma(p, n):
@@ -271,43 +263,31 @@ class TestSimulateBer:
             SimConfig(n_bits=0, seed=1)
 
 
-class TestEndToEnd:
-    def test_gap_shrinks_to_target(self, ref_state):
-        p = make_problem(ref_state, "bpsk", target=0.8)
-        alloc = solve_bisection(p)
-        report = end_to_end_check(p, alloc, SimConfig(n_bits=4_000_000, seed=17))
-        assert isinstance(report, EndToEndReport)
-        assert report.gap < 0.01
-        assert abs(report.p_analytic - p.target) < 1e-6
-
-    def test_streams_within_ci(self, ref_state):
-        p = make_problem(ref_state, "bpsk", target=0.7)
-        alloc = solve_bisection(p)
-        report = end_to_end_check(p, alloc, SimConfig(n_bits=2_000_000, seed=23))
-        for row in report.rows:
-            assert row.ci_low <= row.psi_empirical <= row.ci_high
-
+class TestStreamReport:
     def test_ci_width_scales_with_bits(self, ref_state):
-        p = make_problem(ref_state, "bpsk", target=0.7)
-        alloc = solve_bisection(p)
-        r1 = end_to_end_check(p, alloc, SimConfig(n_bits=500_000, seed=29))
-        r2 = end_to_end_check(p, alloc, SimConfig(n_bits=2_000_000, seed=29))
-        for a, b in zip(r1.rows, r2.rows):
-            width1 = a.ci_high - a.ci_low
-            width2 = b.ci_high - b.ci_low
-            assert abs(width1 / width2 - 2.0) < 1e-9  # 4x bits halves the CI
+        r1, r2 = (simulate_stream_report("s1", preset("bpsk"), ref_state, 6.0, n, 29)
+                  for n in (500_000, 2_000_000))
+        width1 = r1.ci_high - r1.ci_low
+        width2 = r2.ci_high - r2.ci_low
+        assert abs(width1 / width2 - 2.0) < 1e-9  # 4x bits halves the CI
 
     def test_reports_are_deterministic(self, ref_state):
-        p = make_problem(ref_state, "16qam", target=0.6)
-        alloc = solve_bisection(p)
-        cfg = SimConfig(n_bits=200_000, seed=41)
-        assert end_to_end_check(p, alloc, cfg) == end_to_end_check(p, alloc, cfg)
+        args = ("s2", preset("16qam"), ref_state, 12.0, 200_000, 41)
+        assert simulate_stream_report(*args) == simulate_stream_report(*args)
 
     def test_stream_report_row(self, ref_state):
         row = simulate_stream_report(
-            "s1", preset("bpsk"), ref_state, 6.3e-4, 1_000_000, derive_seed(1, 0)
+            "s1", preset("bpsk"), ref_state, 10.0, 1_000_000, derive_seed(1, 0)
         )
         assert row.stream == "s1"
         assert row.n_bits == 1_000_000
-        assert abs(row.snr_db - 10.0) < 0.1
+        assert row.snr_db == 10.0
+        assert row.q_w == 10.0 * ref_state.noise_w / ref_state.gain
         assert row.ci_low < row.psi_analytic < row.ci_high
+
+    @pytest.mark.parametrize("noise_w, snr_db", [(1e297, 30.0), (1e-14, 4000.0)])
+    def test_overflowing_power(self, ref_state, noise_w, snr_db):
+        # a power beyond binary64, and an SNR that is beyond it already
+        state = ChannelState(gain=ref_state.gain, noise_w=noise_w)
+        with pytest.raises(DomainError, match=f"stream s1: the power for {snr_db:g} dB overflows"):
+            simulate_stream_report("s1", preset("bpsk"), state, snr_db, 10_000, 1)
