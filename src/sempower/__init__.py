@@ -8,7 +8,7 @@ minimum-total-power allocations that meet a perception target.
 
 Modules
 -------
-numerics    Q function and inverse, bisection, finite differences, PRNG.
+numerics    Q function and inverse, ITP root search, finite differences, PRNG.
 channel     Path loss, fading, SNR.
 modulation  Analytic BER model and its inversions.
 perception  Perception surface, stream curves, semantic values, fitting.

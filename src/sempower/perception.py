@@ -155,6 +155,15 @@ def _check_psi(psi, what: str = "psi") -> np.ndarray:
     return arr
 
 
+def _decay_term(psi: float, tau: float, beta: float) -> float:
+    """``(psi/tau)^beta`` of floats, rounded as numpy's ``power`` rounds it."""
+    r = psi / tau
+    if beta == 1.0:  # numpy's power is exact there too
+        return r
+    with np.errstate(over="ignore"):
+        return float(np.power(r, beta))
+
+
 def eval_surface(s: SurfaceParams, psi1, psi2):
     """Perception error ``P(psi1, psi2)``; scalars or arrays.
 
@@ -162,8 +171,21 @@ def eval_surface(s: SurfaceParams, psi1, psi2):
     BER domain ``[0, 0.5]^2``. Evaluated as
     ``p0 + (pmax - p0) * (1 - exp(-u))`` with ``expm1``, which is exact
     at the floor and accurate for small decay arguments. A decay beyond
-    binary64 is infinite and gives exactly ``pmax``.
+    binary64 is infinite and gives exactly ``pmax``. Two floats skip the
+    array conversion and checks but keep numpy's ``power`` and ``expm1``
+    kernels, so they are bit-identical to the array path: Python's ``**``
+    and ``math.expm1`` are libm's, which differ from numpy's in the last
+    bit on a few percent of inputs.
     """
+    if isinstance(psi1, float) and isinstance(psi2, float):
+        # numpy scalars become floats, whose division overflows without a warning
+        psi1, psi2 = float(psi1), float(psi2)
+        if not 0.0 <= psi1 <= PSI_MAX:  # NaN and +-inf fail too
+            raise DomainError(f"psi1 must lie in [0, {PSI_MAX}]")
+        if not 0.0 <= psi2 <= PSI_MAX:
+            raise DomainError(f"psi2 must lie in [0, {PSI_MAX}]")
+        u = _decay_term(psi1, s.tau1, s.beta1) + _decay_term(psi2, s.tau2, s.beta2)
+        return s.p0 + (s.pmax - s.p0) * -float(np.expm1(-u))
     a1 = _check_psi(psi1, "psi1")
     a2 = _check_psi(psi2, "psi2")
     with np.errstate(over="ignore"):

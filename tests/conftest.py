@@ -69,3 +69,19 @@ def rel_err(a, b):
 def assert_rel(a, b, tol, label=""):
     err = rel_err(a, b)
     assert err <= tol, f"{label}: {a} vs {b}, rel err {err:.3g} > {tol:g}"
+
+
+def midpoint_run(f, lo, hi, tol):
+    """Points midpoint bisection evaluates on the sign of ``f``, under
+    ``bisect_root``'s stopping rule: the reference its ITP search is
+    held to."""
+    seen = []
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo < max(tol.abs_tol, tol.rel_tol * abs(mid)) or len(seen) == tol.max_iter:
+            return seen
+        y = f(mid)
+        seen.append(mid)
+        if y == 0.0:
+            return seen
+        lo, hi = (mid, hi) if y < 0.0 else (lo, mid)

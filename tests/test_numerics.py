@@ -15,7 +15,7 @@ from sempower.numerics import (
     q_inverse,
 )
 
-from conftest import assert_rel
+from conftest import assert_rel, midpoint_run
 
 
 def q_by_quadrature(x):
@@ -126,36 +126,74 @@ class TestQInverse:
         assert [q_inverse(float(p)) for p in ps[::100]] == list(out[::100])
 
 
+MONOTONE = {
+    "linear": (lambda x: x - 3.0, 0.0, 10.0),
+    "exp": (lambda x: math.exp(x) - 2.0, 0.0, 5.0),
+    "cubic": (lambda x: x**3 - 0.1, -1.0, 2.0),
+    "atan": (lambda x: math.atan(20.0 * (x - 0.3)), 0.0, 1.0),
+    "q_tail": (lambda x: 0.1 - q_function(x), 0.0, 5.0),
+    "steep_tanh": (lambda x: math.tanh(1e3 * (x - 0.123)), 0.0, 1.0),
+    "flat_at_root": (lambda x: x**9 - 1e-9, 0.0, 1.0),
+    "tiny_root": (lambda x: x - 1e-200, 0.0, 0.5),
+    "log": (lambda x: math.log(x / 0.7), 0.0, 1.0),
+    # Regula falsi crawls from the low end here; the projection keeps
+    # the search within one step of bisection.
+    "lopsided_step": (lambda x: -1.0 if x < 0.3 else 1e9, 0.0, 1.0),
+}
+
+
 class TestBisect:
     def test_linear_root(self):
         tight = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-15)
-        root, _, converged = bisect_root(lambda x: x < 3.0, 0.0, 10.0, tight)
+        root, _, converged = bisect_root(lambda x: x - 3.0, 0.0, 10.0, tight)
         assert converged and abs(root - 3.0) < 1e-11
 
     def test_matches_q_inverse(self):
-        root, _, _ = bisect_root(lambda x: q_function(x) > 0.1, 0.0, 5.0)
+        root, _, _ = bisect_root(lambda x: 0.1 - q_function(x), 0.0, 5.0)
         assert abs(root - q_inverse(0.1)) < 1e-10
 
     def test_width_contract(self):
         tol = ToleranceConfig(abs_tol=1e-10, rel_tol=1e-10)
-        root, _, _ = bisect_root(lambda x: math.cos(x) > 0.0, 0.0, 3.0, tol)
+        root, _, _ = bisect_root(lambda x: -math.cos(x), 0.0, 3.0, tol)
         assert abs(root - math.pi / 2) < max(tol.abs_tol, tol.rel_tol * root) + 1e-12
 
-    @pytest.mark.parametrize(
-        "below, end", [(lambda x: False, 0.0), (lambda x: True, 1.0)], ids=["lo", "hi"]
-    )
-    def test_converges_to_an_end_without_evaluating_it(self, below, end):
+    @pytest.mark.parametrize("sign, end", [(1.0, 0.0), (-1.0, 1.0)], ids=["lo", "hi"])
+    def test_converges_to_an_end_without_evaluating_it(self, sign, end):
         seen = []
-        root, steps, converged = bisect_root(lambda x: seen.append(x) or below(x), 0.0, 1.0)
+        root, steps, converged = bisect_root(lambda x: seen.append(x) or sign, 0.0, 1.0)
         assert converged and root == pytest.approx(end, rel=1e-9, abs=1e-12)
         assert steps == len(seen) and 0.0 < min(seen) and max(seen) < 1.0
 
     def test_exhaustion_is_reported(self):
         root, steps, converged = bisect_root(
-            lambda x: x < 0.1234, 0.0, 1e9, ToleranceConfig(max_iter=3)
+            lambda x: x - 0.1234, 0.0, 1e9, ToleranceConfig(max_iter=3)
         )
         assert (steps, converged) == (3, False)
         assert root == 0.0625e9  # midpoint of the last bracket [0, 1.25e8]
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: math.copysign(math.inf, x - 0.3), lambda x: -math.inf if x < 0.3 else x - 0.3],
+        ids=["both_infinite", "lower_infinite"],
+    )
+    def test_infinite_bracket_value_takes_the_midpoint(self, f):
+        seen = []
+        root, _, converged = bisect_root(lambda x: seen.append(x) or f(x), 0.0, 1.0)
+        assert converged and abs(root - 0.3) < 1e-9
+        assert seen == midpoint_run(f, 0.0, 1.0, ToleranceConfig())
+
+    def test_exact_zero_returns_at_once(self):
+        assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 1, True)
+
+    @pytest.mark.parametrize("tol", [ToleranceConfig(), ToleranceConfig(1e-300, 1e-9, 1100)],
+                             ids=["default", "relative"])
+    @pytest.mark.parametrize("name", sorted(MONOTONE))
+    def test_never_more_than_one_step_behind_bisection(self, name, tol):
+        f, lo, hi = MONOTONE[name]
+        root, steps, converged = bisect_root(f, lo, hi, tol)
+        assert converged and steps <= len(midpoint_run(f, lo, hi, tol)) + 1
+        width = max(tol.abs_tol, tol.rel_tol * abs(root))
+        assert f(root - width) <= 0.0 <= f(root + width)
 
 
 class TestFiniteDifference:

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sempower.errors import ConfigError, DomainError, InfeasibleError, SingularityError
 from sempower.numerics import ToleranceConfig, finite_difference
 from sempower.perception import (
+    PSI_MAX,
     SampleSet,
     StreamCurve,
     SurfaceParams,
@@ -41,6 +44,49 @@ def closed_form(s, psi1, psi2):
     return s.pmax - (s.pmax - s.p0) * math.exp(-u)
 
 
+@st.composite
+def surfaces(draw):
+    """Any valid surface: tau over ten decades, beta from 0.05 to 60."""
+    p0 = draw(st.floats(0.0, 0.99))
+    pmax = p0 + (1.0 - p0) * draw(st.floats(0.01, 1.0))
+    tau1, tau2 = (10.0 ** draw(st.floats(-10.0, 0.0)) for _ in range(2))
+    beta1, beta2 = (draw(st.floats(0.05, 60.0)) for _ in range(2))
+    return SurfaceParams(p0, min(pmax, 1.0), tau1, tau2, beta1, beta2)
+
+
+@st.composite
+def surface_points(draw):
+    """A surface and up to 20 BER pairs: box edges, anywhere in the box,
+    and near each ``tau``, where the decay is of order one."""
+    s = draw(surfaces())
+
+    def ber(tau):
+        near = st.floats(-2.0, 1.0).map(lambda e: min(tau * 10.0**e, PSI_MAX))
+        return draw(st.one_of(st.sampled_from([0.0, PSI_MAX]), st.floats(0.0, PSI_MAX), near))
+
+    return s, [(ber(s.tau1), ber(s.tau2)) for _ in range(draw(st.integers(1, 20)))]
+
+
+# A decay beyond binary64 at the top of the box.
+OVERFLOWING = SurfaceParams(p0=0.3, pmax=0.95, tau1=5e-3, tau2=1e-10, beta1=1.0, beta2=60.0)
+
+
+@given(surface_points())
+@example((OVERFLOWING, [(0.0, 0.0), (PSI_MAX, PSI_MAX), (1e-3, 0.3), (5e-324, PSI_MAX)]))
+@example((default_surface(), [(0.0, 0.0), (PSI_MAX, 0.0), (0.0, PSI_MAX), (4e-3, 1e-3)]))
+@example((SurfaceParams(0.1, 0.9, 5e-324, 1e-3, 1.0, 2.0), [(PSI_MAX, 0.1), (0.0, 0.0)]))
+def test_float_path_matches_array_path(case):
+    s, pairs = case
+    psi1, psi2 = (np.array(v) for v in zip(*pairs))
+    array = eval_surface(s, psi1, psi2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for (v1, v2), want in zip(pairs, array):
+            got = eval_surface(s, v1, v2)
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes(), (v1, v2)
+            assert eval_surface(s, np.float64(v1), np.float64(v2)) == got
+
+
 class TestEvalSurface:
     def test_floor_exact(self):
         s = default_surface()
@@ -58,6 +104,10 @@ class TestEvalSurface:
         for v1 in np.geomspace(1e-5, 0.5, 12):
             for v2 in np.geomspace(1e-5, 0.5, 12):
                 assert_rel(eval_surface(s, v1, v2), closed_form(s, v1, v2), 1e-12)
+
+    def test_overflowing_decay_gives_pmax(self):
+        assert eval_surface(OVERFLOWING, PSI_MAX, PSI_MAX) == OVERFLOWING.pmax
+        assert eval_surface(OVERFLOWING, np.array([PSI_MAX]), PSI_MAX)[0] == OVERFLOWING.pmax
 
     def test_domain_errors(self):
         s = default_surface()

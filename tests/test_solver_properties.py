@@ -9,24 +9,29 @@ example runs :func:`sweep_targets` on one target with numpy
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sempower import solvers
 from sempower.channel import ChannelState, make_channel_state
-from sempower.errors import SempowerWarning
+from sempower.errors import DomainError, InfeasibleError, SempowerWarning
 from sempower.modulation import PRESETS, ModulationScheme, preset
+from sempower.numerics import bisect_root
 from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, SurfaceParams
 from sempower.solvers import (
     ProblemSpec,
     StreamSpec,
     achievable_range,
     solve_bisection,
+    solve_equal_snr,
     solve_grid_oracle,
+    solve_proportional,
     sweep_targets,
 )
 
-from conftest import REF_CHANNEL, kept_fractions, make_problem
+from conftest import REF_CHANNEL, kept_fractions, make_problem, midpoint_run
 
 TARGET_ATOL = 1e-6  # acceptance c03
 RATIO_ATOL = 1e-8  # the proportional rule's |r1 - r2|, as in test_solvers.py
@@ -172,3 +177,27 @@ def test_bisection_never_above_oracle(p):
     cost_b = solve_bisection(p).total_cost
     cost_g = solve_grid_oracle(p).total_cost
     assert cost_b <= cost_g * (1.0 + ORACLE_SLACK), (cost_b, cost_g)
+
+
+@given(problems())
+def test_search_never_more_than_one_step_behind_bisection(p):
+    # Each allocator's ITP search, replayed as a midpoint bisection on the
+    # same function and bracket: at most one step more.
+    searches = []
+
+    def recorded(f, lo, hi, tol):
+        out = bisect_root(f, lo, hi, tol)
+        searches.append((f, lo, hi, tol))
+        return out
+
+    for solver in (solve_equal_snr, solve_proportional, solve_bisection):
+        searches.clear()
+        with mock.patch.object(solvers, "bisect_root", recorded):
+            try:
+                alloc = solver(p)
+            except (InfeasibleError, DomainError):
+                continue
+        if alloc.total_cost == 0.0:  # free target: no search
+            continue
+        (search,) = searches
+        assert alloc.iterations <= len(midpoint_run(*search)) + 1, solver.__name__

@@ -268,6 +268,18 @@ class TestBisection:
         with pytest.raises(InfeasibleError):
             solve_bisection(make_problem(ref_state, target=0.2999))
 
+    def test_slope_constants_whose_ratio_underflows(self):
+        # noise / gain is 1e276 on one link and 1e-310 on the other, so
+        # the ratio of the slope constants underflows to 0.
+        bpsk = preset("bpsk")
+        curve = StreamCurve(0.0, 1.0, 1e-3, 1.0)
+        streams = tuple(StreamSpec(1024, bpsk, ChannelState(gain=gain, noise_w=noise), curve)
+                        for gain, noise in ((1e-290, 1e-14), (1e10, 1e-300)))
+        for target in (0.4, 0.8):
+            p = ProblemSpec(streams, SurfaceParams(0.3, 0.95, 5e-3, 1e-3, 1.0, 1.0), target)
+            cost_b = solve_bisection(p).total_cost
+            assert cost_b <= solve_grid_oracle(p).total_cost * (1.0 + 1e-9)
+
 
 class TestGridOracle:
     def test_refinement_non_increasing(self, default_problem):
