@@ -114,9 +114,9 @@ class Rng:
     by libm rounding (one ulp in ``log``/``cos``/``sin``).
 
     Any part of the stream can be computed directly. :meth:`words_at`,
-    :meth:`bits_at` and :meth:`polar_at` take an explicit position and
-    leave the instance unchanged, so threads may share one instance and
-    draw disjoint slices in any order. The sequential draws
+    :meth:`words_at_positions`, :meth:`bits_at` and :meth:`polar_at`
+    take explicit positions and leave the instance unchanged, so threads
+    may share one instance and draw disjoint slices in any order. The sequential draws
     (:meth:`normal`, :meth:`exponential`) are the same computation at an
     internal position that each call advances; such an instance is
     single-owner. Use :func:`derive_seed` to hand independent streams to
@@ -128,12 +128,20 @@ class Rng:
         self._key = int(_mix64(np.asarray([self.seed], dtype=np.uint64))[0])
         self._pos = 0
 
+    def _mix_at(self, z: np.ndarray) -> np.ndarray:
+        """The words at the uint64 stream positions ``z``, computed in place."""
+        # (k + 1) * GOLDEN + K, with the constant GOLDEN + K folded together
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64((self._key + _GOLDEN) % 2**64)
+        return _mix64(z)
+
+    def words_at_positions(self, pos: np.ndarray) -> np.ndarray:
+        """The raw uint64 words at the stream positions in ``pos``, any order."""
+        return self._mix_at(np.array(pos, dtype=np.uint64))
+
     def words_at(self, pos: int, n: int) -> np.ndarray:
         """The ``n`` raw uint64 words at stream positions ``pos, ..., pos+n-1``."""
-        z = np.arange(pos + 1, pos + n + 1, dtype=np.uint64)
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self._key)
-        return _mix64(z)
+        return self._mix_at(np.arange(pos, pos + n, dtype=np.uint64))
 
     def bits_at(self, pos: int, n: int) -> np.ndarray:
         """``n`` bits from bit offset ``pos`` as a uint8 array of 0/1 values.
@@ -154,8 +162,13 @@ class Rng:
         the words at ``pos2, ...``. ``r cos(ang)`` and ``r sin(ang)`` are two
         independent standard normal deviates.
         """
-        r = np.sqrt(-2.0 * np.log(_unit_open(self.words_at(pos1, n))))
-        return r, (2.0 * math.pi) * _unit(self.words_at(pos2, n))
+        return self.polar_of(self.words_at(pos1, n), self.words_at(pos2, n))
+
+    @staticmethod
+    def polar_of(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`polar_at`'s radii and angles from radius words ``w1`` and
+        angle words ``w2`` already drawn, element by element."""
+        return np.sqrt(-2.0 * np.log(_unit_open(w1))), (2.0 * math.pi) * _unit(w2)
 
     def _words(self, n: int) -> np.ndarray:
         self._pos += n

@@ -27,7 +27,21 @@ payload words followed by one ``Rng.normal(n_sym)`` per axis.
 
 The pairs are counted in fixed blocks of ``_BLOCK_PAIRS``: each block
 draws its symbols' bits and noise by stream position and returns its
-integer error count. With more than one block and more than one CPU
+integer error count. A sample is decoded wrongly only if its noise,
+``sigma r |cos|`` or ``sigma r |sin|``, reaches half the gap between
+levels, ``amp / norm``; so a pair whose radius stays under
+``c = (1 - 1e-9) amp / (norm sigma)`` errs in neither of its samples
+(the margin covers rounding). With ``r = sqrt(-2 log u1)`` and
+``u1 = ((w >> 11) + 1) 2^-53``, ``r >= c`` is ``(w >> 11) < limit =
+floor(exp(-c^2 / 2) 2^53)`` on the raw radius word. When that expected
+share ``exp(-c^2 / 2)`` is at most 1/2, each axis draws the block's
+radius words, keeps the pairs under ``limit``, draws angle words at
+those positions only and demodulates just those pairs, element by
+element the same float operations as for every pair, so the count is
+exact; above 1/2, every pair is demodulated. Below the amplitude floor
+(``amp < 1e-150``) every pair is kept, and with ``limit`` 0 (``c`` past
+the largest radius, ``sqrt(-2 log 2^-53) ~ 8.57``) nothing is drawn and
+the BER is 0. With more than one block and more than one CPU
 available to the process, the blocks run on a thread pool that lives for
 one call, one worker per CPU (numpy's kernels release the GIL). The BER
 is the sum of the counts, so it is the same for any block order or
@@ -98,6 +112,18 @@ def simulate_ber(m: ModulationScheme, state: ChannelState, q: float, cfg: SimCon
     # zero power leaves pure noise; a tiny amplitude floor keeps the
     # equalised samples finite (decisions are then noise-driven)
     amp_eff = max(amp, 1e-150)
+    # a pair of radius r < c can err in neither sample (see the module
+    # docstring); below the amplitude floor any pair can err
+    if amp < 1e-150:
+        c = 0.0
+    else:
+        c = (1.0 - 1e-9) * amp / (norm * sigma) if sigma else math.inf
+    # r >= c is u1 <= exp(-c^2 / 2): share is the expected fraction of such
+    # pairs, and they are the ones whose radius word has (w >> 11) < limit
+    share = math.exp(-0.5 * c * c)
+    limit = np.uint64(math.floor(share * 2.0**53))
+    if not limit:  # c is beyond the largest radius: no pair can err
+        return 0.0
     grids = []
     for col, nb in zip((0, axes[0]), axes):  # col: the axis's first bit in a symbol
         top = (1 << nb) - 1
@@ -116,9 +142,17 @@ def simulate_ber(m: ModulationScheme, state: ChannelState, q: float, cfg: SimCon
         errors = 0
         for a, (col, nb, top, gray, level_of_word) in enumerate(grids):
             u1 = n_words + 2 * a * half + p0  # the axis's radius words, then its angle words
-            r, ang = rng.polar_at(u1, u1 + half, p1 - p0)
+            if share > 0.5:  # gathering most pairs costs more than taking them all
+                keep = None
+                r, ang = rng.polar_at(u1, u1 + half, p1 - p0)
+            else:
+                w = rng.words_at(u1, p1 - p0)
+                keep = np.flatnonzero((w >> np.uint64(11)) < limit)
+                r, ang = rng.polar_of(w[keep], rng.words_at_positions(keep + (u1 + half)))
             for (s0, s1, trig), bits in zip(spans, payload):
-                n = s1 - s0
+                rows = slice(0, s1 - s0) if keep is None else keep[: np.searchsorted(keep, s1 - s0)]
+                bits = bits[rows]
+                n = len(bits)
                 words = bits[:, col].astype(np.int64)  # the axis's bits, MSB first
                 for j in range(col + 1, col + nb):
                     words = (words << 1) | bits[:, j]

@@ -262,6 +262,16 @@ class TestRng:
         assert np.array_equal(r.words_at(3, 4), r.words_at(0, 7)[3:])
         assert r.normal(3).tolist() == Rng(12).normal(3).tolist()  # nothing advanced
 
+    def test_positions_kernel_matches_contiguous_words(self):
+        r = Rng(13)
+        pick = np.random.default_rng(0)
+        for base in (0, 2**32 - 500, 2**32 + 12_345, 2**62 + 7):
+            block = r.words_at(base, 1000)
+            idx = pick.integers(0, 1000, 400)  # any order, repeats included
+            assert np.array_equal(r.words_at_positions(base + idx.astype(np.uint64)), block[idx])
+            assert np.array_equal(r.words_at_positions([base + 999, base]), block[[999, 0]])
+        assert r.words_at_positions(np.array([], dtype=np.int64)).size == 0
+
     def test_known_word_stream(self):
         # frozen first words for seed 0 (key 0): the first two SplitMix64
         # outputs from state 0; guards the generator definition

@@ -6,14 +6,18 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sempower
 import sempower.simulator as simulator
 from sempower.channel import ChannelState
 from sempower.errors import DomainError
 from sempower.modulation import ModulationScheme, ber_from_snr, preset
-from sempower.numerics import derive_seed, q_function
+from sempower.numerics import Rng, derive_seed, q_function
 from sempower.simulator import SimConfig, simulate_ber, simulate_stream_report
+
+from conftest import dense_simulate_ber
 
 
 def binomial_3sigma(p, n):
@@ -183,6 +187,81 @@ class TestBlocks:
             sys.setswitchinterval(interval)
 
 
+def norm_sq(k):
+    """Mean symbol energy of the unscaled Gray grids of a k-bit symbol."""
+    return sum((4**nb - 1) // 3 for nb in (k - k // 2, k // 2))
+
+
+@st.composite
+def skip_cases(draw):
+    """A simulation on either side of the skip rule's switch: every pair
+    is demodulated while the share ``exp(-c^2/2)`` of pairs that can err
+    exceeds 1/2, with ``c^2 = 2 snr / norm^2`` up to the rounding margin."""
+    k = draw(st.integers(1, 8))
+    switch_db = 10.0 * math.log10(norm_sq(k) * math.log(2.0))
+    if draw(st.booleans()):  # sparse
+        snr_db = draw(st.floats(switch_db + 1e-6, 40.0))
+    else:
+        snr_db = draw(st.floats(-10.0, switch_db - 1e-6))
+    block = draw(st.sampled_from([1, 3, 7, simulator._BLOCK_PAIRS]))
+    # small blocks run one Python loop step each, so they get fewer bits
+    n_bits = draw(st.integers(1, 200_000 if block > 7 else 2_000))
+    return k, snr_db, n_bits, draw(st.integers(0, 2**64 - 1)), block, draw(st.sampled_from([1, 3]))
+
+
+class TestSkipRule:
+    """Only the pairs whose radius can reach half a level gap are
+    demodulated; the BER must equal the one that demodulates them all."""
+
+    @settings(max_examples=150)
+    @given(case=skip_cases())
+    def test_equals_dense_count(self, ref_state, case):
+        k, snr_db, n_bits, seed, block, cpus = case
+        m = ModulationScheme("custom", 1 << k, 1.0, 1.0)
+        cfg = SimConfig(n_bits=n_bits, seed=seed)
+        q = power_at(ref_state, snr_db)
+        want = dense_simulate_ber(m, ref_state, q, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            use_cpus(mp, cpus)
+            mp.setattr(simulator, "_BLOCK_PAIRS", block)
+            assert simulate_ber(m, ref_state, q, cfg) == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 3, 4, 8])
+    def test_zero_and_floor_amplitudes_keep_every_pair(self, ref_state, k):
+        # below the amplitude floor of 1e-150 the decisions are noise-driven
+        m = ModulationScheme("custom", 1 << k, 1.0, 1.0)
+        cfg = SimConfig(n_bits=100_003, seed=4)
+        for amp in (0.0, 1e-200, 0.999e-150):
+            q = amp * amp / ref_state.gain
+            assert math.sqrt(q * ref_state.gain) < 1e-150
+            assert simulate_ber(m, ref_state, q, cfg) == dense_simulate_ber(m, ref_state, q, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["bpsk", "16qam"])
+    def test_beyond_the_largest_radius_nothing_is_drawn(self, ref_state, monkeypatch, name):
+        # no radius exceeds sqrt(-2 ln 2^-53) ~ 8.5717: past it no pair can err
+        m = preset(name)
+        cfg = SimConfig(n_bits=300_001, seed=2)
+        r_max = math.sqrt(-2.0 * math.log(2.0**-53))
+
+        def power(c):  # the power at which the skip bound is c
+            return c * c * norm_sq(m.bits_per_symbol) / 2.0 * ref_state.noise_w / ref_state.gain
+
+        for c in (r_max - 1e-3, r_max + 1e-3, 20.0, 1e100):
+            q = power(c)
+            assert simulate_ber(m, ref_state, q, cfg) == dense_simulate_ber(m, ref_state, q, cfg)
+        drawn = []
+        for draw in ("words_at", "words_at_positions", "bits_at", "polar_at"):
+            monkeypatch.setattr(Rng, draw, lambda *a, _d=draw: drawn.append(_d))
+        for c in (r_max + 1e-3, 1e100):
+            assert simulate_ber(m, ref_state, power(c), cfg) == 0.0
+        # a noise power of 5e-324 halves to a sigma of 0: no noise at all
+        noiseless = ChannelState(gain=ref_state.gain, noise_w=5e-324)
+        assert simulate_ber(m, noiseless, power(1.0), cfg) == 0.0
+        assert drawn == []
+
+
 class TestThreads:
     def test_pool_is_shut_down(self, ref_state, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -284,6 +363,16 @@ class TestStreamReport:
         assert row.snr_db == 10.0
         assert row.q_w == 10.0 * ref_state.noise_w / ref_state.gain
         assert row.ci_low < row.psi_analytic < row.ci_high
+
+    def test_calls_simulate_ber_through_the_module(self, ref_state, monkeypatch):
+        # the benchmark's trace wraps simulator.simulate_ber by that name and
+        # reads the scheme and the config from its positional arguments
+        calls = []
+        monkeypatch.setattr(simulator, "simulate_ber", lambda *a, **kw: calls.append((a, kw)) or 0.25)
+        m = preset("bpsk")
+        row = simulate_stream_report("s1", m, ref_state, 6.0, 10_001, 29)
+        assert calls == [((m, ref_state, row.q_w, SimConfig(n_bits=10_001, seed=29)), {})]
+        assert row.psi_empirical == 0.25
 
     @pytest.mark.parametrize("noise_w, snr_db", [(1e297, 30.0), (1e-14, 4000.0)])
     def test_overflowing_power(self, ref_state, noise_w, snr_db):
