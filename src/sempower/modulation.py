@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelState
 from .errors import DomainError
-from .numerics import q_function, q_inverse
+from .numerics import _q_inv, q_function, q_inverse
 
 __all__ = [
     "ModulationScheme",
@@ -115,28 +116,56 @@ def ber_from_snr(m: ModulationScheme, snr_value):
     return float(psi) if np.ndim(snr_value) == 0 else psi
 
 
+class _Inversion(NamedTuple):
+    """The constants of the BER inversion on one link, computed once."""
+
+    name: str  # the modulation's, for the error message
+    top: float  # zero_power_ber
+    g: float  # log2(M) / a
+    b: float
+    k: float  # noise_w / gain; 1.0 gives the SNR
+
+
+def _inversion(m: ModulationScheme, k: float = 1.0) -> _Inversion:
+    return _Inversion(m.name, zero_power_ber(m), m.bits_per_symbol / m.a, m.b, k)
+
+
+def _outside_branch(name: str, top: float) -> DomainError:
+    return DomainError(
+        f"target BER must lie in (0, {top:g}] for {name}; larger values are met at zero power"
+    )
+
+
+def _power(c: _Inversion, psi: float) -> float:
+    """``x * x / b * k`` with ``x = Qinv(max(psi, PSI_FLOOR) g)`` for a float BER.
+
+    The float path of :func:`snr_from_ber` and :func:`power_from_ber`;
+    the solvers build ``c`` once per stream and call it directly. With
+    ``psi`` in ``(0, top]`` the argument of ``Qinv`` lies in ``(0, 0.5]``.
+    """
+    name, top, g, b, k = c
+    if not 0.0 < psi <= top:  # NaN fails too
+        raise _outside_branch(name, top)
+    x = _q_inv(max(psi, PSI_FLOOR) * g)
+    return x * x / b * k
+
+
 def snr_from_ber(m: ModulationScheme, psi):
     """SNR achieving the target BER ``psi``.
 
     ``psi`` must lie in ``(0, zero_power_ber(m)]``; the boundary maps to
     SNR 0. Values below ``PSI_FLOOR`` are clamped before inversion. A
     target above the branch is unreachable at any power (it is already
-    beaten for free) and raises :class:`DomainError`.
+    beaten for free) and raises :class:`DomainError`. A float comes back
+    as a float, by the same arithmetic as an array element.
     """
-    top = zero_power_ber(m)
     if isinstance(psi, float):
-        inside = 0.0 < psi <= top
-        clamped = max(psi, PSI_FLOOR)
-    else:
-        arr = np.asarray(psi, dtype=float)
-        inside = np.all((arr > 0.0) & (arr <= top))
-        clamped = np.maximum(arr, PSI_FLOOR)
-    if not inside:  # NaN fails too
-        raise DomainError(
-            f"target BER must lie in (0, {top:g}] for {m.name}; "
-            "larger values are met at zero power"
-        )
-    x = q_inverse(clamped * (m.bits_per_symbol / m.a))  # a float for a scalar BER
+        return _power(_inversion(m), psi)
+    top = zero_power_ber(m)
+    arr = np.asarray(psi, dtype=float)
+    if not np.all((arr > 0.0) & (arr <= top)):  # NaN fails too
+        raise _outside_branch(m.name, top)
+    x = q_inverse(np.maximum(arr, PSI_FLOOR) * (m.bits_per_symbol / m.a))
     return x * x / m.b
 
 
@@ -147,4 +176,7 @@ def power_from_ber(m: ModulationScheme, state: ChannelState, psi):
     the zero-power boundary BER and increasing without bound as
     ``psi -> 0``.
     """
-    return snr_from_ber(m, psi) * (state.noise_w / state.gain)
+    k = state.noise_w / state.gain
+    if isinstance(psi, float):
+        return _power(_inversion(m, k), psi)
+    return snr_from_ber(m, psi) * k

@@ -53,11 +53,14 @@ from .errors import DomainError, InfeasibleError, SempowerWarning
 from .modulation import (
     PSI_FLOOR,
     ModulationScheme,
+    _inversion,
+    _Inversion,
+    _power,
     ber_from_snr,
     power_from_ber,
     zero_power_ber,
 )
-from .numerics import ToleranceConfig, bisect_root, q_inverse
+from .numerics import ToleranceConfig, _q_inv, bisect_root
 from .perception import (
     PSI_MAX,
     StreamCurve,
@@ -90,8 +93,8 @@ SOLVER_ORDER = ("equal_snr", "proportional", "bisection", "grid_oracle")
 # Stopping rule of the one-dimensional searches (the common SNR of
 # ``equal_snr``, the decay share of ``proportional`` and ``bisection``).
 # It is relative only, so a root anywhere down to the subnormals is found
-# to 1e-9 of itself; at worst about 1,000 halvings of a share bracket get
-# there.
+# to 1e-9 of itself; after 64 halvings towards a zero end the search
+# gallops in the exponent, so that takes under 100 steps, not 1,000.
 SEARCH_TOL = ToleranceConfig(abs_tol=1e-300, rel_tol=1e-9, max_iter=1100)
 # Largest |P - p_bar| a proportional allocation may leave.
 PROPORTIONAL_ATOL = 1e-9
@@ -172,21 +175,30 @@ def achievable_range(p: ProblemSpec) -> tuple[float, float]:
     The floor needs unbounded power (zero BER on both streams); the top
     is met for free at zero power.
     """
-    box = _psi_box(p)
+    return _range_in(p, _psi_box(p))
+
+
+def _range_in(p: ProblemSpec, box: tuple[float, float]) -> tuple[float, float]:
     return float(p.surface.p0), float(eval_surface(p.surface, box[0], box[1]))
 
 
-def _powers(p: ProblemSpec, psi: tuple[float, float]) -> tuple[float, float]:
-    return tuple(
-        float(power_from_ber(s.modulation, s.channel, max(v, PSI_FLOOR)))
-        for s, v in zip(p.streams, psi)
-    )
+def _inversions(p: ProblemSpec) -> tuple[_Inversion, _Inversion]:
+    """Each stream's BER-inversion constants, built once per solve."""
+    return tuple(_inversion(s.modulation, s.channel.noise_w / s.channel.gain) for s in p.streams)
+
+
+def _powers(links: Sequence[_Inversion], psi: tuple[float, float]) -> tuple[float, float]:
+    # A line end can hold a BER of 0.0, which _power rejects: clamp it
+    # first (max(v, PSI_FLOOR), spelled out because the call costs more).
+    v1, v2 = psi
+    return (_power(links[0], PSI_FLOOR if PSI_FLOOR > v1 else v1),
+            _power(links[1], PSI_FLOOR if PSI_FLOOR > v2 else v2))
 
 
 def _finish(p: ProblemSpec, psi: tuple[float, float], solver: str, iterations: int,
             converged: bool = True, q: tuple[float, float] | None = None) -> Allocation:
     w = _weights(p)
-    q = _powers(p, psi) if q is None else q
+    q = _powers(_inversions(p), psi) if q is None else q
     cost = w[0] * q[0] + w[1] * q[1]
     if not math.isfinite(cost):
         raise DomainError(
@@ -204,23 +216,22 @@ def _finish(p: ProblemSpec, psi: tuple[float, float], solver: str, iterations: i
     )
 
 
-def _check_target(p: ProblemSpec, solver: str) -> Allocation | None:
+def _check_target(p: ProblemSpec, solver: str, box: tuple[float, float]) -> Allocation | None:
     """Validate the target; a zero-power allocation when it is free.
 
     Targets at or below the surface floor are unreachable at any power.
     Targets at or above the zero-power error are met with slack by
     transmitting nothing: the returned allocation is feasible but does
     not meet the constraint with equality (there is no BER left to
-    trade).
+    trade). ``box`` is :func:`_psi_box`, which the solver computes once.
     """
-    lo, hi = achievable_range(p)
+    lo, hi = _range_in(p, box)
     if p.target <= lo:
         raise InfeasibleError(
             f"target {p.target:g} at or below the surface floor; achievable range "
             f"is ({lo:g}, {hi:g})"
         )
     if p.target >= hi:
-        box = _psi_box(p)
         return Allocation(
             q=(0.0, 0.0),
             psi=box,
@@ -242,7 +253,7 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     :func:`bisect_root` on ``U - (u1 + u2)``; powers follow as
     ``g * noise_i / gain_i``. ``iterations`` counts the search steps.
     """
-    free = _check_target(p, "equal_snr")
+    free = _check_target(p, "equal_snr", _psi_box(p))
     if free is not None:
         return free
     m1, m2 = (s.modulation for s in p.streams)
@@ -316,10 +327,10 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     there), or when rounding leaves the target missed by more than
     :data:`PROPORTIONAL_ATOL`.
     """
-    free = _check_target(p, "proportional")
+    box = _psi_box(p)
+    free = _check_target(p, "proportional", box)
     if free is not None:
         return free
-    box = _psi_box(p)
     u, *top = decay_shares(p.surface, p.target, box)
     curves = [s.curve for s in p.streams]
 
@@ -345,7 +356,7 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     return alloc
 
 
-def _share_slope(p: ProblemSpec, i: int, u: float, cap: float):
+def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
     """``log |d cost_i / d s_i| - log k_i`` along the line as a function of the share ``s_i``.
 
     With ``x = Qinv(psi log2 M / a)`` the power falls with the BER as
@@ -357,20 +368,24 @@ def _share_slope(p: ProblemSpec, i: int, u: float, cap: float):
     zero-power BER and ``+inf`` where the BER underflows. The slope
     ignores the clamp at :data:`PSI_FLOOR`: the clamped cost can rise
     and then fall again along the line, which a one-dimensional search
-    cannot follow, so the caller compares the line's ends instead.
+    cannot follow, so the caller compares the line's ends instead. ``g``
+    is the stream's ``log2 M / a``; with ``cap`` inside the box the
+    argument of ``Qinv`` lies in ``(0, 0.5]``.
     """
-    m = p.streams[i].modulation
     tau, beta = (p.surface.tau1, p.surface.beta1) if i == 0 else (p.surface.tau2, p.surface.beta2)
-    g = m.bits_per_symbol / m.a
+    inv_beta = 1.0 / beta
+    log = math.log
 
     def slope(share: float) -> float:
-        psi = min(tau * (share * u) ** (1.0 / beta), cap)
-        if psi * g == 0.0:
+        psi = tau * (share * u) ** inv_beta
+        psi = cap if cap < psi else psi  # min(psi, cap), without the call
+        pg = psi * g
+        if pg == 0.0:
             return math.inf
-        x = q_inverse(psi * g)
+        x = _q_inv(pg)
         if x <= 0.0:
             return -math.inf
-        return math.log(x) + 0.5 * x * x + math.log(psi) - math.log(beta * share)
+        return log(x) + 0.5 * x * x + log(psi) - log(beta * share)
 
     return slope
 
@@ -407,12 +422,13 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     ``iterations`` counts the search steps; the search is ITP, and the
     solver keeps the paper's name.
     """
-    free = _check_target(p, "bisection")
+    box = _psi_box(p)
+    free = _check_target(p, "bisection", box)
     if free is not None:
         return free
-    box = _psi_box(p)
     u, *top = decay_shares(p.surface, p.target, box)
-    slope = [_share_slope(p, i, u, box[i]) for i in (0, 1)]
+    links = _inversions(p)
+    slope = [_share_slope(p, i, u, box[i], links[i].g) for i in (0, 1)]
     offset = _slope_offset(p)
     offsets = (offset, -offset)
     found, steps, converged = _share_search(
@@ -421,7 +437,7 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     ends = ((max(0.0, 1.0 - top[1]), top[1]), (top[0], max(0.0, 1.0 - top[0])))
     w = _weights(p)
     points = (line_point(p.surface, u, shares, box) for shares in (found, *ends))
-    psi, q = min(((psi, _powers(p, psi)) for psi in points),
+    psi, q = min(((psi, _powers(links, psi)) for psi in points),
                  key=lambda pq: w[0] * pq[1][0] + w[1] * pq[1][1])
     return _finish(p, psi, "bisection", steps, converged, q)
 
@@ -436,10 +452,10 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
     """
     if grid_n < 64:
         raise DomainError(f"grid_n must be >= 64, got {grid_n}")
-    free = _check_target(p, "grid_oracle")
+    box = _psi_box(p)
+    free = _check_target(p, "grid_oracle", box)
     if free is not None:
         return free
-    box = _psi_box(p)
     (l1, _), (r1, _) = constraint_line_endpoints(p.surface, p.target, psi_max=box)
     lo = l1 if l1 > 0.0 else max(r1 * 1e-12, 1e-300)
     grid = np.geomspace(lo, r1, grid_n)

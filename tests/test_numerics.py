@@ -8,6 +8,7 @@ from sempower.errors import DomainError
 from sempower.numerics import (
     Rng,
     ToleranceConfig,
+    _q_inv,
     bisect_root,
     derive_seed,
     finite_difference,
@@ -125,6 +126,21 @@ class TestQInverse:
         assert np.all(np.abs(out - ref) <= 8 * np.spacing(np.abs(ref)))
         assert [q_inverse(float(p)) for p in ps[::100]] == list(out[::100])
 
+    def test_array_kernel_within_4_ulps_of_the_scalar_one(self):
+        # numpy AS241 against NormalDist.inv_cdf: the same coefficients in
+        # the same order, so only numpy's log can move a result. The grid
+        # straddles every branch edge, |p - 0.5| = 0.425 and r = 5.
+        edges = [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0), 0.5]
+        near = [e + k * np.spacing(e) for e in edges for k in range(-300, 301)]
+        rng = np.random.default_rng(15)
+        tail = 10.0 ** rng.uniform(-300.0, math.log10(0.5), 100_000)
+        ps = np.concatenate([near, tail, 1.0 - tail, np.linspace(0.0, 1.0, 20_001)[1:-1]])
+        ps = ps[(ps > 0.0) & (ps < 1.0)]
+        ref = np.array([_q_inv(float(p)) for p in ps])
+        out = q_inverse(ps)
+        assert np.all(np.abs(out - ref) <= 4 * np.spacing(np.abs(ref)))
+        assert math.copysign(1.0, q_inverse(np.array([0.5]))[0]) == 1.0
+
 
 MONOTONE = {
     "linear": (lambda x: x - 3.0, 0.0, 10.0),
@@ -135,6 +151,8 @@ MONOTONE = {
     "steep_tanh": (lambda x: math.tanh(1e3 * (x - 0.123)), 0.0, 1.0),
     "flat_at_root": (lambda x: x**9 - 1e-9, 0.0, 1.0),
     "tiny_root": (lambda x: x - 1e-200, 0.0, 0.5),
+    # just below the 64 halvings after which the search gallops
+    "root_near_the_gallop": (lambda x: x - 2.6e-20, 0.0, 0.5),
     "log": (lambda x: math.log(x / 0.7), 0.0, 1.0),
     # Regula falsi crawls from the low end here; the projection keeps
     # the search within one step of bisection.
@@ -181,6 +199,15 @@ class TestBisect:
         root, _, converged = bisect_root(lambda x: seen.append(x) or f(x), 0.0, 1.0)
         assert converged and abs(root - 0.3) < 1e-9
         assert seen == midpoint_run(f, 0.0, 1.0, ToleranceConfig())
+
+    @pytest.mark.parametrize("root", [0.0, 1e-300, 1e-200, 1e-25], ids=str)
+    def test_root_decades_below_hi_gallops_in_the_exponent(self, root):
+        # Midpoint bisection takes 112-996 steps to reach these roots
+        # under a relative stopping rule; the search takes under 90.
+        tol = ToleranceConfig(1e-300, 1e-9, 1100)
+        x, steps, converged = bisect_root(lambda x: x - root, 0.0, 0.5, tol)
+        assert converged and steps <= 90
+        assert abs(x - root) <= max(tol.abs_tol, tol.rel_tol * root)
 
     def test_exact_zero_returns_at_once(self):
         assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 1, True)

@@ -9,6 +9,7 @@ example runs :func:`sweep_targets` on one target with numpy
 import math
 import warnings
 from dataclasses import replace
+from statistics import NormalDist
 from unittest import mock
 
 from hypothesis import example, given
@@ -17,9 +18,16 @@ from hypothesis import strategies as st
 from sempower import solvers
 from sempower.channel import ChannelState, make_channel_state
 from sempower.errors import DomainError, InfeasibleError, SempowerWarning
-from sempower.modulation import PRESETS, ModulationScheme, preset
+from sempower.modulation import (
+    PSI_FLOOR,
+    PRESETS,
+    ModulationScheme,
+    power_from_ber,
+    preset,
+    zero_power_ber,
+)
 from sempower.numerics import bisect_root
-from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, SurfaceParams
+from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, SurfaceParams, default_surface
 from sempower.solvers import (
     ProblemSpec,
     StreamSpec,
@@ -201,3 +209,31 @@ def test_search_never_more_than_one_step_behind_bisection(p):
             continue
         (search,) = searches
         assert alloc.iterations <= len(midpoint_run(*search)) + 1, solver.__name__
+
+
+@st.composite
+def links(draw):
+    """A preset or custom ``(M, a, b)`` over a link with random noise and gain."""
+    m = draw(st.sampled_from(MODULATIONS) | st.builds(
+        ModulationScheme, st.just("custom"), st.sampled_from([2, 4, 8, 16, 64, 256, 1024]),
+        st.floats(0.05, 20.0), st.floats(0.01, 10.0)))
+    state = ChannelState(gain=10.0 ** draw(st.floats(-20.0, 0.0)),
+                         noise_w=10.0 ** draw(st.floats(-17.0, -8.0)))
+    return StreamSpec(1024, m, state, StreamCurve(0.0, 1.0, 1e-3, 1.0))
+
+
+@given(links(), links(), st.floats(-20.0, 0.0), st.floats(0.0, 1.0))
+def test_hoisted_powers_are_power_from_ber_bit_for_bit(s1, s2, log_psi1, frac2):
+    # The solvers build each stream's inversion constants once per solve.
+    # Their power must be power_from_ber's to the last bit, and both the
+    # textbook x = Qinv(psi log2 M / a), x * x / b * (noise / gain).
+    p = ProblemSpec((s1, s2), default_surface(), 0.5)
+    top1, top2 = (zero_power_ber(s.modulation) for s in (s1, s2))
+    psi = (min(10.0**log_psi1, top1), max(top2 * frac2, 5e-324))
+    got = solvers._powers(solvers._inversions(p), psi)
+    for s, v, q in zip(p.streams, psi, got):
+        m = s.modulation
+        x = -NormalDist().inv_cdf(max(v, PSI_FLOOR) * (m.bits_per_symbol / m.a)) + 0.0
+        assert q == x * x / m.b * (s.channel.noise_w / s.channel.gain)
+        assert q == power_from_ber(m, s.channel, max(v, PSI_FLOOR))
+        assert q == power_from_ber(m, s.channel, v)  # the clamp is inside too
