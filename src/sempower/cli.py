@@ -2,10 +2,12 @@
 
 Subcommands: ``fit`` (surface fitting from sample CSVs), ``solve`` (one
 target, all selected solvers), ``sweep`` (cost versus target curves with
-CSV and SVG output), ``simulate`` (Monte Carlo BER validation). Every
-run writes a JSON manifest; re-running ``solve``, ``sweep`` or
-``simulate`` with its manifest as the config reproduces the CSV/SVG
-outputs byte for byte.
+CSV and SVG output), ``simulate`` (Monte Carlo BER validation). Each
+command computes all its outputs first and then hands them to one run
+writer, which writes them and a JSON manifest listing them under the
+output directory; a run that fails before that writes nothing.
+Re-running ``solve``, ``sweep`` or ``simulate`` with its manifest as the
+config reproduces the CSV/SVG outputs byte for byte.
 
 Exit codes: 0 success, 2 input error, 3 numerical warning (result
 written but flagged), 4 infeasible target.
@@ -16,69 +18,59 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import astuple, fields
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from ._version import __version__
 from .config import ExperimentConfig, build_manifest, load_config, write_manifest
 from .errors import ConfigError, InfeasibleError, SempowerError, SempowerWarning
 from .modulation import preset
 from .perception import fit_surface, load_sample_set, save_surface
-from .simulator import simulate_stream_report
+from .simulator import StreamSimResult, simulate_stream_report
 from .solvers import SweepRow, achievable_range, sweep_targets
 from .numerics import derive_seed
 
 SWEEP_HEADER = "p_bar,solver,total_cost_w,q1_w,q2_w,psi1,psi2,achieved_p,iterations,feasible"
-SIM_HEADER = "stream,q_w,snr_db,psi_analytic,psi_empirical,n_bits,ci_low,ci_high"
+SIM_HEADER = ",".join(f.name for f in fields(StreamSimResult))
 
 
-def _g(v: float) -> str:
-    return f"{float(v):.12g}"
+def _cell(v) -> str:
+    """One CSV cell: floats to 12 significant digits, booleans in lower case."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(_cell, row)) for row in rows)]) + "\n"
 
 
 def _sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    for row in rows:
+    def cells(row: SweepRow) -> list:
         a = row.allocation
         if a is None:
-            lines.append(f"{_g(row.p_bar)},{row.solver},,,,,,,,false")
-        else:
-            lines.append(
-                ",".join(
-                    [
-                        _g(row.p_bar),
-                        row.solver,
-                        _g(a.total_cost),
-                        _g(a.q[0]),
-                        _g(a.q[1]),
-                        _g(a.psi[0]),
-                        _g(a.psi[1]),
-                        _g(a.achieved_p),
-                        str(a.iterations),
-                        "true" if a.feasible else "false",
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+            return [row.p_bar, row.solver, *[""] * 7, False]
+        return [row.p_bar, row.solver, a.total_cost, *a.q, *a.psi, a.achieved_p, a.iterations,
+                a.feasible]
+
+    return _csv(SWEEP_HEADER, map(cells, rows))
 
 
-def _print_alloc_table(rows: list[SweepRow], file=None) -> None:
-    file = file or sys.stdout
+def _print_alloc_table(rows: list[SweepRow]) -> None:
     cols = ["solver", "total_cost_w", "q1_w", "q2_w", "psi1", "psi2", "achieved_p", "iters"]
-    print(
-        f"{cols[0]:<14}" + "".join(f"{c:>14}" for c in cols[1:]),
-        file=file,
-    )
+    print(f"{cols[0]:<14}" + "".join(f"{c:>14}" for c in cols[1:]))
     for row in rows:
         a = row.allocation
         if a is None:
-            print(f"{row.solver:<14}infeasible: {row.error or 'failed'}", file=file)
+            print(f"{row.solver:<14}infeasible: {row.error or 'failed'}")
             continue
         print(
             f"{row.solver:<14}"
             f"{a.total_cost:>14.6g}{a.q[0]:>14.6g}{a.q[1]:>14.6g}"
             f"{a.psi[0]:>14.6g}{a.psi[1]:>14.6g}{a.achieved_p:>14.6g}"
-            f"{a.iterations:>14d}",
-            file=file,
+            f"{a.iterations:>14d}"
         )
 
 
@@ -103,15 +95,28 @@ def _checked_sweep(problem, cfg: ExperimentConfig, targets) -> tuple[list[SweepR
     return rows, doubt
 
 
-def _flagged(command: str) -> int:
-    print(f"{command}: warning: numerical doubt, result flagged", file=sys.stderr)
-    return 3
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_text(text: str, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _write_run(command: str, out_dir: Path, files: dict[str, Callable[[Path], object]],
+               config_echo: dict, seed: int, inputs, doubt: bool = False) -> int:
+    """Write a run's ``files`` and its ``manifest.json`` under ``out_dir``; the exit code.
+
+    ``files`` maps each output name to a writer taking its path; the
+    manifest lists exactly those names. The code is 0, or 3 when the
+    result is in numerical ``doubt``.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out_dir / name)
+    manifest = build_manifest(command, config_echo, seed, inputs, list(files))
+    write_manifest(out_dir / "manifest.json", manifest)
+    if doubt:
+        print(f"{command}: warning: numerical doubt, result flagged", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -158,31 +163,19 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_fit(args) -> int:
     samples_path = Path(args.samples).resolve()
-    data = load_sample_set(samples_path)
-    result = fit_surface(data)
+    result = fit_surface(load_sample_set(samples_path))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "surface.yaml"
-    save_surface(result, out_path)
-    manifest = build_manifest(
-        "fit",
-        {"samples": str(samples_path), "output": {"dir": str(out_dir)}},
-        seed=0,
-        inputs=(samples_path,),
-        outputs=[out_path.name],
-    )
-    write_manifest(out_dir / "manifest.json", manifest)
     s = result.params
     print(
         f"fit: n={result.n_samples} rmse={result.rmse:.6g} "
         f"iterations={result.iterations} evaluations={result.evaluations} "
         f"p0={s.p0:.6g} pmax={s.pmax:.6g} tau1={s.tau1:.6g} tau2={s.tau2:.6g} "
-        f"beta1={s.beta1:.6g} beta2={s.beta2:.6g} -> {out_path}"
+        f"beta1={s.beta1:.6g} beta2={s.beta2:.6g} -> {out_dir / 'surface.yaml'}"
     )
-    if not result.converged:
-        print("fit: warning: iteration budget exhausted, result flagged", file=sys.stderr)
-        return 3
-    return 0
+    # an exhausted iteration budget is the fit's numerical doubt
+    return _write_run("fit", out_dir, {"surface.yaml": partial(save_surface, result)},
+                      {"samples": str(samples_path), "output": {"dir": str(out_dir)}},
+                      0, (samples_path,), not result.converged)
 
 
 def cmd_solve(args) -> int:
@@ -197,11 +190,8 @@ def cmd_solve(args) -> int:
         )
     rows, doubt = _checked_sweep(problem, cfg, [cfg.target])
     _print_alloc_table(rows)
-    out_dir = cfg.out_dir
-    _write_text(out_dir / "solve.csv", _sweep_csv(rows))
-    manifest = build_manifest("solve", cfg.raw, cfg.seed, cfg.input_files, ["solve.csv"])
-    write_manifest(out_dir / "manifest.json", manifest)
-    return _flagged("solve") if doubt else 0
+    return _write_run("solve", cfg.out_dir, {"solve.csv": partial(_write_text, _sweep_csv(rows))},
+                      cfg.raw, cfg.seed, cfg.input_files, doubt)
 
 
 def cmd_sweep(args) -> int:
@@ -209,11 +199,9 @@ def cmd_sweep(args) -> int:
 
     cfg = _load(args)
     variants = list(cfg.modulations) if cfg.modulations else [None]
-    outputs: list[str] = []
+    files: dict[str, Callable[[Path], object]] = {}
     series = []
-    any_solved = False
     any_doubt = False
-    out_dir = cfg.out_dir
     for variant in variants:
         scheme = preset(variant) if variant else None
         mod1, mod2 = (s.modulation.name for s in cfg.streams)
@@ -222,22 +210,16 @@ def cmd_sweep(args) -> int:
         rows, doubt = _checked_sweep(template, cfg, cfg.targets)
         any_doubt = any_doubt or doubt
         name = f"sweep_{label}.csv"
-        _write_text(out_dir / name, _sweep_csv(rows))
-        outputs.append(name)
+        files[name] = partial(_write_text, _sweep_csv(rows))
         for solver in cfg.solvers:
-            xs = [r.p_bar for r in rows if r.solver == solver and r.allocation is not None]
-            ys = [
-                r.allocation.total_cost
-                for r in rows
-                if r.solver == solver and r.allocation is not None
-            ]
-            if xs:
-                any_solved = True
+            points = [(r.p_bar, r.allocation.total_cost) for r in rows
+                      if r.solver == solver and r.allocation is not None]
+            if points:
                 tag = f"{solver} {label}" if len(variants) > 1 else solver
-                series.append((tag, xs, ys))
+                series.append((tag, [x for x, _ in points], [y for _, y in points]))
         n_err = sum(1 for r in rows if r.allocation is None)
-        print(f"sweep[{label}]: {len(rows)} rows, {n_err} infeasible -> {out_dir / name}")
-    if not any_solved:
+        print(f"sweep[{label}]: {len(rows)} rows, {n_err} infeasible -> {cfg.out_dir / name}")
+    if not series:
         raise InfeasibleError("no target was solvable by any solver")
     if cfg.out_format == "csv+svg":
         svg = line_chart(
@@ -246,51 +228,24 @@ def cmd_sweep(args) -> int:
             ylabel="total power cost (W)",
             title="total cost vs perception target",
         )
-        _write_text(out_dir / "sweep.svg", svg)
-        outputs.append("sweep.svg")
-    manifest = build_manifest("sweep", cfg.raw, cfg.seed, cfg.input_files, outputs)
-    write_manifest(out_dir / "manifest.json", manifest)
-    return _flagged("sweep") if any_doubt else 0
+        files["sweep.svg"] = partial(_write_text, svg)
+    return _write_run("sweep", cfg.out_dir, files, cfg.raw, cfg.seed, cfg.input_files, any_doubt)
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    lines = [SIM_HEADER]
-    violations = 0
-    total = 0
-    for i, s in enumerate(cfg.streams):
-        for j, snr_db in enumerate(cfg.sim.snr_db):
-            row = simulate_stream_report(
-                s.name,
-                s.modulation,
-                s.channel,
-                snr_db,
-                cfg.sim.n_bits,
-                derive_seed(cfg.sim.seed, i * 1000 + j),
-            )
-            total += 1
-            if not row.within_ci:
-                violations += 1
-            lines.append(
-                ",".join(
-                    [
-                        row.stream,
-                        _g(row.q_w),
-                        _g(row.snr_db),
-                        _g(row.psi_analytic),
-                        _g(row.psi_empirical),
-                        str(row.n_bits),
-                        _g(row.ci_low),
-                        _g(row.ci_high),
-                    ]
-                )
-            )
-    out_dir = cfg.out_dir
-    _write_text(out_dir / "simulate.csv", "\n".join(lines) + "\n")
-    manifest = build_manifest("simulate", cfg.raw, cfg.seed, cfg.input_files, ["simulate.csv"])
-    write_manifest(out_dir / "manifest.json", manifest)
-    print(f"simulate: rows={total} ci_violations={violations} -> {out_dir / 'simulate.csv'}")
-    return 0
+    results = [
+        simulate_stream_report(s.name, s.modulation, s.channel, snr_db, cfg.sim.n_bits,
+                               derive_seed(cfg.sim.seed, i * 1000 + j))
+        for i, s in enumerate(cfg.streams)
+        for j, snr_db in enumerate(cfg.sim.snr_db)
+    ]
+    violations = sum(not r.within_ci for r in results)
+    print(f"simulate: rows={len(results)} ci_violations={violations} "
+          f"-> {cfg.out_dir / 'simulate.csv'}")
+    csv_text = _csv(SIM_HEADER, map(astuple, results))
+    return _write_run("simulate", cfg.out_dir, {"simulate.csv": partial(_write_text, csv_text)},
+                      cfg.raw, cfg.seed, cfg.input_files)
 
 
 _COMMANDS = {

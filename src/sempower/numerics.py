@@ -375,9 +375,10 @@ def bisect_root(
     takes about 80 steps instead of 1,000.
 
     Returns ``(x, steps, converged)``: the bracket midpoint once the
-    width drops below ``max(abs_tol, rel_tol * |mid|)`` (or the zero),
-    the number of calls to ``f``, and False when ``max_iter`` steps did
-    not get there (``x`` is then the midpoint of the last bracket).
+    width drops below ``max(abs_tol, rel_tol * |mid|)`` or the ends are
+    adjacent floats (or the zero), the number of calls to ``f``, and
+    False when ``max_iter`` steps did not get there (``x`` is then the
+    midpoint of the last bracket).
     """
     tol = tol or ToleranceConfig()
     abs_tol, rel_tol, max_iter = tol.abs_tol, tol.rel_tol, tol.max_iter
@@ -411,6 +412,8 @@ def bisect_root(
             r = 0.0 if r < 0.0 else r
             x = x_t if abs(x_t - mid) <= r else mid - sigma * r
         if not lo < x < hi:
+            if not lo < mid < hi:  # adjacent floats: nothing left inside to evaluate
+                return mid, steps, True
             x = mid
         y = f(x)
         steps += 1

@@ -344,6 +344,16 @@ def _top_share(psi_max: float, tau: float, beta: float, u: float) -> float:
         return 1.0
 
 
+def _line_ends(top) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The shares at the line's two ends, given each stream's largest share ``top``.
+
+    Stream 2 holds its largest share at the first end (the smallest
+    ``psi1``) and stream 1 at the second, so stream ``i``'s shares run
+    from ``ends[i][i]`` to ``top[i]``.
+    """
+    return ((max(0.0, 1.0 - top[1]), top[1]), (top[0], max(0.0, 1.0 - top[0])))
+
+
 def line_point(
     s: SurfaceParams, u: float, shares, psi_max: tuple[float, float] = (PSI_MAX, PSI_MAX)
 ) -> tuple[float, float]:
@@ -376,9 +386,8 @@ def constraint_line_endpoints(
         raise InfeasibleError(
             f"target {p_bar:g} outside the open achievable range ({s.p0:g}, {top:g})"
         )
-    u, top1, top2 = decay_shares(s, p_bar, psi_max)
-    ends = ((max(0.0, 1.0 - top2), top2), (top1, max(0.0, 1.0 - top1)))
-    return tuple(line_point(s, u, shares, psi_max) for shares in ends)
+    u, *top = decay_shares(s, p_bar, psi_max)
+    return tuple(line_point(s, u, shares, psi_max) for shares in _line_ends(top))
 
 
 # ---------------------------------------------------------------------------
@@ -559,17 +568,15 @@ def synthetic_sample_set(
     seed: int,
     noise_sigma: float = 0.0,
     n_axis: int = 20,
-    psi_lo: float = 1e-5,
-    psi_hi: float = PSI_MAX,
 ) -> SampleSet:
     """Deterministic synthetic samples of a known surface.
 
-    A per-axis grid of zero plus ``n_axis - 1`` log-spaced BERs is fully
-    crossed, the surface evaluated, and optional Gaussian noise added
-    (clipped back into [0, 1]). Used for fit-recovery tests and to
-    generate the bundled example CSV.
+    A per-axis grid of zero plus ``n_axis - 1`` BERs log-spaced from 1e-5
+    to :data:`PSI_MAX` is fully crossed, the surface evaluated, and
+    optional Gaussian noise added (clipped back into [0, 1]). Used for
+    fit-recovery tests and to generate the bundled example CSV.
     """
-    axis = np.concatenate([[0.0], np.geomspace(psi_lo, psi_hi, n_axis - 1)])
+    axis = np.concatenate([[0.0], np.geomspace(1e-5, PSI_MAX, n_axis - 1)])
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     psi1 = g1.ravel()
     psi2 = g2.ravel()
@@ -586,7 +593,7 @@ def synthetic_sample_set(
 _SAMPLE_HEADER = ["psi1", "psi2", "P"]
 
 
-def _read_csv_rows(path, header: list[str]) -> list[list[float]]:
+def _read_csv_rows(path) -> list[list[float]]:
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -594,17 +601,15 @@ def _read_csv_rows(path, header: list[str]) -> list[list[float]]:
             first = next(reader)
         except StopIteration:
             raise ConfigError(f"{path}: empty file") from None
-        if [c.strip() for c in first] != header:
-            raise ConfigError(
-                f"{path}: line 1: expected header {','.join(header)!r}, got {','.join(first)!r}"
-            )
+        if [c.strip() for c in first] != _SAMPLE_HEADER:
+            raise ConfigError(f"{path}: line 1: expected header "
+                              f"{','.join(_SAMPLE_HEADER)!r}, got {','.join(first)!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
+            if len(row) != len(_SAMPLE_HEADER):
+                raise ConfigError(f"{path}: line {lineno}: expected {len(_SAMPLE_HEADER)} "
+                                  f"fields, got {len(row)}")
             try:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
@@ -615,7 +620,7 @@ def _read_csv_rows(path, header: list[str]) -> list[list[float]]:
 def load_sample_set(path) -> SampleSet:
     """Read ``psi1,psi2,P`` rows; unreadable or malformed input raises :class:`ConfigError`."""
     try:
-        rows = _read_csv_rows(path, _SAMPLE_HEADER)
+        rows = _read_csv_rows(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     arr = np.asarray(rows, dtype=float).reshape(-1, 3)

@@ -22,8 +22,11 @@ with equality, so every method works on the constraint line
     Brute force: a log-spaced scan of the line, used as independent
     ground truth for the optimisers.
 
-The two semantic-aware methods run one search. The line is
-``u1 + u2 = U`` with ``u_i = (psi_i/tau_i)^beta_i``, and the shares
+Every solver starts from one set-up (:func:`_line`): it checks the
+target against the reachable range, returns the zero-power allocation
+for a target at or above the zero-power error, and otherwise gives the
+line ``u1 + u2 = U`` with ``u_i = (psi_i/tau_i)^beta_i``. The two
+semantic-aware methods run one search. The shares
 ``s_i = u_i / U`` give each BER in closed form,
 ``psi_i = tau_i (s_i U)^(1/beta_i)``; each method searches one share for
 the sign change of its own difference between the two streams, so its
@@ -65,7 +68,7 @@ from .perception import (
     PSI_MAX,
     StreamCurve,
     SurfaceParams,
-    constraint_line_endpoints,
+    _line_ends,
     decay_shares,
     eval_surface,
     invert_surface_psi2,
@@ -87,8 +90,6 @@ __all__ = [
     "solve",
     "sweep_targets",
 ]
-
-SOLVER_ORDER = ("equal_snr", "proportional", "bisection", "grid_oracle")
 
 # Stopping rule of the one-dimensional searches (the common SNR of
 # ``equal_snr``, the decay share of ``proportional`` and ``bisection``).
@@ -216,15 +217,18 @@ def _finish(p: ProblemSpec, psi: tuple[float, float], solver: str, iterations: i
     )
 
 
-def _check_target(p: ProblemSpec, solver: str, box: tuple[float, float]) -> Allocation | None:
-    """Validate the target; a zero-power allocation when it is free.
+def _line(p: ProblemSpec, solver: str):
+    """The constraint line every solver searches, or the allocation that needs none.
 
-    Targets at or below the surface floor are unreachable at any power.
-    Targets at or above the zero-power error are met with slack by
-    transmitting nothing: the returned allocation is feasible but does
-    not meet the constraint with equality (there is no BER left to
-    trade). ``box`` is :func:`_psi_box`, which the solver computes once.
+    Returns ``(box, U, top)``: the reachable box of :func:`_psi_box` and
+    the line ``u1 + u2 = U`` with each stream's largest share ``top``
+    inside it (:func:`decay_shares`). Targets at or below the surface
+    floor are unreachable at any power. Targets at or above the
+    zero-power error are met with slack by transmitting nothing: the
+    zero-power allocation is returned instead of the line, feasible but
+    not on the constraint (there is no BER left to trade).
     """
+    box = _psi_box(p)
     lo, hi = _range_in(p, box)
     if p.target <= lo:
         raise InfeasibleError(
@@ -232,16 +236,10 @@ def _check_target(p: ProblemSpec, solver: str, box: tuple[float, float]) -> Allo
             f"is ({lo:g}, {hi:g})"
         )
     if p.target >= hi:
-        return Allocation(
-            q=(0.0, 0.0),
-            psi=box,
-            achieved_p=eval_surface(p.surface, box[0], box[1]),
-            total_cost=0.0,
-            solver=solver,
-            iterations=0,
-            feasible=True,
-        )
-    return None
+        return Allocation(q=(0.0, 0.0), psi=box, achieved_p=hi, total_cost=0.0,
+                          solver=solver, iterations=0, feasible=True)
+    u, *top = decay_shares(p.surface, p.target, box)
+    return box, u, top
 
 
 def solve_equal_snr(p: ProblemSpec) -> Allocation:
@@ -253,12 +251,11 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     :func:`bisect_root` on ``U - (u1 + u2)``; powers follow as
     ``g * noise_i / gain_i``. ``iterations`` counts the search steps.
     """
-    free = _check_target(p, "equal_snr", _psi_box(p))
-    if free is not None:
-        return free
+    if isinstance(line := _line(p, "equal_snr"), Allocation):
+        return line
+    u = line[1]
     m1, m2 = (s.modulation for s in p.streams)
     sf = p.surface
-    u = decay_shares(sf, p.target)[0]
 
     def decay(g: float) -> float:
         try:
@@ -298,8 +295,9 @@ def _share_search(
         j = 1
     else:
         j = int(gap(0, 0.5) < 0.0)
+    # stream j's smallest share is at the end where the other holds its largest
     t, steps, converged = bisect_root(
-        partial(gap, j), max(0.0, 1.0 - top[1 - j]), min(top[j], 0.5), SEARCH_TOL
+        partial(gap, j), _line_ends(top)[j][j], min(top[j], 0.5), SEARCH_TOL
     )
     return ((t, 1.0 - t) if j == 0 else (1.0 - t, t)), steps, converged
 
@@ -327,11 +325,9 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     there), or when rounding leaves the target missed by more than
     :data:`PROPORTIONAL_ATOL`.
     """
-    box = _psi_box(p)
-    free = _check_target(p, "proportional", box)
-    if free is not None:
-        return free
-    u, *top = decay_shares(p.surface, p.target, box)
+    if isinstance(line := _line(p, "proportional"), Allocation):
+        return line
+    box, u, top = line
     curves = [s.curve for s in p.streams]
 
     def gap(i: int, t: float) -> float:
@@ -395,12 +391,14 @@ def _slope_offset(p: ProblemSpec) -> float:
 
     One logarithm of the ratio, so a factor both streams share (the
     noise power scaled by 4, say) cancels exactly and leaves the search
-    unchanged. Where the ratio leaves binary64, the difference of the
-    streams' logarithms is used instead.
+    unchanged. Where a constant or the ratio leaves binary64 (``b |h|^2``
+    underflows to 0 on some valid links), the difference of the streams'
+    logarithms is used instead.
     """
     factors = [(w * s.modulation.bits_per_symbol / s.modulation.a, s.channel.noise_w,
                 s.modulation.b, s.channel.gain) for s, w in zip(p.streams, _weights(p))]
-    k = [wg * noise / (b * gain) for wg, noise, b, gain in factors]
+    k = [wg * noise / (b * gain) if b * gain > 0.0 else math.nan
+         for wg, noise, b, gain in factors]
     ratio = k[1] / k[0] if k[0] > 0.0 else math.nan
     if 0.0 < ratio < math.inf:
         return math.log(ratio)
@@ -422,11 +420,9 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     ``iterations`` counts the search steps; the search is ITP, and the
     solver keeps the paper's name.
     """
-    box = _psi_box(p)
-    free = _check_target(p, "bisection", box)
-    if free is not None:
-        return free
-    u, *top = decay_shares(p.surface, p.target, box)
+    if isinstance(line := _line(p, "bisection"), Allocation):
+        return line
+    box, u, top = line
     links = _inversions(p)
     slope = [_share_slope(p, i, u, box[i], links[i].g) for i in (0, 1)]
     offset = _slope_offset(p)
@@ -434,9 +430,8 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     found, steps, converged = _share_search(
         top, lambda i, t: slope[1 - i](1.0 - t) - slope[i](t) + offsets[i]
     )
-    ends = ((max(0.0, 1.0 - top[1]), top[1]), (top[0], max(0.0, 1.0 - top[0])))
     w = _weights(p)
-    points = (line_point(p.surface, u, shares, box) for shares in (found, *ends))
+    points = (line_point(p.surface, u, shares, box) for shares in (found, *_line_ends(top)))
     psi, q = min(((psi, _powers(links, psi)) for psi in points),
                  key=lambda pq: w[0] * pq[1][0] + w[1] * pq[1][1])
     return _finish(p, psi, "bisection", steps, converged, q)
@@ -452,11 +447,10 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
     """
     if grid_n < 64:
         raise DomainError(f"grid_n must be >= 64, got {grid_n}")
-    box = _psi_box(p)
-    free = _check_target(p, "grid_oracle", box)
-    if free is not None:
-        return free
-    (l1, _), (r1, _) = constraint_line_endpoints(p.surface, p.target, psi_max=box)
+    if isinstance(line := _line(p, "grid_oracle"), Allocation):
+        return line
+    box, u, top = line
+    l1, r1 = (line_point(p.surface, u, shares, box)[0] for shares in _line_ends(top))
     lo = l1 if l1 > 0.0 else max(r1 * 1e-12, 1e-300)
     grid = np.geomspace(lo, r1, grid_n)
     psi2 = invert_surface_psi2(p.surface, grid, p.target, box[1])
@@ -475,15 +469,20 @@ _SOLVERS = {
     "bisection": solve_bisection,
     "grid_oracle": solve_grid_oracle,
 }
+SOLVER_ORDER = tuple(_SOLVERS)
+
+
+def _solver(name: str, grid_n: int) -> Callable[[ProblemSpec], Allocation]:
+    """The solver called ``name`` from :data:`_SOLVERS`, the oracle bound to ``grid_n``."""
+    if name not in _SOLVERS:
+        raise DomainError(f"unknown solver {name!r}; choose from {list(SOLVER_ORDER)}")
+    fn = _SOLVERS[name]
+    return partial(fn, grid_n=grid_n) if name == "grid_oracle" else fn
 
 
 def solve(p: ProblemSpec, solver: str, grid_n: int = 4096) -> Allocation:
     """Dispatch by solver name (see :data:`SOLVER_ORDER`)."""
-    if solver not in _SOLVERS:
-        raise DomainError(f"unknown solver {solver!r}; choose from {list(SOLVER_ORDER)}")
-    if solver == "grid_oracle":
-        return solve_grid_oracle(p, grid_n)
-    return _SOLVERS[solver](p)
+    return _solver(solver, grid_n)(p)
 
 
 @dataclass(frozen=True)
@@ -517,16 +516,14 @@ def sweep_targets(
     disagreement beyond :data:`ORACLE_AGREEMENT_RTOL` (a sign the cost
     is not unimodal along the constraint line, or the grid too coarse).
     """
-    for name in solvers:
-        if name not in _SOLVERS:
-            raise DomainError(f"unknown solver {name!r}")
+    chosen = [(name, _solver(name, grid_n)) for name in solvers]
     rows: list[SweepRow] = []
     for t in targets:
         spec = replace(p, target=float(t))
         per_target: dict[str, Allocation] = {}
-        for name in solvers:
+        for name, fn in chosen:
             try:
-                alloc = solve(spec, name, grid_n)
+                alloc = fn(spec)
                 per_target[name] = alloc
                 rows.append(SweepRow(p_bar=float(t), solver=name, allocation=alloc))
             except (InfeasibleError, DomainError) as exc:

@@ -23,12 +23,14 @@ _PALETTE = (
     "#e377c2",
 )
 _DASHES = ("", "6,3", "2,2", "8,3,2,3")
+_WIDTH, _HEIGHT = 760, 500
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round-valued ticks over ``[lo, hi]``, about six of them."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -43,17 +45,11 @@ def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return ticks
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def line_chart(
     series: list[tuple[str, list[float], list[float]]],
     xlabel: str,
     ylabel: str,
-    title: str = "",
-    width: int = 760,
-    height: int = 500,
+    title: str,
 ) -> str:
     """Render labelled (x, y) series to an SVG document string.
 
@@ -82,8 +78,8 @@ def line_chart(
     if y_hi == y_lo:
         y_hi += 1
 
-    ml, mr, mt, mb = 86, 24, 42 if title else 24, 58
-    pw, ph = width - ml - mr, height - mt - mb
+    ml, mr, mt, mb = 86, 24, 42, 58
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def px(x: float) -> float:
         return ml + (x - x_lo) / (x_hi - x_lo) * pw
@@ -94,15 +90,12 @@ def line_chart(
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="15">{escape(title)}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
-        )
 
     # gridlines and ticks
     for e in range(y_lo, y_hi + 1):
@@ -121,7 +114,7 @@ def line_chart(
             f'stroke="#eeeeee" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{xx:.2f}" y="{mt + ph + 18}" text-anchor="middle">{escape(_fmt(v))}</text>'
+            f'<text x="{xx:.2f}" y="{mt + ph + 18}" text-anchor="middle">{v:.6g}</text>'
         )
 
     # axes
@@ -133,7 +126,7 @@ def line_chart(
         f'stroke="black" stroke-width="1.5"/>'
     )
     out.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle">{escape(xlabel)}</text>'
+        f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle">{escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '

@@ -611,6 +611,28 @@ class TestOutputs:
         assert main([*argv, "--out", str(taken)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {taken}:")
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "simulate", "fit"])
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, command):
+        samples = tmp_path / "samples.csv"
+        save_sample_set(synthetic_sample_set(default_surface(), seed=3), samples)
+        cfg = write_config(tmp_path, target=0.6, targets=[0.4, 0.7], grid_n=512,
+                           modulations=["8qam", "16qam"],
+                           simulation={"n_bits": 10_000, "snr_db": [0.0, 3.0]})
+        out = tmp_path / "run"
+        argv = ["fit", str(samples)] if command == "fit" else [command, "--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == 0
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == written
+        assert written
+
+    def test_infeasible_sweep_writes_nothing(self, tmp_path):
+        # Outputs are written only once every variant has run, so a sweep
+        # that exits 4 leaves no CSV, SVG or manifest behind.
+        cfg = write_config(tmp_path, targets=[0.2, 0.25], modulations=["8qam", "16qam"])
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        assert not out.exists()
+
     def test_readme_outputs_pinned(self, tmp_path):
         runs = {
             "solve": ["solve", "--config", str(REPO / "configs" / "default.yaml")],

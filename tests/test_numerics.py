@@ -182,6 +182,15 @@ class TestBisect:
         assert converged and root == pytest.approx(end, rel=1e-9, abs=1e-12)
         assert steps == len(seen) and 0.0 < min(seen) and max(seen) < 1.0
 
+    def test_adjacent_ends_stop_without_evaluating_an_end(self):
+        # At the subnormal floor the bracket [0, 5e-324] has no float
+        # inside it: its midpoint rounds to the end 0.0.
+        seen = []
+        tol = ToleranceConfig(5e-324, 1e-9, 1100)
+        root, steps, converged = bisect_root(lambda x: seen.append(x) or 1.0, 0.0, 0.5, tol)
+        assert converged and root == 0.0 and steps == len(seen)
+        assert 0.0 < min(seen) and max(seen) < 0.5
+
     def test_exhaustion_is_reported(self):
         root, steps, converged = bisect_root(
             lambda x: x - 0.1234, 0.0, 1e9, ToleranceConfig(max_iter=3)

@@ -8,12 +8,13 @@ import pytest
 from sempower import numerics
 from sempower.channel import ChannelState
 from sempower.errors import DomainError, InfeasibleError, SempowerWarning
-from sempower.modulation import ber_from_snr, preset, zero_power_ber
+from sempower.modulation import ModulationScheme, ber_from_snr, preset, zero_power_ber
 from sempower.numerics import ToleranceConfig
 from sempower.perception import (
     StreamCurve,
     SurfaceParams,
     constraint_line_endpoints,
+    default_surface,
     eval_surface,
     solve_psi2_on_constraint,
 )
@@ -283,6 +284,21 @@ class TestBisection:
             # The optimum sits at the line end the search never evaluates;
             # plain halving would take 996 steps to reach the subnormals.
             assert alloc.converged and alloc.iterations <= 100
+
+    @pytest.mark.parametrize("target", [0.4, 0.6, 0.8])
+    def test_slope_constant_whose_product_underflows(self, target):
+        # b * gain = 1e-20 * 1e-305 rounds to 0 on stream 1, so its slope
+        # constant has no ratio form; the logarithms still give the offset.
+        curve = StreamCurve(0.0, 1.0, 1e-3, 1.0)
+        streams = (
+            StreamSpec(1024, ModulationScheme("c", 4, 1.0, 1e-20),
+                       ChannelState(gain=1e-305, noise_w=1e-320), curve),
+            StreamSpec(1024, preset("16qam"), ChannelState(gain=1e-10, noise_w=1e-14), curve),
+        )
+        p = ProblemSpec(streams, default_surface(), target)
+        alloc = solve_bisection(p)
+        assert alloc.converged
+        assert alloc.total_cost <= solve_grid_oracle(p).total_cost * (1.0 + 1e-9)
 
 
 class TestGridOracle:
