@@ -95,7 +95,8 @@ def zero_power_ber(m: ModulationScheme) -> float:
     This is the top of the invertible branch: errors above it cannot
     occur at any power, below it the BER-power map is strictly monotone.
     """
-    return min(0.5, 0.5 * m.a / m.bits_per_symbol)
+    top = 0.5 * m.a / m.bits_per_symbol
+    return top if top < 0.5 else 0.5  # min(0.5, top), without the call
 
 
 def ber_from_snr(m: ModulationScheme, snr_value):
@@ -146,7 +147,7 @@ def _power(c: _Inversion, psi: float) -> float:
     name, top, g, b, k = c
     if not 0.0 < psi <= top:  # NaN fails too
         raise _outside_branch(name, top)
-    x = _q_inv(max(psi, PSI_FLOOR) * g)
+    x = _q_inv((PSI_FLOOR if PSI_FLOOR > psi else psi) * g)
     return x * x / b * k
 
 

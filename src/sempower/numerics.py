@@ -347,70 +347,83 @@ def bisect_root(
     lo: float,
     hi: float,
     tol: ToleranceConfig | None = None,
+    guess: tuple[float, ...] = (),
+    f_hi: float = math.nan,
 ) -> tuple[float, int, bool]:
     """Bracketed ITP search for the sign change of a monotone function.
 
     ``f(x) < 0`` when ``x`` lies below the root on ``[lo, hi]`` and
     ``f(x) > 0`` above it; NaN counts as above, and an exact zero is
     returned at once. The ends are never evaluated, so ``f`` may be
-    undefined there; the caller vouches that the root lies inside.
+    undefined there; the caller vouches that the root lies inside (and
+    may pass ``f_hi``, a value at ``hi`` it has).
 
-    Each step interpolates the two bracket values (regula falsi),
-    truncates that point towards the midpoint and projects it to within
-    ``r_j = W0 2^(n0 - j - 1) - width / 2`` of the midpoint, ``W0`` being
-    the first width, so after ``j`` steps the bracket is at most
-    ``W0 2^(n0 - j)`` wide: never more than ``n0 = 1`` step behind
-    midpoint bisection, whatever the stopping width. The midpoint is
-    taken while a bracket value is unknown or infinite.
+    The first steps try ``guess``, one or two points expected to bracket
+    the root (the one nearer the midpoint first, each while inside the
+    bracket). Later steps interpolate the bracket values (regula falsi) and
+    truncate towards the midpoint by ``0.1 width^2``, or by 1/16 of the
+    stopping width if more, so a point next to the root crosses it. Every
+    point is projected to within ``r_j = W0 2^(n0 - j - 1) - width / 2`` of
+    the midpoint (``W0`` the first width), so after ``j`` steps the bracket
+    is at most ``W0 2^(n0 - j)`` wide: never more than ``n0 = 1`` step
+    behind midpoint bisection, whatever the guess or the stopping width.
+    While a bracket value is infinite or unknown the midpoint is taken, or
+    the lowest point the projection allows if the unknown one is at ``lo``:
+    that keeps ``hi`` where bisection has it.
 
-    Once the first 64 steps have all moved ``hi`` down, so the value at
-    ``lo >= 0`` is still unknown, the root may lie many decades below
+    Once the first 64 steps have all moved ``hi`` down (the value at
+    ``lo >= 0`` still unknown), the root may lie many decades below
     ``hi``, and the search gallops in the exponent: the ``k``-th step
-    after them tries ``hi 2^-(2^k)``, or ``sqrt(5e-324 hi)`` if that is
-    larger. Once a point falls below the root, the geometric midpoint
-    ``sqrt(lo hi)`` is taken until the bracket spans a factor of two.
-    That finds the root's binary exponent in about twice the log2 of
-    bisection's steps and never more than one step later, so the
-    one-step bound still holds; a root at ``1e-300`` in ``[0, 0.5]``
-    takes about 80 steps instead of 1,000.
+    after them tries ``hi 2^-(2^(k-1))``, or ``sqrt(5e-324 hi)`` if larger;
+    once a point falls below the root, geometric midpoints ``sqrt(lo hi)``
+    follow until the bracket spans a factor of two. That finds the root's
+    binary exponent in about twice the log2 of bisection's steps, never
+    more than one step later; a root at ``1e-300`` in ``[0, 0.5]`` takes
+    about 80 steps instead of 1,000.
 
-    Returns ``(x, steps, converged)``: the bracket midpoint once the
-    width drops below ``max(abs_tol, rel_tol * |mid|)`` or the ends are
-    adjacent floats (or the zero), the number of calls to ``f``, and
-    False when ``max_iter`` steps did not get there (``x`` is then the
-    midpoint of the last bracket).
+    Returns ``(x, steps, converged)``: the bracket midpoint once the width
+    drops below ``max(abs_tol, rel_tol * |mid|)`` or the ends are adjacent
+    floats (or the zero), the number of calls to ``f``, and False when
+    ``max_iter`` steps did not get there (``x``: the last midpoint).
     """
     tol = tol or ToleranceConfig()
     abs_tol, rel_tol, max_iter = tol.abs_tol, tol.rel_tol, tol.max_iter
-    lo, hi = min(lo, hi), max(lo, hi)
-    f_lo = f_hi = math.nan  # unknown until evaluated
-    w0 = hi - lo
-    steps = 0
-    geometric = False
+    f_lo = math.nan  # unknown until evaluated
+    if hi < lo:
+        lo, hi, f_lo, f_hi = hi, lo, f_hi, math.nan
+    guess = sorted(guess, key=lambda g: abs(g - 0.5 * (lo + hi)), reverse=True)
+    w0, steps, geometric = hi - lo, 0, False
     # Two-argument min/max cost more than the arithmetic of a step, so
     # the loop spells them out as comparisons.
     while True:
         mid = 0.5 * (lo + hi)
         width = hi - lo
-        if width < abs_tol or width < rel_tol * abs(mid):
+        stop = rel_tol * abs(mid)
+        stop = abs_tol if abs_tol > stop else stop
+        if width < stop:
             return mid, steps, True
         if steps == max_iter:
             return mid, steps, False
         x = mid
         if f_lo != f_lo and steps >= _GALLOP_AFTER and lo >= 0.0:
             geometric = True
-            x = max(math.ldexp(hi, -(2 ** (steps - _GALLOP_AFTER + 1))),
+            x = max(math.ldexp(hi, -(2 ** (steps - _GALLOP_AFTER))),
                     math.sqrt(max(lo, _TINY)) * math.sqrt(hi))
         elif geometric and hi > 2.0 * lo:
             x = math.sqrt(lo) * math.sqrt(hi)
-        elif math.isfinite(f_lo) and math.isfinite(f_hi):
-            x_f = lo + width * (f_lo / (f_lo - f_hi))
-            sigma = math.copysign(1.0, mid - x_f)
-            delta = _ITP_K1 * width**_ITP_K2
-            x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        else:
             r = math.ldexp(w0, _ITP_N0 - steps - 1) - 0.5 * width
             r = 0.0 if r < 0.0 else r
-            x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+            if guess and lo < guess[-1] < hi:
+                x = guess.pop()
+            elif math.isfinite(f_lo) and math.isfinite(f_hi):
+                x_f = lo + width * (f_lo / (f_lo - f_hi))
+                delta = _ITP_K1 * width**_ITP_K2
+                delta = 0.0625 * stop if 0.0625 * stop > delta else delta
+                x = x_f + math.copysign(delta, mid - x_f) if delta <= abs(mid - x_f) else mid
+            elif f_lo != f_lo:  # the lowest point allowed keeps hi where bisection has it
+                x = mid - r
+            x = x if abs(x - mid) <= r else mid + math.copysign(r, x - mid)
         if not lo < x < hi:
             if not lo < mid < hi:  # adjacent floats: nothing left inside to evaluate
                 return mid, steps, True

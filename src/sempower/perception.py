@@ -339,9 +339,10 @@ def decay_shares(
 
 def _top_share(psi_max: float, tau: float, beta: float, u: float) -> float:
     try:
-        return min(1.0, (psi_max / tau) ** beta / u)
+        share = (psi_max / tau) ** beta / u
     except OverflowError:  # a decay beyond binary64 is far above U
         return 1.0
+    return share if share < 1.0 else 1.0  # min(1, share), without the call
 
 
 def _line_ends(top) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -351,15 +352,17 @@ def _line_ends(top) -> tuple[tuple[float, float], tuple[float, float]]:
     ``psi1``) and stream 1 at the second, so stream ``i``'s shares run
     from ``ends[i][i]`` to ``top[i]``.
     """
-    return ((max(0.0, 1.0 - top[1]), top[1]), (top[0], max(0.0, 1.0 - top[0])))
+    end1, end2 = 1.0 - top[1], 1.0 - top[0]  # each clipped at 0, without max()
+    return ((end1 if end1 > 0.0 else 0.0, top[1]), (top[0], end2 if end2 > 0.0 else 0.0))
 
 
 def line_point(
     s: SurfaceParams, u: float, shares, psi_max: tuple[float, float] = (PSI_MAX, PSI_MAX)
 ) -> tuple[float, float]:
     """The BERs ``psi_i = tau_i (s_i U)^(1/beta_i)`` at ``shares``, clipped to the box."""
-    return (min(s.tau1 * (shares[0] * u) ** (1.0 / s.beta1), psi_max[0]),
-            min(s.tau2 * (shares[1] * u) ** (1.0 / s.beta2), psi_max[1]))
+    psi1 = s.tau1 * (shares[0] * u) ** (1.0 / s.beta1)
+    psi2 = s.tau2 * (shares[1] * u) ** (1.0 / s.beta2)
+    return (psi_max[0] if psi_max[0] < psi1 else psi1, psi_max[1] if psi_max[1] < psi2 else psi2)
 
 
 def constraint_line_endpoints(

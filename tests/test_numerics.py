@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from sempower.errors import DomainError
@@ -220,6 +222,44 @@ class TestBisect:
 
     def test_exact_zero_returns_at_once(self):
         assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 1, True)
+
+    @pytest.mark.parametrize(
+        "f, lo, hi, tol, parent_steps",
+        [(lambda x: -math.cos(x), 0.0, 3.0, ToleranceConfig(), 13),
+         (lambda x: x**5 - 0.5, 0.0, 1.0, ToleranceConfig(1e-15, 1e-15, 200), 18)],
+        ids=["cos", "fifth_power"],
+    )
+    def test_regula_falsi_crosses_the_root(self, f, lo, hi, tol, parent_steps):
+        # Next to the root regula falsi kept landing on the same side, so
+        # the far end fell back by halvings: the last 4 of 13 steps, and 9
+        # of 18, before the truncation had a floor.
+        root, steps, converged = bisect_root(f, lo, hi, tol)
+        assert converged and steps < parent_steps - 2
+        width = max(tol.abs_tol, tol.rel_tol * abs(root))
+        assert f(root - width) <= 0.0 <= f(root + width)
+
+    @given(st.data())
+    def test_any_guess_keeps_the_contract(self, data):
+        # Guesses inside or outside the bracket, on one side of the root
+        # or around it, at an end or NaN; with or without the value at hi.
+        name = data.draw(st.sampled_from(sorted(MONOTONE)), label="f")
+        f, lo, hi = MONOTONE[name]
+        tol = data.draw(st.sampled_from([ToleranceConfig(), ToleranceConfig(1e-300, 1e-9, 1100)]))
+        root = bisect_root(f, lo, hi, ToleranceConfig(1e-300, 1e-15, 1100))[0]
+        w = hi - lo
+        point = st.one_of(
+            st.sampled_from([lo, hi, math.nan]),
+            st.floats(lo - w, hi + w),
+            st.floats(-1e-3, 1e-3).map(lambda d: root * math.exp(d) + d * 1e-12),
+        )
+        guess = tuple(data.draw(st.lists(point, max_size=2), label="guess"))
+        f_hi = f(hi) if data.draw(st.booleans(), label="f_hi known") else math.nan
+        seen = []
+        x, steps, converged = bisect_root(lambda v: seen.append(v) or f(v), lo, hi, tol, guess, f_hi)
+        assert all(lo < v < hi for v in seen) and steps == len(seen)
+        assert converged and steps <= len(midpoint_run(f, lo, hi, tol)) + 1
+        width = max(tol.abs_tol, tol.rel_tol * abs(x))
+        assert f(x - width) <= 0.0 <= f(x + width)
 
     @pytest.mark.parametrize("tol", [ToleranceConfig(), ToleranceConfig(1e-300, 1e-9, 1100)],
                              ids=["default", "relative"])

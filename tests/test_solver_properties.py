@@ -193,8 +193,8 @@ def test_search_never_more_than_one_step_behind_bisection(p):
     # same function and bracket: at most one step more.
     searches = []
 
-    def recorded(f, lo, hi, tol):
-        out = bisect_root(f, lo, hi, tol)
+    def recorded(f, lo, hi, tol, *guess_and_f_hi):
+        out = bisect_root(f, lo, hi, tol, *guess_and_f_hi)
         searches.append((f, lo, hi, tol))
         return out
 

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from sempower import numerics
-from sempower.channel import ChannelState
+from sempower.channel import ChannelState, make_channel_state
 from sempower.errors import DomainError, InfeasibleError, SempowerWarning
 from sempower.modulation import ModulationScheme, ber_from_snr, preset, zero_power_ber
 from sempower.numerics import ToleranceConfig
@@ -14,6 +15,8 @@ from sempower.perception import (
     StreamCurve,
     SurfaceParams,
     constraint_line_endpoints,
+    default_edge_curve,
+    default_prompt_curve,
     default_surface,
     eval_surface,
     solve_psi2_on_constraint,
@@ -33,7 +36,7 @@ from sempower.solvers import (
     sweep_targets,
 )
 
-from conftest import assert_rel, kept_fractions, make_problem
+from conftest import REF_CHANNEL, assert_rel, kept_fractions, make_problem
 
 TARGETS = np.linspace(0.33, 0.92, 10)
 
@@ -284,6 +287,30 @@ class TestBisection:
             # The optimum sits at the line end the search never evaluates;
             # plain halving would take 996 steps to reach the subnormals.
             assert alloc.converged and alloc.iterations <= 100
+
+    def test_mean_steps_on_fading_blocks(self):
+        # One solve per Rayleigh coherence block on the bundled surface and
+        # the README link, as in the benchmark: the search starts from the
+        # closed-form high-SNR optimum, so it needs about 7 steps, where a
+        # search started blind took about 12.
+        rng = random.Random(7)
+        schemes = [preset(n) for n in ("bpsk", "8qam", "16qam")] + [
+            ModulationScheme("custom", 4, 1.0, 1.0)]
+        surface = default_surface()
+        steps = []
+        for _ in range(400):
+            fades = [rng.expovariate(1.0)]
+            fades.append(fades[0] if rng.random() < 0.5 else rng.expovariate(1.0))
+            streams = tuple(
+                StreamSpec(2 ** rng.randint(8, 15), rng.choice(schemes),
+                           make_channel_state(REF_CHANNEL, fade), curve())
+                for fade, curve in zip(fades, (default_prompt_curve, default_edge_curve)))
+            lo, hi = achievable_range(ProblemSpec(streams, surface, 0.5))
+            p = ProblemSpec(streams, surface, lo + (hi - lo) * rng.uniform(0.05, 0.95))
+            alloc = solve_bisection(p)
+            assert alloc.converged and abs(alloc.achieved_p - p.target) <= 1e-6
+            steps.append(alloc.iterations)
+        assert sum(steps) / len(steps) <= 8.5
 
     @pytest.mark.parametrize("target", [0.4, 0.6, 0.8])
     def test_slope_constant_whose_product_underflows(self, target):
