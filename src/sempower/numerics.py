@@ -2,13 +2,13 @@
 
 Gaussian tail function and its inverse, a bracketed ITP root search on
 a signed function (bisection's worst case plus one step, superlinear on
-smooth functions), central finite differences, and a small counter-based
-random generator used for every stochastic draw in the package. The tail is
-``math.erfc`` and its inverse the standard library's normal quantile
-(Wichura's AS241) for a float; arrays of probabilities take the same AS241
-in one numpy pass, within 4 ulps of the float path. The package does not
-need scipy. All routines are deterministic, double precision, and free of
-global state.
+smooth functions, Newton given the derivative), central finite
+differences, and a small counter-based random generator used for every
+stochastic draw in the package. The tail is ``math.erfc`` and its inverse
+the standard library's normal quantile (Wichura's AS241) for a float;
+arrays of probabilities take the same AS241 in one numpy pass, within 4
+ulps of the float path. The package does not need scipy. All routines
+are deterministic, double precision, and free of global state.
 """
 
 from __future__ import annotations
@@ -349,6 +349,7 @@ def bisect_root(
     tol: ToleranceConfig | None = None,
     guess: tuple[float, ...] = (),
     f_hi: float = math.nan,
+    df: Callable[[float], float] | None = None,
 ) -> tuple[float, int, bool]:
     """Bracketed ITP search for the sign change of a monotone function.
 
@@ -362,11 +363,16 @@ def bisect_root(
     the root (the one nearer the midpoint first, each while inside the
     bracket). Later steps interpolate the bracket values (regula falsi) and
     truncate towards the midpoint by ``0.1 width^2``, or by 1/16 of the
-    stopping width if more, so a point next to the root crosses it. Every
-    point is projected to within ``r_j = W0 2^(n0 - j - 1) - width / 2`` of
-    the midpoint (``W0`` the first width), so after ``j`` steps the bracket
-    is at most ``W0 2^(n0 - j)`` wide: never more than ``n0 = 1`` step
-    behind midpoint bisection, whatever the guess or the stopping width.
+    stopping width if more, so a point next to the root crosses it. Given
+    ``df(x)``, the derivative at the last point called (``hi`` while only
+    ``f_hi`` is known; it may read what that call cached), a Newton step
+    from there replaces regula falsi, untruncated and a quarter stop past
+    the predicted root; only one while the value at ``lo`` is unknown, for
+    the gallop below. Every point is projected to within ``r_j = W0
+    2^(n0 - j - 1) - width / 2`` of the midpoint (``W0`` the first width),
+    so after ``j`` steps the bracket is at most ``W0 2^(n0 - j)`` wide:
+    never more than ``n0 = 1`` step behind midpoint bisection, whatever
+    the estimate or the stopping width.
     While a bracket value is infinite or unknown the midpoint is taken, or
     the lowest point the projection allows if the unknown one is at ``lo``:
     that keeps ``hi`` where bisection has it.
@@ -388,11 +394,12 @@ def bisect_root(
     """
     tol = tol or ToleranceConfig()
     abs_tol, rel_tol, max_iter = tol.abs_tol, tol.rel_tol, tol.max_iter
-    f_lo = math.nan  # unknown until evaluated
+    f_lo, last, y = math.nan, hi, f_hi  # f_lo unknown until evaluated; y = f(last)
     if hi < lo:
         lo, hi, f_lo, f_hi = hi, lo, f_hi, math.nan
     guess = sorted(guess, key=lambda g: abs(g - 0.5 * (lo + hi)), reverse=True)
-    w0, steps, geometric = hi - lo, 0, False
+    w0, steps, geometric, blind = hi - lo, 0, False, True
+    isfinite, copysign, ldexp = math.isfinite, math.copysign, math.ldexp
     # Two-argument min/max cost more than the arithmetic of a step, so
     # the loop spells them out as comparisons.
     while True:
@@ -412,23 +419,26 @@ def bisect_root(
         elif geometric and hi > 2.0 * lo:
             x = math.sqrt(lo) * math.sqrt(hi)
         else:
-            r = math.ldexp(w0, _ITP_N0 - steps - 1) - 0.5 * width
+            r = ldexp(w0, _ITP_N0 - steps - 1) - 0.5 * width
             r = 0.0 if r < 0.0 else r
             if guess and lo < guess[-1] < hi:
                 x = guess.pop()
-            elif math.isfinite(f_lo) and math.isfinite(f_hi):
+            elif df and isfinite(y) and (blind or f_lo == f_lo) and (d := df(last)) > 0.0:
+                x = last - y / d - copysign(0.25 * stop, y)  # Newton, a quarter stop past
+                blind = blind and f_lo == f_lo
+            elif isfinite(f_lo) and isfinite(f_hi):
                 x_f = lo + width * (f_lo / (f_lo - f_hi))
                 delta = _ITP_K1 * width**_ITP_K2
                 delta = 0.0625 * stop if 0.0625 * stop > delta else delta
-                x = x_f + math.copysign(delta, mid - x_f) if delta <= abs(mid - x_f) else mid
+                x = x_f + copysign(delta, mid - x_f) if delta <= abs(mid - x_f) else mid
             elif f_lo != f_lo:  # the lowest point allowed keeps hi where bisection has it
                 x = mid - r
-            x = x if abs(x - mid) <= r else mid + math.copysign(r, x - mid)
+            x = x if abs(x - mid) <= r else mid + copysign(r, x - mid)
         if not lo < x < hi:
             if not lo < mid < hi:  # adjacent floats: nothing left inside to evaluate
                 return mid, steps, True
             x = mid
-        y = f(x)
+        y, last = f(x), x
         steps += 1
         if y < 0.0:
             lo, f_lo = x, y

@@ -33,8 +33,8 @@ the sign change of its own difference between the two streams, so its
 point is on the line by construction.
 
 Every search is the bracketed ITP search of :func:`bisect_root`, never
-more than midpoint bisection's count plus one step; ``bisection`` starts
-it from the closed-form high-SNR optimum and takes about 7 steps.
+more than midpoint bisection's count plus one step; ``bisection`` takes
+Newton steps from the closed-form high-SNR optimum, 4 evaluations or so.
 
 Costs use symbol power times the stream's bit count by default
 (``cost_basis="bits"``); ``cost_basis="symbols"`` divides the bit count
@@ -63,7 +63,7 @@ from .modulation import (
     ber_from_snr,
     power_from_ber,
 )
-from .numerics import ToleranceConfig, _q_inv, bisect_root
+from .numerics import _TINY, ToleranceConfig, _quantile, bisect_root
 from .perception import (
     StreamCurve,
     SurfaceParams,
@@ -98,8 +98,6 @@ __all__ = [
 SEARCH_TOL = ToleranceConfig(abs_tol=1e-300, rel_tol=1e-9, max_iter=1100)
 # Largest |P - p_bar| a proportional allocation may leave.
 PROPORTIONAL_ATOL = 1e-9
-# The guess bracket around a closed-form share: within 5% of it in the ratio.
-_GUESS_BELOW, _GUESS_ABOVE = math.exp(-0.05), math.exp(0.05)
 
 
 @dataclass(frozen=True)
@@ -275,7 +273,8 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
 
 
 def _share_search(
-    top: Sequence[float], gap: Callable[[int, float], float], seed: Sequence[float] = ()
+    top: Sequence[float], gap: Callable[[int, float], float], seed: Sequence[float] = (),
+    dgap: Callable[[float], float] | None = None,
 ) -> tuple[tuple[float, float], int, bool]:
     """Search the constraint line in one decay share for a solver's point.
 
@@ -284,25 +283,32 @@ def _share_search(
     share inside the box (:func:`decay_shares`). The search runs on the
     share of the stream that holds less than half of ``U`` at the point,
     so points near either end of the line keep full relative resolution;
-    the ends are never evaluated. The box picks that stream, or one call:
-    at the upper end ``b < 0.5`` of the guess ``seed_j e^(+-0.05)`` around
-    the smaller expected share ``seed_j`` (a positive sign there also ends
-    the bracket at ``b``, its value known), else at share 0.5. Returns
-    ``((s1, s2), steps, converged)``.
+    the ends are never evaluated. The box picks that stream, or calls in
+    stream ``k``'s share (the smaller ``seed``, else stream 1's): at
+    ``seed_k``, then up to two Newton steps while below the point, then
+    0.5; one above the point ends the bracket, 0.5 below it picks the
+    other stream. ``dgap(t)``, the derivative of the last call's ``gap``
+    in its share, gives the search Newton steps. Returns ``((s1, s2),
+    steps, converged)``: every call to ``gap`` with a seed, all but the
+    one at 0.5 without (within midpoint bisection's count plus one).
     """
     k = int(seed[1] < seed[0]) if seed else 0
-    guess = (seed[k] * _GUESS_BELOW, seed[k] * _GUESS_ABOVE) if seed else ()
+    calls, f_hi, guess = 0, math.nan, ()
     if top[0] <= 0.5 or top[1] <= 0.5:
         j = int(top[0] > 0.5)
-        hi, f_hi = top[j], math.nan
-    elif guess and guess[1] < 0.5 and (f_hi := gap(k, guess[1])) > 0.0:
-        j, hi = k, guess[1]
+        hi, guess = top[j], (seed[j],) if seed else ()
     else:
-        j, hi, f_hi = int(gap(0, 0.5) < 0.0), 0.5, math.nan
-    # stream j's smallest share is at the end where the other holds its largest
-    t, steps, converged = bisect_root(partial(gap, j), _line_ends(top)[j][j], hi, SEARCH_TOL,
-                                      guess if j == k else (), f_hi)
-    return ((t, 1.0 - t) if j == 0 else (1.0 - t, t)), steps, converged
+        t, calls = seed[k] if seed and 1.0 - top[1 - k] < seed[k] else 0.5, 1
+        while (y := gap(k, t)) < 0.0 and t < 0.5:
+            # Newton in log(t / (1 - t)), where slope differences are about linear
+            d = dgap(t) * t * (1.0 - t) if dgap and calls < 3 else 0.0
+            z = math.exp(0.25 * SEARCH_TOL.rel_tol - y / d) if 0.0 < d and -y < 700.0 * d else 0.0
+            t, calls = (t * z / (t * z + 1.0 - t) if 0.0 < t * z < 1.0 - t else 0.5), calls + 1
+        j, hi, f_hi = (1 - k, 0.5, -y) if y < 0.0 else (k, t, y)
+        f_hi = f_hi if dgap else math.nan  # the value at hi serves the Newton steps
+    lo = 1.0 - top[1 - j]  # stream j's smallest share, where the other holds its largest
+    t, steps, converged = bisect_root(partial(gap, j), lo, hi, SEARCH_TOL, guess, f_hi, dgap)
+    return ((t, 1.0 - t) if j == 0 else (1.0 - t, t)), steps + (calls if seed else 0), converged
 
 
 def _lost_value(c: StreamCurve, psi: float) -> float:
@@ -322,11 +328,11 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     curve, rises with its decay share while the other stream's falls.
     :func:`_share_search` finds the share where their difference changes
     sign and :func:`line_point` gives the BERs, so the target is met by
-    construction. ``iterations`` counts the search steps. Raises
-    :class:`DomainError` when the rule needs a BER beyond the zero-power
-    value of a stream's modulation (the decoupled requirement cannot bind
-    there), or when rounding leaves the target missed by more than
-    :data:`PROPORTIONAL_ATOL`.
+    construction. ``iterations`` counts the ITP steps, not the call that
+    picks the stream. Raises :class:`DomainError` when the rule needs a
+    BER beyond a stream's zero-power value (the decoupled requirement
+    cannot bind there), or when rounding leaves the target missed by more
+    than :data:`PROPORTIONAL_ATOL`.
     """
     if isinstance(line := _line(p, "proportional"), Allocation):
         return line
@@ -363,52 +369,57 @@ def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
     ``2 (sigma^2 / (b |h|^2)) (log2 M / a) x / phi(x)``, and
     ``dpsi/ds = psi / (beta s)``; the stream's constant
     ``k_i = w_i (log2 M / a) sigma^2 / (b |h|^2)`` is left to
-    :func:`_slope_offset`. The logarithm cannot overflow and drops the
+    :func:`_slope_offsets`. The logarithm cannot overflow and drops the
     factor ``2 / sqrt(2 pi)`` both streams share. It is ``-inf`` at the
     zero-power BER and ``+inf`` where the BER underflows. The slope
     ignores the clamp at :data:`PSI_FLOOR`: the clamped cost can rise
     and then fall again along the line, which a one-dimensional search
     cannot follow, so the caller compares the line's ends instead. ``g``
     is the stream's ``log2 M / a``; with ``cap`` inside the box the
-    argument of ``Qinv`` lies in ``(0, 0.5]``.
+    argument of ``Qinv`` lies in ``(0, 0.5]``. The derivative in ``log s``
+    comes too, from the same ``x``: ``(1 - M (x + 1/x)) / beta - 1`` with
+    ``M = Q(x)/phi(x) = sqrt(2 pi) exp(log(psi g) + x^2/2)``, -1 where
+    ``psi`` is capped or underflows and ``-inf`` at the zero-power BER.
     """
     tau, beta = (p.surface.tau1, p.surface.beta1) if i == 0 else (p.surface.tau2, p.surface.beta2)
     inv_beta = 1.0 / beta
-    log = math.log
+    log, exp, log_g = math.log, math.exp, math.log(g)
+    d0, d1 = inv_beta - 1.0, math.sqrt(2.0 * math.pi) * inv_beta  # M = sqrt(2 pi) e^h
 
-    def slope(share: float) -> float:
+    def slope(share: float) -> tuple[float, float]:
         psi = tau * (share * u) ** inv_beta
-        psi = cap if cap < psi else psi  # min(psi, cap), without the call
-        pg = psi * g
+        capped = cap < psi
+        pg = (cap if capped else psi) * g  # min(psi, cap) g, without the call
         if pg == 0.0:
-            return math.inf
-        x = _q_inv(pg)
+            return math.inf, -1.0
+        x = -_quantile(pg)
         if x <= 0.0:
-            return -math.inf
-        return log(x) + 0.5 * x * x + log(psi) - log(beta * share)
+            return -math.inf, -math.inf
+        h = log(pg) + 0.5 * x * x  # log(pg): x is the quantile of pg as rounded
+        value = log(x / (beta * share)) + h - log_g
+        return value, -1.0 if capped else d0 - (x + 1.0 / x) * d1 * exp(h)
 
     return slope
 
 
-def _slope_offset(p: ProblemSpec, w: tuple[float, float]) -> float:
-    """``log(k_2 / k_1)`` for the constants ``k_i`` of :func:`_share_slope`.
+def _slope_offsets(line: _Line, beta: tuple[float, float]) -> tuple[float, float]:
+    """``log(k_2 / k_1)`` for the constants ``k_i`` of :func:`_share_slope`, and the seed's ``e``.
 
-    One logarithm of the ratio, so a factor both streams share (the
-    noise power scaled by 4, say) cancels exactly and leaves the search
-    unchanged. Where a constant or the ratio leaves binary64 (``b |h|^2``
-    underflows to 0 on some valid links), the difference of the streams'
-    logarithms is used instead.
+    From the solve's own link constants: ``e = log(c_2 / c_1)`` with
+    ``c_i = w_i (noise_i / gain_i) / (b_i beta_i)`` is ``log(s_2 / s_1)``
+    at the high-SNR optimum, and ``k_i = c_i g_i beta_i``. A factor both
+    streams share (the noise power scaled by 4, say) cancels exactly in
+    the ratio; where it leaves binary64, the logarithms are subtracted.
     """
-    factors = [(wi * s.modulation.bits_per_symbol / s.modulation.a, s.channel.noise_w,
-                s.modulation.b, s.channel.gain) for s, wi in zip(p.streams, w)]
-    k = [wg * noise / (b * gain) if b * gain > 0.0 else math.nan
-         for wg, noise, b, gain in factors]
-    ratio = k[1] / k[0] if k[0] > 0.0 else math.nan
-    if 0.0 < ratio < math.inf:
-        return math.log(ratio)
-    logs = [math.log(wg) + math.log(noise) - math.log(b) - math.log(gain)
-            for wg, noise, b, gain in factors]
-    return logs[1] - logs[0]
+    (l1, l2), (w1, w2), (b1, b2), log = line.links, line.w, beta, math.log
+    c1, c2 = w1 * l1.k / l1.b / b1, w2 * l2.k / l2.b / b2
+    if 0.0 < c1 < math.inf and 0.0 < c2 / c1 < math.inf:
+        e = log(c2 / c1)
+    else:  # noise / gain itself may underflow to 0
+        e1, e2 = (log(w) + log(link.k or _TINY) - log(link.b) - log(b)
+                  for w, link, b in zip(line.w, line.links, beta))
+        e = e2 - e1
+    return e + log(l2.g * b2 / (l1.g * b1)), e
 
 
 def solve_bisection(p: ProblemSpec) -> Allocation:
@@ -421,26 +432,30 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     is where the cost stops falling as that share grows. The search
     starts from the high-SNR optimum: with ``x = Qinv(psi g)`` large,
     ``log x + x^2/2 + log psi ~ -log g - log(2 pi)/2``, so the slopes meet
-    near ``s_i ~ w_i sigma_i^2 / (b_i |h_i|^2 beta_i)``. Below the BER
-    floor the power is clamped, which can leave a cheaper minimum at an
-    end, so the cheapest of the found point and both ends is returned.
-    ``iterations`` counts the search steps; the search is ITP, and the
-    solver keeps the paper's name.
+    near ``s_i ~ w_i sigma_i^2 / (b_i |h_i|^2 beta_i)``, and takes Newton
+    steps on the slopes' exact derivatives. Below the BER floor the
+    power is clamped, which can leave a cheaper minimum at an end, so
+    the cheapest of the found point and both ends is returned.
+    ``iterations`` counts the evaluations of the slope difference; the
+    search is ITP, and the solver keeps the paper's name.
     """
     if isinstance(line := _line(p, "bisection"), Allocation):
         return line
     box, u, top, links, w = line
     sf = p.surface
-    slope = [_share_slope(p, i, u, box[i], links[i].g) for i in (0, 1)]
-    offset = _slope_offset(p, w)
-    log = math.log  # e below is log(s2 / s1) at the high-SNR optimum
-    e = offset - log(links[1].g) - log(sf.beta2) + log(links[0].g) + log(sf.beta1)
+    slope = _share_slope(p, 0, u, box[0], links[0].g), _share_slope(p, 1, u, box[1], links[1].g)
+    offset, e = _slope_offsets(line, (sf.beta1, sf.beta2))
     e = 700.0 if e > 700.0 else -700.0 if e < -700.0 else e  # exp stays finite
     seed = (1.0 / (1.0 + math.exp(e)), 1.0 / (1.0 + math.exp(-e)))
     offsets = (offset, -offset)
-    found, steps, converged = _share_search(
-        top, lambda i, t: slope[1 - i](1.0 - t) - slope[i](t) + offsets[i], seed
-    )
+    slope_of_gap = [math.nan]  # d gap / dt at the last call
+
+    def gap(i: int, t: float) -> float:
+        (a, da), (b, db) = slope[1 - i](1.0 - t), slope[i](t)
+        slope_of_gap[0] = -da / (1.0 - t) - db / t
+        return a - b + offsets[i]
+
+    found, steps, converged = _share_search(top, gap, seed, lambda t: slope_of_gap[0])
     best = None
     for shares in (found, *_line_ends(top)):
         psi = line_point(sf, u, shares, box)

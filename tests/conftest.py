@@ -1,4 +1,6 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sempower import (
     semantic_value_received,
     semantic_value_transmitted,
 )
+from sempower import solvers
 from sempower.numerics import Rng
 
 # Property tests are deterministic and bounded so the suite stays fast
@@ -89,6 +92,27 @@ def midpoint_run(f, lo, hi, tol):
         if y == 0.0:
             return seen
         lo, hi = (mid, hi) if y < 0.0 else (lo, mid)
+
+
+@contextlib.contextmanager
+def recorded_gap_calls():
+    """Record the points at which each share search calls its ``gap``.
+
+    Yields a list that gets ``(i, t)`` at each call, the stream and its
+    share, in order; clear it between solves.
+    """
+    calls = []
+    search = solvers._share_search
+
+    def recording(top, gap, *rest):
+        def recorded_gap(i, t):
+            calls.append((i, t))
+            return gap(i, t)
+
+        return search(top, recorded_gap, *rest)
+
+    with mock.patch.object(solvers, "_share_search", recording):
+        yield calls
 
 
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)

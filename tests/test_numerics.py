@@ -261,6 +261,49 @@ class TestBisect:
         width = max(tol.abs_tol, tol.rel_tol * abs(x))
         assert f(x - width) <= 0.0 <= f(x + width)
 
+    @given(st.data())
+    def test_any_derivative_keeps_the_contract(self, data):
+        # Newton steps on the derivative, on one scaled by up to 100 either
+        # way, or on a zero, negative, infinite or NaN one; with or without
+        # the value at hi, from which the first step can start.
+        name = data.draw(st.sampled_from(sorted(MONOTONE)), label="f")
+        f, lo, hi = MONOTONE[name]
+        tol = data.draw(st.sampled_from([ToleranceConfig(), ToleranceConfig(1e-300, 1e-9, 1100)]))
+        scale = data.draw(st.sampled_from([1.0, 0.0, -1.0, math.inf, math.nan])
+                          | st.floats(0.01, 100.0), label="scale")
+        f_hi = f(hi) if data.draw(st.booleans(), label="f_hi known") else math.nan
+
+        def df(x):  # a forward difference: f may be undefined below lo
+            h = 1e-9 * x + 1e-300
+            return scale * (f(x + h) - f(x)) / h
+
+        seen = []
+        x, steps, converged = bisect_root(lambda v: seen.append(v) or f(v), lo, hi, tol, (),
+                                          f_hi, df)
+        assert all(lo < v < hi for v in seen) and steps == len(seen)
+        assert converged and steps <= len(midpoint_run(f, lo, hi, tol)) + 1
+        width = max(tol.abs_tol, tol.rel_tol * abs(x))
+        assert f(x - width) <= 0.0 <= f(x + width)
+
+    @pytest.mark.parametrize(
+        "f, df, root",
+        [(lambda x: math.log(x / 0.7), lambda x: 1.0 / x, 0.7),
+         (lambda x: math.atan(20.0 * (x - 0.3)), lambda x: 20.0 / (1.0 + (20.0 * (x - 0.3))**2),
+          0.3),
+         (lambda x: math.sqrt(x) - 0.5, lambda x: 0.5 / math.sqrt(x), 0.25)],
+        ids=["log", "atan", "sqrt"],
+    )
+    def test_newton_steps_cross_the_root(self, f, df, root):
+        # f bends below its tangents, so each Newton step from above lands
+        # below the root, and the next one, a quarter stop past it, above:
+        # 4 steps from the value at hi, where regula falsi takes 8 or 9.
+        tol = ToleranceConfig(1e-300, 1e-9, 1100)
+        hi = 1.1 * root
+        x, steps, converged = bisect_root(f, 0.0, hi, tol, (), f(hi), df)
+        assert converged and steps <= 4
+        width = tol.rel_tol * x
+        assert f(x - width) <= 0.0 <= f(x + width)
+
     @pytest.mark.parametrize("tol", [ToleranceConfig(), ToleranceConfig(1e-300, 1e-9, 1100)],
                              ids=["default", "relative"])
     @pytest.mark.parametrize("name", sorted(MONOTONE))

@@ -26,7 +26,7 @@ from sempower.modulation import (
     preset,
     zero_power_ber,
 )
-from sempower.numerics import bisect_root
+from sempower.numerics import bisect_root, finite_difference
 from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, SurfaceParams, default_surface
 from sempower.solvers import (
     ProblemSpec,
@@ -39,7 +39,7 @@ from sempower.solvers import (
     sweep_targets,
 )
 
-from conftest import REF_CHANNEL, kept_fractions, make_problem, midpoint_run
+from conftest import REF_CHANNEL, kept_fractions, make_problem, midpoint_run, recorded_gap_calls
 
 TARGET_ATOL = 1e-6  # acceptance c03
 RATIO_ATOL = 1e-8  # the proportional rule's |r1 - r2|, as in test_solvers.py
@@ -209,6 +209,54 @@ def test_search_never_more_than_one_step_behind_bisection(p):
             continue
         (search,) = searches
         assert alloc.iterations <= len(midpoint_run(*search)) + 1, solver.__name__
+
+
+@given(problems())
+def test_gap_calls_counted_and_never_repeated(p):
+    # The share searches evaluate no share twice; bisection counts every
+    # call, proportional all but the one at share 0.5 that picks its stream.
+    with recorded_gap_calls() as calls:
+        for solver in (solve_proportional, solve_bisection):
+            calls.clear()
+            try:
+                alloc = solver(p)
+            except DomainError:  # the proportional rule leaves the branch
+                continue
+            assert len(set(calls)) == len(calls), (solver.__name__, calls)
+            probe = solver is solve_proportional and calls[:1] == [(0, 0.5)]
+            assert alloc.iterations == len(calls) - probe, solver.__name__
+
+
+# A modulation whose zero-power BER 0.5 leaves psi g = 1/6 there, so that
+# the slope stays finite where the BER is capped at the box.
+WIDE = ModulationScheme("wide", 2, 3.0, 1.0)
+
+
+@given(problems(), st.integers(0, 1), st.booleans(), st.booleans(), st.floats(-745.0, 1.0),
+       st.floats(-3.0, 3.0))
+def test_share_slope_derivative_matches_finite_differences(p, i, wide, near_cap, log_share,
+                                                           past_cap):
+    # The derivative in log s that the Newton steps use, against a central
+    # difference of the slope: along the line, past the share where the BER
+    # reaches the box and is capped, and at the infinite ends.
+    if wide:
+        p = replace(p, streams=tuple(replace(s, modulation=WIDE) if n == i else s
+                                     for n, s in enumerate(p.streams)))
+    box, u, _, links, _ = solvers._line(p, "bisection")
+    tau, beta = ((p.surface.tau1, p.surface.beta1), (p.surface.tau2, p.surface.beta2))[i]
+    slope = solvers._share_slope(p, i, u, box[i], links[i].g)
+    at = beta * math.log(box[i] / tau) - math.log(u) + past_cap if near_cap else log_share
+    value, derivative = slope(math.exp(at))
+    if math.isinf(value):  # the BER underflows (+inf) or is the zero-power one (-inf)
+        assert derivative == (-1.0 if value > 0.0 else -math.inf)
+        return
+    h = 1e-4
+    around = [slope(math.exp(v))[0] for v in (at - h, at + h)]
+    capped = [tau * (math.exp(v) * u) ** (1.0 / beta) > box[i] for v in (at - h, at + h)]
+    if at - h < -700.0 or math.isinf(sum(around)) or capped[0] != capped[1]:
+        return  # a subnormal share, an infinite neighbour, or the kink at the box
+    central = finite_difference(lambda v: slope(math.exp(v))[0], at, h)
+    assert abs(derivative - central) <= 1e-5 * (1.0 + abs(derivative)), (derivative, central)
 
 
 @st.composite

@@ -36,9 +36,27 @@ from sempower.solvers import (
     sweep_targets,
 )
 
-from conftest import REF_CHANNEL, assert_rel, kept_fractions, make_problem
+from conftest import REF_CHANNEL, assert_rel, kept_fractions, make_problem, recorded_gap_calls
 
 TARGETS = np.linspace(0.33, 0.92, 10)
+
+
+def fading_blocks(n=400, seed=7):
+    """One problem per Rayleigh coherence block on the bundled surface and
+    the README link, as in the benchmark."""
+    rng = random.Random(seed)
+    schemes = [preset(name) for name in ("bpsk", "8qam", "16qam")] + [
+        ModulationScheme("custom", 4, 1.0, 1.0)]
+    surface = default_surface()
+    for _ in range(n):
+        fades = [rng.expovariate(1.0)]
+        fades.append(fades[0] if rng.random() < 0.5 else rng.expovariate(1.0))
+        streams = tuple(
+            StreamSpec(2 ** rng.randint(8, 15), rng.choice(schemes),
+                       make_channel_state(REF_CHANNEL, fade), curve())
+            for fade, curve in zip(fades, (default_prompt_curve, default_edge_curve)))
+        lo, hi = achievable_range(ProblemSpec(streams, surface, 0.5))
+        yield ProblemSpec(streams, surface, lo + (hi - lo) * rng.uniform(0.05, 0.95))
 
 
 def symmetric_problem(state, target=0.6):
@@ -289,28 +307,28 @@ class TestBisection:
             assert alloc.converged and alloc.iterations <= 100
 
     def test_mean_steps_on_fading_blocks(self):
-        # One solve per Rayleigh coherence block on the bundled surface and
-        # the README link, as in the benchmark: the search starts from the
-        # closed-form high-SNR optimum, so it needs about 7 steps, where a
-        # search started blind took about 12.
-        rng = random.Random(7)
-        schemes = [preset(n) for n in ("bpsk", "8qam", "16qam")] + [
-            ModulationScheme("custom", 4, 1.0, 1.0)]
-        surface = default_surface()
-        steps = []
-        for _ in range(400):
-            fades = [rng.expovariate(1.0)]
-            fades.append(fades[0] if rng.random() < 0.5 else rng.expovariate(1.0))
-            streams = tuple(
-                StreamSpec(2 ** rng.randint(8, 15), rng.choice(schemes),
-                           make_channel_state(REF_CHANNEL, fade), curve())
-                for fade, curve in zip(fades, (default_prompt_curve, default_edge_curve)))
-            lo, hi = achievable_range(ProblemSpec(streams, surface, 0.5))
-            p = ProblemSpec(streams, surface, lo + (hi - lo) * rng.uniform(0.05, 0.95))
-            alloc = solve_bisection(p)
-            assert alloc.converged and abs(alloc.achieved_p - p.target) <= 1e-6
-            steps.append(alloc.iterations)
-        assert sum(steps) / len(steps) <= 8.5
+        # The search starts from the closed-form high-SNR optimum and takes
+        # Newton steps, so it needs about 4 evaluations of the slope
+        # difference, every one counted, where a search started blind took
+        # about 12.
+        with recorded_gap_calls() as calls:
+            for p in fading_blocks():
+                alloc = solve_bisection(p)
+                assert alloc.converged and abs(alloc.achieved_p - p.target) <= 1e-6
+        assert len(calls) / 400 <= 5.5
+
+    def test_gap_calls_on_fading_blocks(self):
+        # No search evaluates its gap twice at the same share, and
+        # iterations counts every call: all of bisection's, and all of
+        # proportional's but the one at share 0.5 that picks its stream.
+        with recorded_gap_calls() as calls:
+            for p in fading_blocks():
+                for solver in (solve_bisection, solve_proportional):
+                    calls.clear()
+                    alloc = solver(p)
+                    assert len(set(calls)) == len(calls), (solver.__name__, calls)
+                    probe = solver is solve_proportional and calls[0] == (0, 0.5)
+                    assert alloc.iterations == len(calls) - probe, solver.__name__
 
     @pytest.mark.parametrize("target", [0.4, 0.6, 0.8])
     def test_slope_constant_whose_product_underflows(self, target):
