@@ -2,13 +2,14 @@
 
 Gaussian tail function and its inverse, a bracketed ITP root search on
 a signed function (bisection's worst case plus one step, superlinear on
-smooth functions, Newton given the derivative), central finite
-differences, and a small counter-based random generator used for every
-stochastic draw in the package. The tail is ``math.erfc`` and its inverse
-the standard library's normal quantile (Wichura's AS241) for a float;
-arrays of probabilities take the same AS241 in one numpy pass, within 4
-ulps of the float path. The package does not need scipy. All routines
-are deterministic, double precision, and free of global state.
+smooth functions, Newton given the derivative, from an end value the
+caller has), central finite differences, and a small counter-based
+random generator used for every stochastic draw in the package. The
+tail is ``math.erfc`` and its inverse the standard library's normal
+quantile (Wichura's AS241) for a float; arrays of probabilities take
+the same AS241 in one numpy pass, within 4 ulps of the float path. The
+package does not need scipy. All routines are deterministic, double
+precision, and free of global state.
 """
 
 from __future__ import annotations
@@ -335,11 +336,10 @@ def q_inverse(p):
 _ITP_K1 = 0.1
 _ITP_K2 = 2.0
 _ITP_N0 = 1
-# Steps that all moved the upper end down, the lower end's value still
-# unknown, after which a bracket [lo >= 0, hi] is searched in its
-# exponent: the root may lie many decades below hi.
-_GALLOP_AFTER = 64
-_TINY = 5e-324  # the smallest positive double
+# A Newton step taken while the far end's value is unknown lands this
+# much further than the predicted root, relative to its length, so that
+# a step from one side of a convex function still crosses the root.
+_NEWTON_PAST = 1.0 + 2.0**-10
 
 
 def bisect_root(
@@ -347,7 +347,7 @@ def bisect_root(
     lo: float,
     hi: float,
     tol: ToleranceConfig | None = None,
-    guess: tuple[float, ...] = (),
+    f_lo: float = math.nan,
     f_hi: float = math.nan,
     df: Callable[[float], float] | None = None,
 ) -> tuple[float, int, bool]:
@@ -357,48 +357,33 @@ def bisect_root(
     ``f(x) > 0`` above it; NaN counts as above, and an exact zero is
     returned at once. The ends are never evaluated, so ``f`` may be
     undefined there; the caller vouches that the root lies inside (and
-    may pass ``f_hi``, a value at ``hi`` it has).
+    may pass ``f_lo`` or ``f_hi``, a value it has at an end).
 
-    The first steps try ``guess``, one or two points expected to bracket
-    the root (the one nearer the midpoint first, each while inside the
-    bracket). Later steps interpolate the bracket values (regula falsi) and
-    truncate towards the midpoint by ``0.1 width^2``, or by 1/16 of the
-    stopping width if more, so a point next to the root crosses it. Given
-    ``df(x)``, the derivative at the last point called (``hi`` while only
-    ``f_hi`` is known; it may read what that call cached), a Newton step
-    from there replaces regula falsi, untruncated and a quarter stop past
-    the predicted root; only one while the value at ``lo`` is unknown, for
-    the gallop below. Every point is projected to within ``r_j = W0
-    2^(n0 - j - 1) - width / 2`` of the midpoint (``W0`` the first width),
-    so after ``j`` steps the bracket is at most ``W0 2^(n0 - j)`` wide:
-    never more than ``n0 = 1`` step behind midpoint bisection, whatever
-    the estimate or the stopping width.
-    While a bracket value is infinite or unknown the midpoint is taken, or
-    the lowest point the projection allows if the unknown one is at ``lo``:
-    that keeps ``hi`` where bisection has it.
-
-    Once the first 64 steps have all moved ``hi`` down (the value at
-    ``lo >= 0`` still unknown), the root may lie many decades below
-    ``hi``, and the search gallops in the exponent: the ``k``-th step
-    after them tries ``hi 2^-(2^(k-1))``, or ``sqrt(5e-324 hi)`` if larger;
-    once a point falls below the root, geometric midpoints ``sqrt(lo hi)``
-    follow until the bracket spans a factor of two. That finds the root's
-    binary exponent in about twice the log2 of bisection's steps, never
-    more than one step later; a root at ``1e-300`` in ``[0, 0.5]`` takes
-    about 80 steps instead of 1,000.
+    Each step interpolates the bracket values (regula falsi) and
+    truncates towards the midpoint by ``0.1 width^2``, or by 1/16 of the
+    stopping width if more, so a point next to the root crosses it.
+    Given ``df(x)``, the derivative at the last point called (at the
+    known end before the first call; it may read what that call cached),
+    a Newton step from that point replaces regula falsi, untruncated and
+    an eighth of the stopping width past the predicted root; while the
+    far end's value is unknown it lands 2^-10 of its length further, so
+    that a step from the convex side crosses too. Otherwise, while a
+    bracket value is infinite or unknown, the midpoint is taken. Every
+    point is projected to within ``r_j = W0 2^(n0 - j - 1) - width / 2``
+    of the midpoint (``W0`` the first width), so after ``j`` steps the
+    bracket is at most ``W0 2^(n0 - j)`` wide: never more than
+    ``n0 = 1`` step behind midpoint bisection, whatever the estimate or
+    the stopping width.
 
     Returns ``(x, steps, converged)``: the bracket midpoint once the width
     drops below ``max(abs_tol, rel_tol * |mid|)`` or the ends are adjacent
-    floats (or the zero), the number of calls to ``f``, and False when
-    ``max_iter`` steps did not get there (``x``: the last midpoint).
+    floats, the number of calls to ``f``, and False when ``max_iter``
+    steps did not get there (``x``: the last midpoint).
     """
     tol = tol or ToleranceConfig()
     abs_tol, rel_tol, max_iter = tol.abs_tol, tol.rel_tol, tol.max_iter
-    f_lo, last, y = math.nan, hi, f_hi  # f_lo unknown until evaluated; y = f(last)
-    if hi < lo:
-        lo, hi, f_lo, f_hi = hi, lo, f_hi, math.nan
-    guess = sorted(guess, key=lambda g: abs(g - 0.5 * (lo + hi)), reverse=True)
-    w0, steps, geometric, blind = hi - lo, 0, False, True
+    last, y = (lo, f_lo) if f_lo == f_lo else (hi, f_hi)  # y = f(last)
+    w0, steps = hi - lo, 0
     isfinite, copysign, ldexp = math.isfinite, math.copysign, math.ldexp
     # Two-argument min/max cost more than the arithmetic of a step, so
     # the loop spells them out as comparisons.
@@ -411,29 +396,18 @@ def bisect_root(
             return mid, steps, True
         if steps == max_iter:
             return mid, steps, False
+        r = ldexp(w0, _ITP_N0 - steps - 1) - 0.5 * width
+        r = 0.0 if r < 0.0 else r
         x = mid
-        if f_lo != f_lo and steps >= _GALLOP_AFTER and lo >= 0.0:
-            geometric = True
-            x = max(math.ldexp(hi, -(2 ** (steps - _GALLOP_AFTER))),
-                    math.sqrt(max(lo, _TINY)) * math.sqrt(hi))
-        elif geometric and hi > 2.0 * lo:
-            x = math.sqrt(lo) * math.sqrt(hi)
-        else:
-            r = ldexp(w0, _ITP_N0 - steps - 1) - 0.5 * width
-            r = 0.0 if r < 0.0 else r
-            if guess and lo < guess[-1] < hi:
-                x = guess.pop()
-            elif df and isfinite(y) and (blind or f_lo == f_lo) and (d := df(last)) > 0.0:
-                x = last - y / d - copysign(0.25 * stop, y)  # Newton, a quarter stop past
-                blind = blind and f_lo == f_lo
-            elif isfinite(f_lo) and isfinite(f_hi):
-                x_f = lo + width * (f_lo / (f_lo - f_hi))
-                delta = _ITP_K1 * width**_ITP_K2
-                delta = 0.0625 * stop if 0.0625 * stop > delta else delta
-                x = x_f + copysign(delta, mid - x_f) if delta <= abs(mid - x_f) else mid
-            elif f_lo != f_lo:  # the lowest point allowed keeps hi where bisection has it
-                x = mid - r
-            x = x if abs(x - mid) <= r else mid + copysign(r, x - mid)
+        if df and isfinite(y) and (d := df(last)) > 0.0:
+            past = 1.0 if f_lo == f_lo and f_hi == f_hi else _NEWTON_PAST
+            x = last - past * y / d - copysign(0.125 * stop, y)  # Newton, past the root
+        elif isfinite(f_lo) and isfinite(f_hi):
+            x_f = lo + width * (f_lo / (f_lo - f_hi))
+            delta = _ITP_K1 * width**_ITP_K2
+            delta = 0.0625 * stop if 0.0625 * stop > delta else delta
+            x = x_f + copysign(delta, mid - x_f) if delta <= abs(mid - x_f) else mid
+        x = x if abs(x - mid) <= r else mid + copysign(r, x - mid)
         if not lo < x < hi:
             if not lo < mid < hi:  # adjacent floats: nothing left inside to evaluate
                 return mid, steps, True

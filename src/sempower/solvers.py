@@ -12,12 +12,12 @@ with equality, so every method works on the constraint line
     the common SNR is found by a one-dimensional root search.
 ``proportional``
     Decouples the constraint per stream: both streams keep the same
-    fraction ``L_hat_i / L_i`` of their semantic value. A decay-share
-    search compares the fractions the two streams have lost.
+    fraction ``L_hat_i / L_i`` of their semantic value. A search along
+    the line compares the fractions the two streams have lost.
 ``bisection``
-    The paper's solver: a decay-share search for the point where the
-    cost stops falling as one stream's share grows; keeps the cheapest
-    of that point and the line's two ends.
+    The paper's solver: a search along the line for the point where the
+    cost stops falling as one stream's decay share grows; keeps the
+    cheapest of that point and the line's two ends.
 ``grid_oracle``
     Brute force: a log-spaced scan of the line, used as independent
     ground truth for the optimisers.
@@ -28,13 +28,16 @@ for a target at or above the zero-power error, and otherwise gives the
 line ``u1 + u2 = U`` with ``u_i = (psi_i/tau_i)^beta_i`` and each
 stream's link constants. The two semantic-aware methods run one search.
 The shares ``s_i = u_i / U`` give each BER in closed form,
-``psi_i = tau_i (s_i U)^(1/beta_i)``; each method searches one share for
-the sign change of its own difference between the two streams, so its
-point is on the line by construction.
+``psi_i = tau_i (s_i U)^(1/beta_i)``; each method searches the line in
+``z = log(s1 / s2)`` for the sign change of its own difference between
+the two streams, so its point is on the line by construction, and both
+shares keep full relative precision down to the subnormals.
 
-Every search is the bracketed ITP search of :func:`bisect_root`, never
-more than midpoint bisection's count plus one step; ``bisection`` takes
-Newton steps from the closed-form high-SNR optimum, 4 evaluations or so.
+Every search is the bracketed ITP search of :func:`bisect_root` on a
+logarithm, never more than midpoint bisection's count plus one step.
+``proportional`` and ``bisection`` take Newton steps on exact
+derivatives, ``bisection`` from the closed-form high-SNR optimum: 4
+evaluations or so each.
 
 Costs use symbol power times the stream's bit count by default
 (``cost_basis="bits"``); ``cost_basis="symbols"`` divides the bit count
@@ -63,7 +66,7 @@ from .modulation import (
     ber_from_snr,
     power_from_ber,
 )
-from .numerics import _TINY, ToleranceConfig, _quantile, bisect_root
+from .numerics import ToleranceConfig, _quantile, bisect_root
 from .perception import (
     StreamCurve,
     SurfaceParams,
@@ -90,12 +93,12 @@ __all__ = [
     "sweep_targets",
 ]
 
-# Stopping rule of the one-dimensional searches (the common SNR of
-# ``equal_snr``, the decay share of ``proportional`` and ``bisection``).
-# It is relative only, so a root anywhere down to the subnormals is found
-# to 1e-9 of itself; after 64 halvings towards a zero end the search
-# gallops in the exponent, so that takes under 100 steps, not 1,000.
-SEARCH_TOL = ToleranceConfig(abs_tol=1e-300, rel_tol=1e-9, max_iter=1100)
+# Stopping rule of the searches, all on a logarithm (of the common SNR, or
+# of the share ratio s1 / s2): a width of 1e-9 there is 1e-9 relative in
+# the SNR and in both shares. No bracket spans 1,490, so midpoint
+# bisection needs at most 41 steps.
+SEARCH_TOL = ToleranceConfig(abs_tol=1e-9, rel_tol=1e-300, max_iter=100)
+_TINY = 5e-324  # the smallest positive double
 # Largest |P - p_bar| a proportional allocation may leave.
 PROPORTIONAL_ATOL = 1e-9
 
@@ -243,9 +246,11 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
 
     The common SNR at which the decays ``u1 + u2`` of the two BERs reach
     ``U`` (:func:`decay_shares`), that is where ``P = target``, is
-    bracketed by the first power of 4 that meets the target and found by
-    :func:`bisect_root` on ``U - (u1 + u2)``; powers follow as
-    ``g * noise_i / gain_i``. ``iterations`` counts the search steps.
+    bracketed by the first power of 4 that meets the target and the one
+    before it (or the smallest double, below 1) and found by
+    :func:`bisect_root` on ``log U - log(u1 + u2)`` in ``log g``; powers
+    follow as ``g * noise_i / gain_i``.
+    ``iterations`` counts the search steps.
     """
     if isinstance(line := _line(p, "equal_snr"), Allocation):
         return line
@@ -253,18 +258,28 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     m1, m2 = (s.modulation for s in p.streams)
     sf = p.surface
 
-    def decay(g: float) -> float:
+    def gap(v: float) -> float:  # log U - log(u1 + u2) at g = e^v: about linear in g
+        g = math.exp(v)
         try:
-            return ((ber_from_snr(m1, g) / sf.tau1) ** sf.beta1
-                    + (ber_from_snr(m2, g) / sf.tau2) ** sf.beta2)
+            d = ((ber_from_snr(m1, g) / sf.tau1) ** sf.beta1
+                 + (ber_from_snr(m2, g) / sf.tau2) ** sf.beta2)
         except OverflowError:  # a decay beyond binary64 is far above U
-            return math.inf
+            return -math.inf
+        return log_u - math.log(d) if d > 0.0 else math.inf
 
-    # the search's upper end: the first power of 4 that meets the target
-    hi = next((4.0**k for k in range(80) if decay(4.0**k) < u), None)
-    if hi is None:
+    # The first power of 4 that meets the target ends the search above and
+    # the one before it (below 1, the smallest double) below; the search
+    # starts from the values the scan saw.
+    log_u, lo, f_lo = math.log(u), math.log(_TINY), math.nan
+    for k in range(80):
+        hi = k * math.log(4.0)
+        if (f_hi := gap(hi)) > 0.0:
+            break
+        lo, f_lo = hi, f_hi
+    else:
         raise InfeasibleError("could not bracket the equal-SNR solution")
-    g_star, steps, converged = bisect_root(lambda g: u - decay(g), 0.0, hi, SEARCH_TOL)
+    v, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, f_lo, f_hi)
+    g_star = math.exp(v)
     psi = (ber_from_snr(m1, g_star), ber_from_snr(m2, g_star))
     # Equal SNR fixes the powers directly; BER inversion would amplify
     # rounding where the curve is flat, so use the exact values.
@@ -272,88 +287,92 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     return _finish(p, line, psi, "equal_snr", steps, converged, q)
 
 
+def _shares(z: float) -> tuple[float, float]:
+    """The shares ``(s1, s2)`` with ``log(s1 / s2) = z``, each to full relative precision."""
+    e = math.exp(-abs(z))
+    small, big = e / (1.0 + e), 1.0 / (1.0 + e)
+    return (big, small) if z > 0.0 else (small, big)
+
+
 def _share_search(
-    top: Sequence[float], gap: Callable[[int, float], float], seed: Sequence[float] = (),
+    top: Sequence[float], gap: Callable[[float], float], seed: float = math.nan,
     dgap: Callable[[float], float] | None = None,
 ) -> tuple[tuple[float, float], int, bool]:
-    """Search the constraint line in one decay share for a solver's point.
+    """Search the constraint line in ``z = log(s1 / s2)`` for a solver's point.
 
-    ``gap(i, t)`` is negative when stream ``i``'s share ``t`` lies below
-    the point and positive above it; ``top`` holds each stream's largest
-    share inside the box (:func:`decay_shares`). The search runs on the
-    share of the stream that holds less than half of ``U`` at the point,
-    so points near either end of the line keep full relative resolution;
-    the ends are never evaluated. The box picks that stream, or calls in
-    stream ``k``'s share (the smaller ``seed``, else stream 1's): at
-    ``seed_k``, then up to two Newton steps while below the point, then
-    0.5; one above the point ends the bracket, 0.5 below it picks the
-    other stream. ``dgap(t)``, the derivative of the last call's ``gap``
-    in its share, gives the search Newton steps. Returns ``((s1, s2),
-    steps, converged)``: every call to ``gap`` with a seed, all but the
-    one at 0.5 without (within midpoint bisection's count plus one).
+    ``gap(z)`` is negative below the point and positive above it. With
+    ``top``, each stream's largest share inside the box
+    (:func:`decay_shares`), the line runs from ``log((1 - top2) / top2)``
+    to ``log(top1 / (1 - top1))``, a share of 0 taken as 5e-324; the ends
+    are never evaluated, and :func:`_shares` keeps both shares to full
+    relative precision. A ``seed`` inside the line is evaluated first, and
+    its value starts the search from that end. ``dgap(z)``, the derivative
+    of the last call's ``gap``, gives Newton steps. Returns ``((s1, s2),
+    steps, converged)``, counting every call to ``gap``.
     """
-    k = int(seed[1] < seed[0]) if seed else 0
-    calls, f_hi, guess = 0, math.nan, ()
-    if top[0] <= 0.5 or top[1] <= 0.5:
-        j = int(top[0] > 0.5)
-        hi, guess = top[j], (seed[j],) if seed else ()
-    else:
-        t, calls = seed[k] if seed and 1.0 - top[1 - k] < seed[k] else 0.5, 1
-        while (y := gap(k, t)) < 0.0 and t < 0.5:
-            # Newton in log(t / (1 - t)), where slope differences are about linear
-            d = dgap(t) * t * (1.0 - t) if dgap and calls < 3 else 0.0
-            z = math.exp(0.25 * SEARCH_TOL.rel_tol - y / d) if 0.0 < d and -y < 700.0 * d else 0.0
-            t, calls = (t * z / (t * z + 1.0 - t) if 0.0 < t * z < 1.0 - t else 0.5), calls + 1
-        j, hi, f_hi = (1 - k, 0.5, -y) if y < 0.0 else (k, t, y)
-        f_hi = f_hi if dgap else math.nan  # the value at hi serves the Newton steps
-    lo = 1.0 - top[1 - j]  # stream j's smallest share, where the other holds its largest
-    t, steps, converged = bisect_root(partial(gap, j), lo, hi, SEARCH_TOL, guess, f_hi, dgap)
-    return ((t, 1.0 - t) if j == 0 else (1.0 - t, t)), steps + (calls if seed else 0), converged
+    lo, hi = (math.log(s1 or _TINY) - math.log(s2 or _TINY) for s1, s2 in _line_ends(top))
+    f_lo, f_hi, calls = math.nan, math.nan, 0
+    if lo < seed < hi:  # the seed's value ends the bracket on the point's side
+        y, calls = gap(seed), 1
+        lo, hi, f_lo, f_hi = (seed, hi, y, f_hi) if y < 0.0 else (lo, seed, f_lo, y)
+    z, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, f_lo, f_hi, dgap)
+    return _shares(z), steps + calls, converged
 
 
-def _lost_value(c: StreamCurve, psi: float) -> float:
-    """Fraction of a stream's semantic value lost at BER ``psi``, ``1 - L_hat / L``."""
+def _lost_value(c: StreamCurve, psi: float) -> tuple[float, float]:
+    """Fraction of a stream's semantic value lost at BER ``psi``, ``1 - L_hat / L``,
+    and its derivative in ``log psi``."""
+    scale = (c.pmax - c.p0) / semantic_value_transmitted(c)
     try:
-        decay = -math.expm1(-((psi / c.tau) ** c.beta))
+        v = (psi / c.tau) ** c.beta
     except OverflowError:  # a decay beyond binary64 loses the whole range
-        decay = 1.0
-    return (c.pmax - c.p0) / semantic_value_transmitted(c) * decay
+        return scale, 0.0
+    return -math.expm1(-v) * scale, math.exp(-v) * v * c.beta * scale
 
 
 def solve_proportional(p: ProblemSpec) -> Allocation:
     """Both streams keep the same fraction of their semantic value.
 
     Along the constraint line the fraction stream ``i`` has lost,
-    ``(pmax_i - p0_i) / L_i * (1 - exp(-(psi_i/tau_i)^beta_i))`` on its
-    curve, rises with its decay share while the other stream's falls.
-    :func:`_share_search` finds the share where their difference changes
-    sign and :func:`line_point` gives the BERs, so the target is met by
-    construction. ``iterations`` counts the ITP steps, not the call that
-    picks the stream. Raises :class:`DomainError` when the rule needs a
-    BER beyond a stream's zero-power value (the decoupled requirement
-    cannot bind there), or when rounding leaves the target missed by more
-    than :data:`PROPORTIONAL_ATOL`.
+    ``A_i (1 - exp(-v_i))`` with ``A_i = (pmax_i - p0_i) / L_i`` and
+    ``v_i = (psi_i/tau_i)^beta_i`` on its curve, rises with its decay
+    share while the other stream's falls. :func:`_share_search` finds the
+    share ratio where their difference changes sign, with Newton steps on
+    ``d lost_i / d log s_i = A_i e^-v_i v_i beta_i / beta_s,i`` (0 where
+    the BER is capped at the box), and :func:`line_point` gives the BERs,
+    so the target is met by construction. ``iterations`` counts every
+    evaluation of the difference. Raises :class:`DomainError` when the
+    rule needs a BER beyond a stream's zero-power value (the decoupled
+    requirement cannot bind there), or when rounding leaves the target
+    missed by more than :data:`PROPORTIONAL_ATOL`.
     """
     if isinstance(line := _line(p, "proportional"), Allocation):
         return line
     box, u, top = line[:3]
+    sf = p.surface
     curves = [s.curve for s in p.streams]
+    slope_of_gap = [math.nan]  # d gap / dz at the last call
 
-    def gap(i: int, t: float) -> float:
-        psi = line_point(p.surface, u, (t, 1.0 - t) if i == 0 else (1.0 - t, t), box)
-        return _lost_value(curves[i], psi[i]) - _lost_value(curves[1 - i], psi[1 - i])
+    def lost_gap(shares: tuple[float, float]) -> float:
+        psi = line_point(sf, u, shares, box)
+        (l1, d1), (l2, d2) = _lost_value(curves[0], psi[0]), _lost_value(curves[1], psi[1])
+        # d log s1 / dz = s2 and d log s2 / dz = -s1; a capped BER stays put
+        slope_of_gap[0] = ((d1 * shares[1] / sf.beta1 if psi[0] < box[0] else 0.0)
+                           + (d2 * shares[0] / sf.beta2 if psi[1] < box[1] else 0.0))
+        return l1 - l2
 
-    for i, s in enumerate(p.streams):
+    ends = _line_ends(top)
+    for i, (s, sign) in enumerate(zip(p.streams, (1.0, -1.0))):
         # Still below the point at the largest share inside the box: the
         # rule needs a larger BER on stream i than its modulation shows.
-        if gap(i, top[i]) < 0.0:
+        if sign * lost_gap(ends[1 - i]) < 0.0:
             raise DomainError(
                 f"proportional rule requires BER on stream {s.name or i + 1} beyond the "
                 f"zero-power value {box[i]:g} of {s.modulation.name}"
             )
-    shares, steps, converged = _share_search(top, gap)
-    alloc = _finish(p, line, line_point(p.surface, u, shares, box), "proportional", steps,
-                    converged)
+    shares, steps, converged = _share_search(top, lambda z: lost_gap(_shares(z)), math.nan,
+                                             lambda z: slope_of_gap[0])
+    alloc = _finish(p, line, line_point(sf, u, shares, box), "proportional", steps, converged)
     if converged and abs(alloc.achieved_p - p.target) > PROPORTIONAL_ATOL:
         raise DomainError(
             f"proportional rule misses target {p.target:g} by "
@@ -427,15 +446,17 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
 
     On the line ``u1 + u2 = U`` (:func:`decay_shares`) each stream's BER
     follows in closed form from its share of ``U``. :func:`_share_search`
-    finds the share where the difference of the two streams'
+    finds the ``z = log(s1 / s2)`` where the difference of the two streams'
     ``log |d cost_i / d s_i|`` (:func:`_share_slope`) changes sign, that
-    is where the cost stops falling as that share grows. The search
+    is where the cost stops falling as one share grows. The search
     starts from the high-SNR optimum: with ``x = Qinv(psi g)`` large,
     ``log x + x^2/2 + log psi ~ -log g - log(2 pi)/2``, so the slopes meet
-    near ``s_i ~ w_i sigma_i^2 / (b_i |h_i|^2 beta_i)``, and takes Newton
-    steps on the slopes' exact derivatives. Below the BER floor the
-    power is clamped, which can leave a cheaper minimum at an end, so
-    the cheapest of the found point and both ends is returned.
+    near ``s_i ~ w_i sigma_i^2 / (b_i |h_i|^2 beta_i)``, that is at
+    ``z = -e`` (:func:`_slope_offsets`), and takes Newton steps on the
+    slopes' exact derivatives: ``d gap / dz = -(d_2 s_1 + d_1 s_2)``, with
+    ``d_i`` stream ``i``'s slope derivative in ``log s_i``. Below the BER
+    floor the power is clamped, which can leave a cheaper minimum at an
+    end, so the cheapest of the found point and both ends is returned.
     ``iterations`` counts the evaluations of the slope difference; the
     search is ITP, and the solver keeps the paper's name.
     """
@@ -445,17 +466,15 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     sf = p.surface
     slope = _share_slope(p, 0, u, box[0], links[0].g), _share_slope(p, 1, u, box[1], links[1].g)
     offset, e = _slope_offsets(line, (sf.beta1, sf.beta2))
-    e = 700.0 if e > 700.0 else -700.0 if e < -700.0 else e  # exp stays finite
-    seed = (1.0 / (1.0 + math.exp(e)), 1.0 / (1.0 + math.exp(-e)))
-    offsets = (offset, -offset)
-    slope_of_gap = [math.nan]  # d gap / dt at the last call
+    slope_of_gap = [math.nan]  # d gap / dz at the last call
 
-    def gap(i: int, t: float) -> float:
-        (a, da), (b, db) = slope[1 - i](1.0 - t), slope[i](t)
-        slope_of_gap[0] = -da / (1.0 - t) - db / t
-        return a - b + offsets[i]
+    def gap(z: float) -> float:
+        s1, s2 = _shares(z)
+        (a, d2), (b, d1) = slope[1](s2), slope[0](s1)
+        slope_of_gap[0] = -(d2 * s1 + d1 * s2)  # d log s1 / dz = s2, d log s2 / dz = -s1
+        return a - b + offset
 
-    found, steps, converged = _share_search(top, gap, seed, lambda t: slope_of_gap[0])
+    found, steps, converged = _share_search(top, gap, -e, lambda z: slope_of_gap[0])
     best = None
     for shares in (found, *_line_ends(top)):
         psi = line_point(sf, u, shares, box)
@@ -469,7 +488,9 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
 def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
     """Exhaustive scan of the constraint line at grid resolution.
 
-    ``grid_n`` log-spaced ``psi1`` values cover the feasible bracket;
+    ``grid_n`` log-spaced ``psi1`` values cover the feasible bracket (from
+    ``1e-12`` of its top where it starts at 0, linearly spaced where that
+    underflows);
     ``psi2`` comes from the closed-form constraint inverse in one array
     call and the cheapest point wins (ties go to the smallest ``psi1``).
     Serves as the independent check on the optimising solvers.
@@ -480,8 +501,8 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
         return line
     box, u, top, _, w = line
     l1, r1 = (line_point(p.surface, u, shares, box)[0] for shares in _line_ends(top))
-    lo = l1 if l1 > 0.0 else max(r1 * 1e-12, 1e-300)
-    grid = np.geomspace(lo, r1, grid_n)
+    lo = l1 if l1 > 0.0 else r1 * 1e-12
+    grid = np.geomspace(lo, r1, grid_n) if lo > 0.0 else np.linspace(0.0, r1, grid_n)
     psi2 = invert_surface_psi2(p.surface, grid, p.target, box[1])
     s1, s2 = p.streams
     q1 = np.asarray(power_from_ber(s1.modulation, s1.channel, np.maximum(grid, PSI_FLOOR)))

@@ -98,16 +98,16 @@ def midpoint_run(f, lo, hi, tol):
 def recorded_gap_calls():
     """Record the points at which each share search calls its ``gap``.
 
-    Yields a list that gets ``(i, t)`` at each call, the stream and its
-    share, in order; clear it between solves.
+    Yields a list that gets ``z = log(s1 / s2)`` at each call, in order;
+    clear it between solves.
     """
     calls = []
     search = solvers._share_search
 
     def recording(top, gap, *rest):
-        def recorded_gap(i, t):
-            calls.append((i, t))
-            return gap(i, t)
+        def recorded_gap(z):
+            calls.append(z)
+            return gap(z)
 
         return search(top, recorded_gap, *rest)
 

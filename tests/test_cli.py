@@ -590,9 +590,9 @@ REPO = Path(__file__).resolve().parents[1]
 # SHA-256 of every CSV/SVG/surface output of the four README commands. An
 # intended change to one of these outputs updates its pin here.
 README_PINS = {
-    "solve/solve.csv": "0bcf8f8444a4a33f5f8eb34005b7f0b1b4e207f128511fa98007fb3185aa0c1e",
-    "sweep/sweep_8qam.csv": "422ccbc5701f15ae8c2be6c4b4e87768d193ab96e3b3029936c236251d824069",
-    "sweep/sweep_16qam.csv": "e32e81d71e1a6abc4ed34155af3208011712994a573c604a25f87eb7f2cad6aa",
+    "solve/solve.csv": "8e23f60c642b67b24323212345d10ca60afd496aaa9bdbae3ad8cd3d671f317c",
+    "sweep/sweep_8qam.csv": "28bcac00111f43bb5e1a5b53ed2028bc37bd2d771129ec86c8a93835467c55c9",
+    "sweep/sweep_16qam.csv": "98fac7806ae113bf5dfbc198cabfc5d8dc0537822c4234a15d71edbd1fc28200",
     "sweep/sweep.svg": "c2e7269a4365e7d08772ec757f52444fb45e0892ff5cdef02ef6c15055b062bf",
     "simulate/simulate.csv": "04a282fa124d37ab35cb3b1b39057bb61e193a9330a76adf653a2728dd64f550",
     "fit/surface.yaml": "2e4479cd0bb4a52283ece89ae12063764f2d1d8e8f96be7cb0472d07a74300c1",

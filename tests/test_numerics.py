@@ -153,7 +153,7 @@ MONOTONE = {
     "steep_tanh": (lambda x: math.tanh(1e3 * (x - 0.123)), 0.0, 1.0),
     "flat_at_root": (lambda x: x**9 - 1e-9, 0.0, 1.0),
     "tiny_root": (lambda x: x - 1e-200, 0.0, 0.5),
-    # just below the 64 halvings after which the search gallops
+    # 64 halvings below hi
     "root_near_the_gallop": (lambda x: x - 2.6e-20, 0.0, 0.5),
     "log": (lambda x: math.log(x / 0.7), 0.0, 1.0),
     # Regula falsi crawls from the low end here; the projection keeps
@@ -211,15 +211,6 @@ class TestBisect:
         assert converged and abs(root - 0.3) < 1e-9
         assert seen == midpoint_run(f, 0.0, 1.0, ToleranceConfig())
 
-    @pytest.mark.parametrize("root", [0.0, 1e-300, 1e-200, 1e-25], ids=str)
-    def test_root_decades_below_hi_gallops_in_the_exponent(self, root):
-        # Midpoint bisection takes 112-996 steps to reach these roots
-        # under a relative stopping rule; the search takes under 90.
-        tol = ToleranceConfig(1e-300, 1e-9, 1100)
-        x, steps, converged = bisect_root(lambda x: x - root, 0.0, 0.5, tol)
-        assert converged and steps <= 90
-        assert abs(x - root) <= max(tol.abs_tol, tol.rel_tol * root)
-
     def test_exact_zero_returns_at_once(self):
         assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 1, True)
 
@@ -239,47 +230,26 @@ class TestBisect:
         assert f(root - width) <= 0.0 <= f(root + width)
 
     @given(st.data())
-    def test_any_guess_keeps_the_contract(self, data):
-        # Guesses inside or outside the bracket, on one side of the root
-        # or around it, at an end or NaN; with or without the value at hi.
-        name = data.draw(st.sampled_from(sorted(MONOTONE)), label="f")
-        f, lo, hi = MONOTONE[name]
-        tol = data.draw(st.sampled_from([ToleranceConfig(), ToleranceConfig(1e-300, 1e-9, 1100)]))
-        root = bisect_root(f, lo, hi, ToleranceConfig(1e-300, 1e-15, 1100))[0]
-        w = hi - lo
-        point = st.one_of(
-            st.sampled_from([lo, hi, math.nan]),
-            st.floats(lo - w, hi + w),
-            st.floats(-1e-3, 1e-3).map(lambda d: root * math.exp(d) + d * 1e-12),
-        )
-        guess = tuple(data.draw(st.lists(point, max_size=2), label="guess"))
-        f_hi = f(hi) if data.draw(st.booleans(), label="f_hi known") else math.nan
-        seen = []
-        x, steps, converged = bisect_root(lambda v: seen.append(v) or f(v), lo, hi, tol, guess, f_hi)
-        assert all(lo < v < hi for v in seen) and steps == len(seen)
-        assert converged and steps <= len(midpoint_run(f, lo, hi, tol)) + 1
-        width = max(tol.abs_tol, tol.rel_tol * abs(x))
-        assert f(x - width) <= 0.0 <= f(x + width)
-
-    @given(st.data())
     def test_any_derivative_keeps_the_contract(self, data):
         # Newton steps on the derivative, on one scaled by up to 100 either
-        # way, or on a zero, negative, infinite or NaN one; with or without
-        # the value at hi, from which the first step can start.
+        # way, or on a zero, negative, infinite or NaN one; with the value
+        # at lo, at hi or at neither, from which the first step can start.
         name = data.draw(st.sampled_from(sorted(MONOTONE)), label="f")
         f, lo, hi = MONOTONE[name]
         tol = data.draw(st.sampled_from([ToleranceConfig(), ToleranceConfig(1e-300, 1e-9, 1100)]))
         scale = data.draw(st.sampled_from([1.0, 0.0, -1.0, math.inf, math.nan])
                           | st.floats(0.01, 100.0), label="scale")
-        f_hi = f(hi) if data.draw(st.booleans(), label="f_hi known") else math.nan
+        known = data.draw(st.sampled_from(["lo", "hi", "neither"]), label="end value known")
+        f_lo = (f(lo) if lo > 0.0 or name != "log" else -math.inf) if known == "lo" else math.nan
+        f_hi = f(hi) if known == "hi" else math.nan
 
         def df(x):  # a forward difference: f may be undefined below lo
             h = 1e-9 * x + 1e-300
             return scale * (f(x + h) - f(x)) / h
 
         seen = []
-        x, steps, converged = bisect_root(lambda v: seen.append(v) or f(v), lo, hi, tol, (),
-                                          f_hi, df)
+        x, steps, converged = bisect_root(lambda v: seen.append(v) or f(v), lo, hi, tol,
+                                          f_lo, f_hi, df)
         assert all(lo < v < hi for v in seen) and steps == len(seen)
         assert converged and steps <= len(midpoint_run(f, lo, hi, tol)) + 1
         width = max(tol.abs_tol, tol.rel_tol * abs(x))
@@ -299,7 +269,7 @@ class TestBisect:
         # 4 steps from the value at hi, where regula falsi takes 8 or 9.
         tol = ToleranceConfig(1e-300, 1e-9, 1100)
         hi = 1.1 * root
-        x, steps, converged = bisect_root(f, 0.0, hi, tol, (), f(hi), df)
+        x, steps, converged = bisect_root(f, 0.0, hi, tol, f_hi=f(hi), df=df)
         assert converged and steps <= 4
         width = tol.rel_tol * x
         assert f(x - width) <= 0.0 <= f(x + width)

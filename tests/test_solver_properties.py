@@ -213,8 +213,7 @@ def test_search_never_more_than_one_step_behind_bisection(p):
 
 @given(problems())
 def test_gap_calls_counted_and_never_repeated(p):
-    # The share searches evaluate no share twice; bisection counts every
-    # call, proportional all but the one at share 0.5 that picks its stream.
+    # The share searches evaluate no point twice, and count every call.
     with recorded_gap_calls() as calls:
         for solver in (solve_proportional, solve_bisection):
             calls.clear()
@@ -223,8 +222,7 @@ def test_gap_calls_counted_and_never_repeated(p):
             except DomainError:  # the proportional rule leaves the branch
                 continue
             assert len(set(calls)) == len(calls), (solver.__name__, calls)
-            probe = solver is solve_proportional and calls[:1] == [(0, 0.5)]
-            assert alloc.iterations == len(calls) - probe, solver.__name__
+            assert alloc.iterations == len(calls), solver.__name__
 
 
 # A modulation whose zero-power BER 0.5 leaves psi g = 1/6 there, so that

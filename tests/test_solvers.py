@@ -22,6 +22,7 @@ from sempower.perception import (
     solve_psi2_on_constraint,
 )
 from sempower.solvers import (
+    ORACLE_AGREEMENT_RTOL,
     PROPORTIONAL_ATOL,
     SEARCH_TOL,
     SOLVER_ORDER,
@@ -318,17 +319,25 @@ class TestBisection:
         assert len(calls) / 400 <= 5.5
 
     def test_gap_calls_on_fading_blocks(self):
-        # No search evaluates its gap twice at the same share, and
-        # iterations counts every call: all of bisection's, and all of
-        # proportional's but the one at share 0.5 that picks its stream.
+        # No search evaluates its gap twice at the same point, and
+        # iterations counts every call.
         with recorded_gap_calls() as calls:
             for p in fading_blocks():
                 for solver in (solve_bisection, solve_proportional):
                     calls.clear()
                     alloc = solver(p)
                     assert len(set(calls)) == len(calls), (solver.__name__, calls)
-                    probe = solver is solve_proportional and calls[0] == (0, 0.5)
-                    assert alloc.iterations == len(calls) - probe, solver.__name__
+                    assert alloc.iterations == len(calls), solver.__name__
+
+    def test_mean_proportional_steps_on_fading_blocks(self):
+        # Newton steps on the exact derivative of the lost-value difference
+        # from the line's midpoint: about 4 evaluations, every one counted,
+        # where the search on a share took 10.
+        with recorded_gap_calls() as calls:
+            for p in fading_blocks():
+                alloc = solve_proportional(p)
+                assert alloc.converged and abs(alloc.achieved_p - p.target) <= 1e-6
+        assert len(calls) / 400 <= 5.0
 
     @pytest.mark.parametrize("target", [0.4, 0.6, 0.8])
     def test_slope_constant_whose_product_underflows(self, target):
@@ -362,6 +371,20 @@ class TestGridOracle:
         (l1, _), (r1, _) = constraint_line_endpoints(s, p.target)
         grid_step = (math.log(r1) - math.log(max(l1, r1 * 1e-12))) / 8191
         assert abs(math.log(alloc.psi[0]) - math.log(psi_star)) <= 2 * grid_step
+
+    @pytest.mark.parametrize("tau1", [5e-324, 1e-300], ids=str)
+    def test_subnormal_ber_scale(self, ref_state, tau1):
+        # A grid from a fixed 1e-300 lay above the whole line at
+        # tau1 = 1e-300 (cost 181.7 against bisection's 55.6 at target
+        # 0.35) and could not start at tau1 = 5e-324, where the line's top
+        # psi1 is 0.
+        surface = replace(default_surface(), tau1=tau1)
+        for t in np.linspace(0.35, 0.92, 10):
+            p = replace(make_problem(ref_state, target=float(t)), surface=surface)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                cost_g = solve_grid_oracle(p).total_cost
+            assert cost_g <= solve_bisection(p).total_cost * (1.0 + ORACLE_AGREEMENT_RTOL)
 
     def test_grid_floor(self, default_problem):
         with pytest.raises(DomainError):
