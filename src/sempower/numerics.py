@@ -357,7 +357,9 @@ def bisect_root(
     ``f(x) > 0`` above it; NaN counts as above, and an exact zero is
     returned at once. The ends are never evaluated, so ``f`` may be
     undefined there; the caller vouches that the root lies inside (and
-    may pass ``f_lo`` or ``f_hi``, a value it has at an end).
+    may pass ``f_lo`` or ``f_hi``, a value it has at an end: an exact zero
+    there returns that end after 0 steps, and a value on the wrong side
+    of zero raises :class:`DomainError`).
 
     Each step interpolates the bracket values (regula falsi) and
     truncates towards the midpoint by ``0.1 width^2``, or by 1/16 of the
@@ -380,6 +382,11 @@ def bisect_root(
     floats, the number of calls to ``f``, and False when ``max_iter``
     steps did not get there (``x``: the last midpoint).
     """
+    if f_lo > 0.0 or f_hi < 0.0:
+        raise DomainError(f"end values {f_lo!r} at {lo!r} and {f_hi!r} at {hi!r} do not "
+                          "bracket a sign change from below to above")
+    if f_lo == 0.0 or f_hi == 0.0:
+        return (lo if f_lo == 0.0 else hi), 0, True
     tol = tol or ToleranceConfig()
     abs_tol, rel_tol, max_iter = tol.abs_tol, tol.rel_tol, tol.max_iter
     last, y = (lo, f_lo) if f_lo == f_lo else (hi, f_hi)  # y = f(last)

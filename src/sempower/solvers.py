@@ -35,7 +35,8 @@ shares keep full relative precision down to the subnormals.
 
 Every search is the bracketed ITP search of :func:`bisect_root` on a
 logarithm, never more than midpoint bisection's count plus one step.
-``proportional`` and ``bisection`` take Newton steps on exact
+``equal_snr`` brackets its common SNR in closed form: 6 evaluations or
+so. ``proportional`` and ``bisection`` take Newton steps on exact
 derivatives, ``bisection`` from the closed-form high-SNR optimum: 4
 evaluations or so each.
 
@@ -101,6 +102,8 @@ SEARCH_TOL = ToleranceConfig(abs_tol=1e-9, rel_tol=1e-300, max_iter=100)
 _TINY = 5e-324  # the smallest positive double
 # Largest |P - p_bar| a proportional allocation may leave.
 PROPORTIONAL_ATOL = 1e-9
+# Largest |P - p_bar| an equal-SNR allocation may leave: acceptance c03's.
+EQUAL_SNR_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,10 @@ _Line = namedtuple("_Line", "box u top links w")  # one solve's set-up: see _lin
 
 
 def _finish(p: ProblemSpec, line: _Line, psi: tuple[float, float], solver: str, iterations: int,
-            converged: bool = True, q: tuple[float, float] | None = None) -> Allocation:
+            converged: bool = True, q: tuple[float, float] | None = None,
+            atol: float = math.inf, why: str = "") -> Allocation:
+    """The allocation at ``psi``; a converged one that misses the target by
+    more than ``atol`` raises :class:`DomainError`, saying ``why``."""
     w = line.w
     q = _powers(line.links, psi) if q is None else q
     cost = w[0] * q[0] + w[1] * q[1]
@@ -202,10 +208,14 @@ def _finish(p: ProblemSpec, line: _Line, psi: tuple[float, float], solver: str, 
         raise DomainError(
             f"{solver}: the total cost of powers {q[0]:g} W and {q[1]:g} W overflows"
         )
+    achieved = eval_surface(p.surface, psi[0], psi[1])
+    if converged and abs(achieved - p.target) > atol:
+        raise DomainError(f"{solver} misses target {p.target:g} by "
+                          f"{abs(achieved - p.target):.3g}: {why}")
     return Allocation(
         q=q,
         psi=(float(psi[0]), float(psi[1])),
-        achieved_p=eval_surface(p.surface, psi[0], psi[1]),
+        achieved_p=achieved,
         total_cost=cost,
         solver=solver,
         iterations=iterations,
@@ -244,17 +254,20 @@ def _line(p: ProblemSpec, solver: str) -> _Line | Allocation:
 def solve_equal_snr(p: ProblemSpec) -> Allocation:
     """Semantic-unaware baseline: both streams at the same received SNR.
 
-    The common SNR at which the decays ``u1 + u2`` of the two BERs reach
-    ``U`` (:func:`decay_shares`), that is where ``P = target``, is
-    bracketed by the first power of 4 that meets the target and the one
-    before it (or the smallest double, below 1) and found by
-    :func:`bisect_root` on ``log U - log(u1 + u2)`` in ``log g``; powers
-    follow as ``g * noise_i / gain_i``.
-    ``iterations`` counts the search steps.
+    :func:`bisect_root` finds the common SNR ``g`` where the decays of the
+    two BERs sum to ``U`` (:func:`decay_shares`), that is ``P = target``,
+    on ``log U - log(u1 + u2)`` in ``log g``. There each decay is at most
+    ``U`` and the larger at least ``U/2``, so the largest SNRs that put a
+    stream's decay at ``U`` and at ``U/2`` bracket it in closed form. The
+    search starts from the gap's value at the lower end; ``iterations``
+    counts every gap evaluation. Powers follow as ``g * noise_i / gain_i``.
+    A target missed by more than :data:`EQUAL_SNR_ATOL` raises
+    :class:`DomainError`: ``P`` moves too steeply with ``g`` there (or
+    jumps, at a subnormal ``tau``).
     """
     if isinstance(line := _line(p, "equal_snr"), Allocation):
         return line
-    u = line.u
+    box, u, top, links = line[:4]
     m1, m2 = (s.modulation for s in p.streams)
     sf = p.surface
 
@@ -263,28 +276,27 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
         try:
             d = ((ber_from_snr(m1, g) / sf.tau1) ** sf.beta1
                  + (ber_from_snr(m2, g) / sf.tau2) ** sf.beta2)
-        except OverflowError:  # a decay beyond binary64 is far above U
-            return -math.inf
+        except OverflowError:  # a decay far above U, near a lo set by the
+            return -math.inf  # smallest double in place of a smaller psi g
         return log_u - math.log(d) if d > 0.0 else math.inf
 
-    # The first power of 4 that meets the target ends the search above and
-    # the one before it (below 1, the smallest double) below; the search
-    # starts from the values the scan saw.
-    log_u, lo, f_lo = math.log(u), math.log(_TINY), math.nan
-    for k in range(80):
-        hi = k * math.log(4.0)
-        if (f_hi := gap(hi)) > 0.0:
-            break
-        lo, f_lo = hi, f_hi
-    else:
-        raise InfeasibleError("could not bracket the equal-SNR solution")
-    v, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, f_lo, f_hi)
+    def snr(c: _Inversion, psi: float) -> float:  # not clamped at PSI_FLOOR: hi stays above
+        x = _quantile(max(psi * c.g, _TINY))  # a smaller product only lowers lo
+        return x * x / c.b
+
+    # Each stream's decay is U at its share top (or its BER is at the box)
+    # and U/2 at a share of 1/2; the gap at lo is at most 0 but for rounding.
+    log_u = math.log(u)
+    lo, hi = (math.log(max(map(snr, links, line_point(sf, u, shares, box))) or _TINY)
+              for shares in (top, (min(0.5, top[0]), min(0.5, top[1]))))
+    v, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, min(gap(lo), 0.0))
     g_star = math.exp(v)
     psi = (ber_from_snr(m1, g_star), ber_from_snr(m2, g_star))
     # Equal SNR fixes the powers directly; BER inversion would amplify
     # rounding where the curve is flat, so use the exact values.
     q = tuple(g_star * s.channel.noise_w / s.channel.gain for s in p.streams)
-    return _finish(p, line, psi, "equal_snr", steps, converged, q)
+    return _finish(p, line, psi, "equal_snr", steps + 1, converged, q, EQUAL_SNR_ATOL,
+                   "P moves too steeply with the common SNR to meet it")
 
 
 def _shares(z: float) -> tuple[float, float]:
@@ -372,13 +384,8 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
             )
     shares, steps, converged = _share_search(top, lambda z: lost_gap(_shares(z)), math.nan,
                                              lambda z: slope_of_gap[0])
-    alloc = _finish(p, line, line_point(sf, u, shares, box), "proportional", steps, converged)
-    if converged and abs(alloc.achieved_p - p.target) > PROPORTIONAL_ATOL:
-        raise DomainError(
-            f"proportional rule misses target {p.target:g} by "
-            f"{abs(alloc.achieved_p - p.target):.3g}: its point rounds off the constraint line"
-        )
-    return alloc
+    return _finish(p, line, line_point(sf, u, shares, box), "proportional", steps, converged,
+                   atol=PROPORTIONAL_ATOL, why="its point rounds off the constraint line")
 
 
 def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
@@ -415,7 +422,8 @@ def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
         if x <= 0.0:
             return -math.inf, -math.inf
         h = log(pg) + 0.5 * x * x  # log(pg): x is the quantile of pg as rounded
-        value = log(x / (beta * share)) + h - log_g
+        r = x / (beta * share)  # beyond binary64 near a share of e^-707: take its log in parts
+        value = (log(r) if r < math.inf else log(x) - log(beta) - log(share)) + h - log_g
         return value, -1.0 if capped else d0 - (x + 1.0 / x) * d1 * exp(h)
 
     return slope

@@ -214,6 +214,20 @@ class TestBisect:
     def test_exact_zero_returns_at_once(self):
         assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 1, True)
 
+    @pytest.mark.parametrize("ends, end", [((0.0, math.nan), 0.0), ((math.nan, 0.0), 1.0),
+                                           ((0.0, 0.7), 0.0), ((-0.3, 0.0), 1.0)])
+    def test_an_end_value_of_zero_returns_that_end(self, ends, end):
+        seen = []
+        assert bisect_root(lambda x: seen.append(x) or x - 0.3, 0.0, 1.0, None,
+                           *ends) == (end, 0, True)
+        assert not seen
+
+    @pytest.mark.parametrize("ends", [(1.0, 1.0), (-1.0, -1.0), (math.inf, math.nan),
+                                      (math.nan, -math.inf)])
+    def test_an_end_value_on_the_wrong_side_raises(self, ends):
+        with pytest.raises(DomainError, match="do not bracket a sign change"):
+            bisect_root(lambda x: x - 0.3, 0.0, 1.0, None, *ends)
+
     @pytest.mark.parametrize(
         "f, lo, hi, tol, parent_steps",
         [(lambda x: -math.cos(x), 0.0, 3.0, ToleranceConfig(), 13),

@@ -230,8 +230,17 @@ def test_gap_calls_counted_and_never_repeated(p):
 WIDE = ModulationScheme("wide", 2, 3.0, 1.0)
 
 
+def _both_surfaces_at_a_tenth():
+    # At a share of e^-707 the BER is still 6e-309, but x / (beta share)
+    # leaves binary64 while the slope's other terms do not.
+    s = StreamSpec(1, preset("bpsk"), ChannelState(gain=1.0, noise_w=NOISE_W),
+                   StreamCurve(0.0, 1.0, 0.1, 1.0))
+    return ProblemSpec((s, s), SurfaceParams(0.0, 1.0, 0.1, 0.1, 1.0, 1.0), target=0.5)
+
+
 @given(problems(), st.integers(0, 1), st.booleans(), st.booleans(), st.floats(-745.0, 1.0),
        st.floats(-3.0, 3.0))
+@example(_both_surfaces_at_a_tenth(), 0, False, False, -707.0, 0.0)
 def test_share_slope_derivative_matches_finite_differences(p, i, wide, near_cap, log_share,
                                                            past_cap):
     # The derivative in log s that the Newton steps use, against a central

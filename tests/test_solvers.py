@@ -144,6 +144,53 @@ class TestEqualSnr:
             alloc = solve_equal_snr(p)
         assert abs(alloc.achieved_p - p.target) < 1e-6
 
+    def test_gap_calls_on_fading_blocks(self, monkeypatch):
+        # The closed-form bracket leaves about 6 evaluations of the gap,
+        # every one counted. Each evaluation reads both streams' BERs, and
+        # so does the finished allocation.
+        import sempower.solvers as solvers_mod
+
+        calls = []
+        monkeypatch.setattr(solvers_mod, "ber_from_snr",
+                            lambda m, g: calls.append(g) or ber_from_snr(m, g))
+        counts = []
+        for p in fading_blocks():
+            calls.clear()
+            alloc = solve_equal_snr(p)
+            assert alloc.converged and abs(alloc.achieved_p - p.target) <= 1e-6
+            assert alloc.iterations == (len(calls) - 2) / 2
+            counts.append(alloc.iterations)
+        assert sum(counts) / len(counts) <= 7.0 and max(counts) <= 10
+
+    def test_root_at_the_lower_end_of_the_bracket(self, ref_state):
+        # At tau1 = 1e-200 the common SNR holds both BERs near 1e-200, where
+        # stream 2's decay is negligible: the point is where stream 1's
+        # decay alone is U, the lower end of the bracket, and the gap there
+        # rounds to just above 0.
+        p = replace(make_problem(ref_state), surface=replace(default_surface(), tau1=1e-200))
+        alloc = solve_equal_snr(p)
+        assert alloc.iterations == 1 and alloc.total_cost == 2653.809187405921
+
+    def test_a_target_no_common_snr_meets_is_refused(self, ref_state):
+        # At tau1 = 5e-324 stream 1's decay leaps from 0 to beyond binary64
+        # as its BER leaves the subnormals, so P jumps past the target.
+        p = replace(make_problem(ref_state), surface=replace(default_surface(), tau1=5e-324))
+        with pytest.raises(DomainError, match="equal_snr misses target 0.6 by"):
+            solve_equal_snr(p)
+        assert solve_bisection(p).total_cost == pytest.approx(45.78, rel=1e-3)
+
+    def test_decay_beyond_binary64_inside_the_bracket(self):
+        # psi g at stream 1's decay U is below the smallest double, so the
+        # bracket starts where its BER may still be 1e6 * 5e-324, whose
+        # decay at tau1 = 5e-324 and beta1 = 60 overflows: far above U.
+        curve = StreamCurve(0.1, 0.9, 1e-3, 1.0)
+        link = ChannelState(gain=1.0, noise_w=1e-14)
+        streams = (StreamSpec(1024, ModulationScheme("loud", 2, 1e6, 1.0), link, curve),
+                   StreamSpec(1024, preset("16qam"), link, curve))
+        p = ProblemSpec(streams, SurfaceParams(0.0, 1.0, 5e-324, 1e-3, 60.0, 1.0), 0.6)
+        with pytest.raises(DomainError, match="equal_snr misses target 0.6 by"):
+            solve_equal_snr(p)
+
 
 class TestProportional:
     def test_ratio_contract(self, default_problem):
