@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .numerics import Rng
+from .numerics import Rng, np
 
 __all__ = [
     "ChannelParams",

@@ -29,11 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .channel import ChannelState
 from .errors import DomainError
-from .numerics import _q_inv, q_function, q_inverse
+from .numerics import _q_inv, np, q_function, q_inverse
 
 __all__ = [
     "ModulationScheme",

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
+from statistics import _normal_dist_inv_cdf
 from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -34,6 +32,27 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+class _Numpy:
+    """numpy, imported when the first attribute is looked up.
+
+    Each name is fetched from numpy once and kept on the instance, so
+    every later lookup is a plain attribute hit. Dunder names are
+    refused, so that introspection does not load numpy.
+    """
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 @dataclass(frozen=True)
@@ -202,9 +221,6 @@ def _q(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-_q_many = np.frompyfunc(_q, 1, 1)
-
-
 def q_function(x):
     """Upper-tail probability of the standard normal distribution.
 
@@ -217,10 +233,12 @@ def q_function(x):
     if isinstance(x, float):
         return _q(x)
     arr = np.asarray(x, dtype=float)
-    return _q(float(arr)) if arr.ndim == 0 else _q_many(arr).astype(float)
+    return _q(float(arr)) if arr.ndim == 0 else np.frompyfunc(_q, 1, 1)(arr).astype(float)
 
 
-_quantile = NormalDist().inv_cdf
+def _quantile(p: float) -> float:
+    """The standard normal quantile of ``p`` in (0, 1): the standard library's AS241."""
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def _q_inv(p: float) -> float:
@@ -305,11 +323,11 @@ def q_inverse(p):
     ``p`` to well inside 1e-8. On the upper branch the accuracy is
     capped at ``ulp(1) / (2 pdf(x))`` by the binary64 representation of
     ``p`` itself. Negative results for ``p > 0.5``, exactly ``+0.0`` at
-    ``p = 0.5``. A float goes to :class:`statistics.NormalDist`'s
-    ``inv_cdf`` and comes back as a float. Arrays are checked and
-    evaluated in one numpy pass over the same coefficients in the same
-    order; numpy's ``log`` is not libm's, so an element can differ from
-    the float path by up to 4 ulps.
+    ``p = 0.5``. A float goes to the AS241 kernel behind
+    :class:`statistics.NormalDist`'s ``inv_cdf`` and comes back as a
+    float. Arrays are checked and evaluated in one numpy pass over the
+    same coefficients in the same order; numpy's ``log`` is not libm's,
+    so an element can differ from the float path by up to 4 ulps.
     """
     if isinstance(p, float):
         if not 0.0 < p < 1.0:  # NaN fails too

@@ -33,13 +33,14 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError, DomainError, InfeasibleError, SingularityError
-from .numerics import Rng, ToleranceConfig
+from .numerics import Rng, ToleranceConfig, np
 
 __all__ = [
     "PSI_MAX",
@@ -81,7 +82,7 @@ PSI_MAX = 0.5
 # Rounding level of P, which lies in [0, 1]: eval_surface and the
 # closed-form constraint inverse are exact to a few ulps of 1, so a
 # target that close to a slice end is on the slice.
-_P_ROUNDING = 8 * np.finfo(float).eps
+_P_ROUNDING = 8 * sys.float_info.epsilon
 
 # Semantic values of the transmitted prompt and edge streams.
 L_PROMPT = 0.5887
@@ -155,13 +156,22 @@ def _check_psi(psi, what: str = "psi") -> np.ndarray:
     return arr
 
 
-def _decay_term(psi: float, tau: float, beta: float) -> float:
-    """``(psi/tau)^beta`` of floats, rounded as numpy's ``power`` rounds it."""
+def _decay(psi: float, tau: float, beta: float) -> float:
+    """``(psi/tau)^beta`` by libm's ``pow``; infinite beyond binary64."""
     r = psi / tau
-    if beta == 1.0:  # numpy's power is exact there too
-        return r
-    with np.errstate(over="ignore"):
-        return float(np.power(r, beta))
+    try:
+        if r < math.inf:
+            return r ** beta
+        # psi/tau alone leaves binary64 (a subnormal tau): take the power in logs
+        return math.exp(beta * (math.log(psi) - math.log(tau)))
+    except OverflowError:
+        return math.inf
+
+
+def _surface(s: SurfaceParams, psi1: float, psi2: float) -> float:
+    """:func:`eval_surface` at two checked floats: the kernel of both of its paths."""
+    u = _decay(psi1, s.tau1, s.beta1) + _decay(psi2, s.tau2, s.beta2)
+    return s.p0 + (s.pmax - s.p0) * -math.expm1(-u)
 
 
 def eval_surface(s: SurfaceParams, psi1, psi2):
@@ -171,11 +181,11 @@ def eval_surface(s: SurfaceParams, psi1, psi2):
     BER domain ``[0, 0.5]^2``. Evaluated as
     ``p0 + (pmax - p0) * (1 - exp(-u))`` with ``expm1``, which is exact
     at the floor and accurate for small decay arguments. A decay beyond
-    binary64 is infinite and gives exactly ``pmax``. Two floats skip the
-    array conversion and checks but keep numpy's ``power`` and ``expm1``
-    kernels, so they are bit-identical to the array path: Python's ``**``
-    and ``math.expm1`` are libm's, which differ from numpy's in the last
-    bit on a few percent of inputs.
+    binary64 is infinite and gives exactly ``pmax``. One kernel serves
+    both paths: libm's ``pow`` (Python's ``**``) and ``math.expm1``. Two
+    floats go to it directly, without the array conversion and checks;
+    arrays go through it element by element, so every element is
+    bit-identical to the float result.
     """
     if isinstance(psi1, float) and isinstance(psi2, float):
         # numpy scalars become floats, whose division overflows without a warning
@@ -184,16 +194,14 @@ def eval_surface(s: SurfaceParams, psi1, psi2):
             raise DomainError(f"psi1 must lie in [0, {PSI_MAX}]")
         if not 0.0 <= psi2 <= PSI_MAX:
             raise DomainError(f"psi2 must lie in [0, {PSI_MAX}]")
-        u = _decay_term(psi1, s.tau1, s.beta1) + _decay_term(psi2, s.tau2, s.beta2)
-        return s.p0 + (s.pmax - s.p0) * -float(np.expm1(-u))
+        return _surface(s, psi1, psi2)
     a1 = _check_psi(psi1, "psi1")
     a2 = _check_psi(psi2, "psi2")
+    if a1.ndim == 0 and a2.ndim == 0:
+        return _surface(s, float(a1), float(a2))
+    # the overflow flag a caught OverflowError leaves set would otherwise warn
     with np.errstate(over="ignore"):
-        u = (a1 / s.tau1) ** s.beta1 + (a2 / s.tau2) ** s.beta2
-    out = s.p0 + (s.pmax - s.p0) * (-np.expm1(-u))
-    if np.ndim(psi1) == 0 and np.ndim(psi2) == 0:
-        return float(out)
-    return out
+        return np.frompyfunc(partial(_surface, s), 2, 1)(a1, a2).astype(float)
 
 
 def surface_partials(s: SurfaceParams, psi1, psi2):
@@ -284,9 +292,21 @@ def invert_surface_psi2(s: SurfaceParams, psi1, p_bar: float, psi2_max: float = 
     """
     a1 = np.asarray(psi1, dtype=float)
     u = -math.log1p(-(p_bar - s.p0) / (s.pmax - s.p0))
-    rest = np.maximum(u - (a1 / s.tau1) ** s.beta1, 0.0)
-    out = np.minimum(s.tau2 * rest ** (1.0 / s.beta2), psi2_max)
+    try:
+        with np.errstate(over="raise"):
+            rest = np.maximum(u - (a1 / s.tau1) ** s.beta1, 0.0)
+            psi2 = s.tau2 * rest ** (1.0 / s.beta2)
+    except FloatingPointError:  # a ratio or power beyond binary64: the float kernels use logs
+        with np.errstate(over="ignore"):
+            psi2 = np.asarray(np.frompyfunc(partial(_psi2_on_line, s, u), 1, 1)(a1), dtype=float)
+    out = np.minimum(psi2, psi2_max)
     return float(out) if a1.ndim == 0 else out
+
+
+def _psi2_on_line(s: SurfaceParams, u: float, psi1: float) -> float:
+    """:func:`invert_surface_psi2` at one float ``psi1``, before the clip."""
+    rest = u - _decay(psi1, s.tau1, s.beta1)
+    return _ber_of_decay(s.tau2, rest if rest > 0.0 else 0.0, 1.0 / s.beta2)
 
 
 def solve_psi2_on_constraint(
@@ -338,10 +358,7 @@ def decay_shares(
 
 
 def _top_share(psi_max: float, tau: float, beta: float, u: float) -> float:
-    try:
-        share = (psi_max / tau) ** beta / u
-    except OverflowError:  # a decay beyond binary64 is far above U
-        return 1.0
+    share = _decay(psi_max, tau, beta) / u  # a decay beyond binary64 is far above U
     return share if share < 1.0 else 1.0  # min(1, share), without the call
 
 
@@ -356,12 +373,24 @@ def _line_ends(top) -> tuple[tuple[float, float], tuple[float, float]]:
     return ((end1 if end1 > 0.0 else 0.0, top[1]), (top[0], end2 if end2 > 0.0 else 0.0))
 
 
+def _ber_of_decay(tau: float, x: float, inv_beta: float) -> float:
+    """The BER ``tau x^(1/beta)`` whose decay is ``x``; infinite beyond binary64."""
+    try:
+        return tau * x ** inv_beta
+    except OverflowError:  # x^(1/beta) leaves binary64, but tau x^(1/beta) may not
+        pass
+    try:
+        return math.exp(math.log(tau) + math.log(x) * inv_beta)
+    except OverflowError:
+        return math.inf
+
+
 def line_point(
     s: SurfaceParams, u: float, shares, psi_max: tuple[float, float] = (PSI_MAX, PSI_MAX)
 ) -> tuple[float, float]:
     """The BERs ``psi_i = tau_i (s_i U)^(1/beta_i)`` at ``shares``, clipped to the box."""
-    psi1 = s.tau1 * (shares[0] * u) ** (1.0 / s.beta1)
-    psi2 = s.tau2 * (shares[1] * u) ** (1.0 / s.beta2)
+    psi1 = _ber_of_decay(s.tau1, shares[0] * u, 1.0 / s.beta1)
+    psi2 = _ber_of_decay(s.tau2, shares[1] * u, 1.0 / s.beta2)
     return (psi_max[0] if psi_max[0] < psi1 else psi1, psi_max[1] if psi_max[1] < psi2 else psi2)
 
 
@@ -438,8 +467,8 @@ _N_SURFACE_PARAMS = 6
 # log beta2). The scale and shape boxes keep (psi/tau)^beta below
 # (0.5/1e-12)^20 = exp(539) for every psi in the BER domain, so no
 # iterate overflows.
-_FIT_LOWER = np.r_[0.0, 0.0, np.log([1e-12, 1e-12, 0.05, 0.05])]
-_FIT_UPPER = np.r_[1.0, 1.0, np.log([1e3, 1e3, 20.0, 20.0])]
+_FIT_LOWER = (0.0, 0.0, *map(math.log, (1e-12, 1e-12, 0.05, 0.05)))
+_FIT_UPPER = (1.0, 1.0, *map(math.log, (1e3, 1e3, 20.0, 20.0)))
 
 # Levenberg–Marquardt: step budget, relative step and cost tolerance,
 # starting damping (relative to Marquardt's scaling), and the damping
@@ -481,7 +510,8 @@ def fit_surface(data: SampleSet, init: SurfaceParams | None = None) -> FitResult
     if np.ptp(data.p) == 0.0:
         raise DomainError("P is constant over the samples; the surface is not identifiable")
     residual, jacobian, x0 = _fit_problem(data, init)
-    x, cost, converged, steps, evals = _bounded_lm(residual, jacobian, x0, _FIT_LOWER, _FIT_UPPER)
+    x, cost, converged, steps, evals = _bounded_lm(residual, jacobian, x0,
+                                                   np.array(_FIT_LOWER), np.array(_FIT_UPPER))
     if not x[0] < x[1]:
         raise DomainError(
             f"surface fit failed: it ended with p0={x[0]:.6g} >= pmax={x[1]:.6g}, "

@@ -54,12 +54,10 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelState
 from .errors import DomainError
 from .modulation import ModulationScheme, ber_from_snr
-from .numerics import Rng
+from .numerics import Rng, np
 
 __all__ = ["SimConfig", "simulate_ber", "simulate_stream_report", "StreamSimResult"]
 
@@ -75,7 +73,6 @@ class SimConfig:
             raise DomainError(f"n_bits must be >= 1, got {self.n_bits}")
 
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 # Box-Muller pairs per block; fixed, so the blocks and their draws are too
 _BLOCK_PAIRS = 1 << 16
 
@@ -131,6 +128,7 @@ def simulate_ber(m: ModulationScheme, state: ChannelState, q: float, cfg: SimCon
         gray = pos ^ (pos >> 1)  # word at each level position; argsort inverts it
         level_of_word = ((2.0 * pos - top) / norm)[np.argsort(gray)]
         grids.append((col, nb, top, gray, level_of_word))
+    popcount = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
     def count(p0: int) -> int:
         # pairs [p0, p1): their cosines belong to symbols [p0, p1), their
@@ -159,7 +157,7 @@ def simulate_ber(m: ModulationScheme, state: ChannelState, q: float, cfg: SimCon
                 x = (amp * level_of_word[words] + sigma * (r[:n] * trig(ang[:n]))) / amp_eff
                 # invert the level map, round to the nearest level, clip to the grid
                 pos_hat = np.clip(np.rint((x * norm + top) / 2.0), 0, top).astype(np.int64)
-                errors += int(_POPCOUNT[words ^ gray[pos_hat]].sum())
+                errors += int(popcount[words ^ gray[pos_hat]].sum())
         return errors
 
     starts = range(0, half, _BLOCK_PAIRS)

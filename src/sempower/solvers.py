@@ -54,8 +54,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .channel import ChannelState
 from .errors import DomainError, InfeasibleError, SempowerWarning
 from .modulation import (
@@ -67,10 +65,12 @@ from .modulation import (
     ber_from_snr,
     power_from_ber,
 )
-from .numerics import ToleranceConfig, _quantile, bisect_root
+from .numerics import ToleranceConfig, _quantile, bisect_root, np
 from .perception import (
     StreamCurve,
     SurfaceParams,
+    _ber_of_decay,
+    _decay,
     _line_ends,
     decay_shares,
     eval_surface,
@@ -273,11 +273,10 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
 
     def gap(v: float) -> float:  # log U - log(u1 + u2) at g = e^v: about linear in g
         g = math.exp(v)
-        try:
-            d = ((ber_from_snr(m1, g) / sf.tau1) ** sf.beta1
-                 + (ber_from_snr(m2, g) / sf.tau2) ** sf.beta2)
-        except OverflowError:  # a decay far above U, near a lo set by the
-            return -math.inf  # smallest double in place of a smaller psi g
+        # a decay beyond binary64 (near a lo set by the smallest double in
+        # place of a smaller psi g) is infinite, and so is its logarithm
+        d = (_decay(ber_from_snr(m1, g), sf.tau1, sf.beta1)
+             + _decay(ber_from_snr(m2, g), sf.tau2, sf.beta2))
         return log_u - math.log(d) if d > 0.0 else math.inf
 
     def snr(c: _Inversion, psi: float) -> float:  # not clamped at PSI_FLOOR: hi stays above
@@ -413,7 +412,7 @@ def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
     d0, d1 = inv_beta - 1.0, math.sqrt(2.0 * math.pi) * inv_beta  # M = sqrt(2 pi) e^h
 
     def slope(share: float) -> tuple[float, float]:
-        psi = tau * (share * u) ** inv_beta
+        psi = _ber_of_decay(tau, share * u, inv_beta)
         capped = cap < psi
         pg = (cap if capped else psi) * g  # min(psi, cap) g, without the call
         if pg == 0.0:
@@ -483,12 +482,21 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
         return a - b + offset
 
     found, steps, converged = _share_search(top, gap, -e, lambda z: slope_of_gap[0])
-    best = None
-    for shares in (found, *_line_ends(top)):
+    psi = line_point(sf, u, found, box)
+    q = _powers(links, psi)
+    best = w[0] * q[0] + w[1] * q[1], psi, q
+    for shares in _line_ends(top):
         psi = line_point(sf, u, shares, box)
-        q = _powers(links, psi)
+        # Price the stream starved of its share first: the end is no
+        # cheaper than the best point when that term alone is not.
+        j = 0 if shares[0] < shares[1] else 1
+        qj = _power(links[j], PSI_FLOOR if PSI_FLOOR > psi[j] else psi[j])
+        if w[j] * qj >= best[0]:
+            continue
+        qk = _power(links[1 - j], PSI_FLOOR if PSI_FLOOR > psi[1 - j] else psi[1 - j])
+        q = (qj, qk) if j == 0 else (qk, qj)
         cost = w[0] * q[0] + w[1] * q[1]
-        if best is None or cost < best[0]:
+        if cost < best[0]:
             best = cost, psi, q
     return _finish(p, line, best[1], "bisection", steps, converged, best[2])
 

@@ -148,6 +148,24 @@ def imported_modules(*argv, cwd=None):
     return [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if "|" in line]
 
 
+# Float solves leave numpy unloaded; the array call given loads it.
+FIRST_USE = """
+import sys
+import sempower, sempower.cli
+from sempower import (ChannelState, ProblemSpec, StreamSpec, default_edge_curve,
+                      default_prompt_curve, default_surface, preset, solve)
+link = ChannelState(gain=1e-10, noise_w=1e-14)
+p = ProblemSpec((StreamSpec(1024, preset("bpsk"), link, default_prompt_curve()),
+                 StreamSpec(8192, preset("16qam"), link, default_edge_curve())),
+                default_surface(), 0.6)
+for name in ("bisection", "proportional", "equal_snr"):
+    solve(p, name)
+print("numpy" not in sys.modules and "numpy-free")
+print({call})
+print("numpy" in sys.modules and "numpy")
+"""
+
+
 class TestStartup:
     """No command loads scipy: it is a test-only dependency."""
 
@@ -171,6 +189,28 @@ class TestStartup:
         assert "sempower.perception" in loaded
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
         assert (tmp_path / "out" / output).is_file()
+
+    @pytest.mark.parametrize("argv", [["-c", "import sempower.cli"],
+                                      ["-m", "sempower.cli", "--version"]],
+                             ids=["import", "version"])
+    def test_numpy_not_imported(self, argv):
+        loaded = imported_modules(*argv)
+        assert "sempower.solvers" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+    @pytest.mark.parametrize("call, printed", [
+        ('solve(p, "grid_oracle").feasible', "True"),
+        ("sempower.q_inverse([0.5, 0.5]).tolist()", "[0.0, 0.0]"),
+        ("len(sempower.Rng(1).normal(4))", "4"),
+    ], ids=["grid_oracle", "q_inverse", "rng"])
+    def test_numpy_loads_on_first_use(self, call, printed):
+        # A fresh process, as this one has numpy loaded already.
+        src = str(Path(sempower.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", FIRST_USE.format(call=call)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["numpy-free", printed, "numpy"]
 
 
 class TestSolve:

@@ -109,6 +109,15 @@ class TestEvalSurface:
         assert eval_surface(OVERFLOWING, PSI_MAX, PSI_MAX) == OVERFLOWING.pmax
         assert eval_surface(OVERFLOWING, np.array([PSI_MAX]), PSI_MAX)[0] == OVERFLOWING.pmax
 
+    def test_decay_whose_ratio_overflows_stays_finite(self):
+        # psi/tau leaves binary64 at a subnormal tau, but (psi/tau)^beta does not
+        s = SurfaceParams(p0=0.3, pmax=0.999, tau1=2.66e-319, tau2=5e-3, beta1=0.00179, beta2=1.0)
+        u = math.exp(s.beta1 * (math.log(0.25) - math.log(s.tau1)))
+        want = s.p0 + (s.pmax - s.p0) * -math.expm1(-u)
+        assert 3.0 < u < 4.0
+        assert eval_surface(s, 0.25, 0.0) == want
+        assert eval_surface(s, np.array([0.25]), 0.0)[0] == want
+
     def test_domain_errors(self):
         s = default_surface()
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import pytest
 
 from sempower import numerics
 from sempower.channel import ChannelState, make_channel_state
-from sempower.errors import DomainError, InfeasibleError, SempowerWarning
+from sempower.errors import DomainError, InfeasibleError, SempowerError, SempowerWarning
 from sempower.modulation import ModulationScheme, ber_from_snr, preset, zero_power_ber
 from sempower.numerics import ToleranceConfig
 from sempower.perception import (
@@ -93,6 +93,27 @@ class TestOverflow:
         with pytest.raises(DomainError, match="equal_snr: the total cost .* overflows"):
             solve_equal_snr(p)
         assert math.isfinite(solve_bisection(p).total_cost)
+
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["stream2", "stream1"])
+    def test_surface_whose_line_point_leaves_binary64(self, swap):
+        # (s U)^(1/beta) overflows at beta 0.00179, but tau (s U)^(1/beta)
+        # does not at a subnormal tau; psi/tau overflows there too.
+        m = ModulationScheme("c", 4, 1.0, 1.0)
+        link = ChannelState(gain=1e-10, noise_w=1e-13)
+        streams = (StreamSpec(1024, m, link, default_prompt_curve()),
+                   StreamSpec(8192, m, link, default_edge_curve()))
+        tau, beta = (5e-3, 2.66e-319), (1.0, 0.00179)
+        if swap:
+            streams, tau, beta = streams[::-1], tau[::-1], beta[::-1]
+        p = ProblemSpec(streams, SurfaceParams(0.3, 0.999, *tau, *beta), target=0.988)
+        for name in SOLVER_ORDER:
+            try:
+                alloc = solve(p, name)
+            except SempowerError:
+                continue
+            assert all(math.isfinite(v) for v in (*alloc.q, alloc.total_cost)), name
+            assert abs(alloc.achieved_p - p.target) <= 1e-6, name
 
 
 class TestEqualSnr:
