@@ -6,10 +6,10 @@ smooth functions, Newton given the derivative, from an end value the
 caller has), central finite differences, and a small counter-based
 random generator used for every stochastic draw in the package. The
 tail is ``math.erfc`` and its inverse the standard library's normal
-quantile (Wichura's AS241) for a float; arrays of probabilities take
-the same AS241 in one numpy pass, within 4 ulps of the float path. The
-package does not need scipy. All routines are deterministic, double
-precision, and free of global state.
+quantile (Wichura's AS241); arrays go element by element through the
+same float kernels, so every element is bit-identical to the float
+result. The package does not need scipy. All routines are
+deterministic, double precision, and free of global state.
 """
 
 from __future__ import annotations
@@ -246,73 +246,6 @@ def _q_inv(p: float) -> float:
     return -_quantile(p) + 0.0
 
 
-# Wichura's AS241 coefficients, highest power first, as in the standard
-# library's ``statistics._normal_dist_inv_cdf``: numerator and
-# denominator of the central branch (|p - 0.5| <= 0.425), of the tail
-# branch with r = sqrt(-log(min(p, 1 - p))) <= 5, and of the far tail.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0),
-)
-_AS241_TAIL = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
-     4.6303378461565452959e+0, 1.4234371107496835773e+0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
-     2.0531916266377588219e+0, 1.0),
-)
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
-     5.4637849111641143699e+0, 6.6579046435011037772e+0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561326591e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0),
-)
-
-
-def _horner(coefs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    acc = coefs[0] * r + coefs[1]
-    for c in coefs[2:]:
-        acc = acc * r + c
-    return acc
-
-
-def _rational(branch: tuple[tuple[float, ...], tuple[float, ...]], r: np.ndarray) -> np.ndarray:
-    return _horner(branch[0], r) / _horner(branch[1], r)
-
-
-def _q_inv_many(p: np.ndarray) -> np.ndarray:
-    """:func:`_q_inv` on a float array: AS241 in numpy, branch by branch.
-
-    The same coefficients and operations in the same order as the
-    scalar kernel, so only numpy's ``log`` (not libm's) can move a
-    result, by a few ulps.
-    """
-    q = p - 0.5
-    x = np.empty_like(p)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    rc = 0.180625 - qc * qc
-    x[central] = _horner(_AS241_CENTRAL[0], rc) * qc / _horner(_AS241_CENTRAL[1], rc)
-    tail = ~central
-    qt = q[tail]
-    pt = p[tail]
-    r = np.sqrt(-np.log(np.where(qt <= 0.0, pt, 1.0 - pt)))
-    near = r <= 5.0
-    xt = np.empty_like(r)
-    xt[near] = _rational(_AS241_TAIL, r[near] - 1.6)
-    xt[~near] = _rational(_AS241_FAR, r[~near] - 5.0)
-    x[tail] = np.where(qt < 0.0, -xt, xt)
-    # x is the normal quantile; 0.0 - x negates it with +0.0 at p = 0.5
-    return 0.0 - x
-
-
 def q_inverse(p):
     """Inverse of :func:`q_function` on the open interval (0, 1).
 
@@ -325,9 +258,8 @@ def q_inverse(p):
     ``p`` itself. Negative results for ``p > 0.5``, exactly ``+0.0`` at
     ``p = 0.5``. A float goes to the AS241 kernel behind
     :class:`statistics.NormalDist`'s ``inv_cdf`` and comes back as a
-    float. Arrays are checked and evaluated in one numpy pass over the
-    same coefficients in the same order; numpy's ``log`` is not libm's,
-    so an element can differ from the float path by up to 4 ulps.
+    float. Arrays are checked, then run element by element through the
+    same kernel, so every element is bit-identical to the float result.
     """
     if isinstance(p, float):
         if not 0.0 < p < 1.0:  # NaN fails too
@@ -338,7 +270,8 @@ def q_inverse(p):
         return q_inverse(float(arr))
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("q_inverse requires 0 < p < 1")
-    return _q_inv_many(arr)
+    # 0.0 - x negates the quantile with +0.0 at p = 0.5, as _q_inv does
+    return 0.0 - np.frompyfunc(_normal_dist_inv_cdf, 3, 1)(arr, 0.0, 1.0).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -286,27 +286,21 @@ def invert_surface_psi2(s: SurfaceParams, psi1, p_bar: float, psi2_max: float = 
     ``P = p_bar`` is equivalent to ``(psi1/tau1)^beta1 + (psi2/tau2)^beta2
     = U`` with ``U = -log1p(-(p_bar - p0) / (pmax - p0))``, so
     ``psi2 = tau2 * max(U - (psi1/tau1)^beta1, 0)^(1/beta2)``, clipped
-    to ``[0, psi2_max]``. Scalars or arrays of ``psi1``; no validation,
-    the caller keeps ``p0 <= p_bar < pmax`` and ``psi1`` in the domain
+    to ``[0, psi2_max]``. Both powers are taken in logs, as
+    ``rest = max(U - exp(beta1 (log psi1 - log tau1)), 0)`` and
+    ``psi2 = exp(log tau2 + log(rest) / beta2)``, so no step overflows:
+    ``log 0 = -inf`` gives 0 at either end, and a decay beyond binary64
+    is infinite. Scalars or arrays of ``psi1``; no validation, the
+    caller keeps ``p0 <= p_bar < pmax`` and ``psi1`` in the domain
     (:func:`solve_psi2_on_constraint` is the checked form).
     """
     a1 = np.asarray(psi1, dtype=float)
     u = -math.log1p(-(p_bar - s.p0) / (s.pmax - s.p0))
-    try:
-        with np.errstate(over="raise"):
-            rest = np.maximum(u - (a1 / s.tau1) ** s.beta1, 0.0)
-            psi2 = s.tau2 * rest ** (1.0 / s.beta2)
-    except FloatingPointError:  # a ratio or power beyond binary64: the float kernels use logs
-        with np.errstate(over="ignore"):
-            psi2 = np.asarray(np.frompyfunc(partial(_psi2_on_line, s, u), 1, 1)(a1), dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        rest = np.maximum(u - np.exp(s.beta1 * (np.log(a1) - math.log(s.tau1))), 0.0)
+        psi2 = np.exp(math.log(s.tau2) + np.log(rest) / s.beta2)
     out = np.minimum(psi2, psi2_max)
     return float(out) if a1.ndim == 0 else out
-
-
-def _psi2_on_line(s: SurfaceParams, u: float, psi1: float) -> float:
-    """:func:`invert_surface_psi2` at one float ``psi1``, before the clip."""
-    rest = u - _decay(psi1, s.tau1, s.beta1)
-    return _ber_of_decay(s.tau2, rest if rest > 0.0 else 0.0, 1.0 / s.beta2)
 
 
 def solve_psi2_on_constraint(

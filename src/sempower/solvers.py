@@ -334,9 +334,8 @@ def _lost_value(c: StreamCurve, psi: float) -> tuple[float, float]:
     """Fraction of a stream's semantic value lost at BER ``psi``, ``1 - L_hat / L``,
     and its derivative in ``log psi``."""
     scale = (c.pmax - c.p0) / semantic_value_transmitted(c)
-    try:
-        v = (psi / c.tau) ** c.beta
-    except OverflowError:  # a decay beyond binary64 loses the whole range
+    v = _decay(psi, c.tau, c.beta)
+    if v == math.inf:  # a decay beyond binary64 loses the whole range
         return scale, 0.0
     return -math.expm1(-v) * scale, math.exp(-v) * v * c.beta * scale
 

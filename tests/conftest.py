@@ -81,7 +81,9 @@ def assert_rel(a, b, tol, label=""):
 def midpoint_run(f, lo, hi, tol):
     """Points midpoint bisection evaluates on the sign of ``f``, under
     ``bisect_root``'s stopping rule: the reference its ITP search is
-    held to."""
+    held to. The run stops only on width (an exact zero, like NaN, counts
+    as above), so its length is the midpoint count of ``bisect_root``'s
+    bound whatever values ``f`` rounds to."""
     seen = []
     while True:
         mid = 0.5 * (lo + hi)
@@ -89,8 +91,6 @@ def midpoint_run(f, lo, hi, tol):
             return seen
         y = f(mid)
         seen.append(mid)
-        if y == 0.0:
-            return seen
         lo, hi = (mid, hi) if y < 0.0 else (lo, mid)
 
 

@@ -187,7 +187,19 @@ def test_bisection_never_above_oracle(p):
     assert cost_b <= cost_g * (1.0 + ORACLE_SLACK), (cost_b, cost_g)
 
 
+def _gap_flat_at_its_root():
+    # proportional's gap rounds to exactly 0 at a midpoint well before the
+    # bracket is narrow: a reference that stopped there counted 15 steps
+    # where the search took 17.
+    bpsk, link = preset("bpsk"), ChannelState(gain=1.0, noise_w=1e-14)
+    s1 = StreamSpec(1, bpsk, link, StreamCurve(0.0, 0.9176452622623447, 1e-5, 1.5))
+    s2 = StreamSpec(1, bpsk, link, StreamCurve(0.5, 0.9588226311311723, 1e-4, 1.0))
+    return ProblemSpec((s1, s2), SurfaceParams(0.0, 1.0, 0.03162277660168379, 0.1, 2.0, 2.0),
+                       target=0.5)
+
+
 @given(problems())
+@example(_gap_flat_at_its_root())
 def test_search_never_more_than_one_step_behind_bisection(p):
     # Each allocator's ITP search, replayed as a midpoint bisection on the
     # same function and bracket: at most one step more.

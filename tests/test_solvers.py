@@ -28,6 +28,7 @@ from sempower.solvers import (
     SOLVER_ORDER,
     ProblemSpec,
     StreamSpec,
+    _lost_value,
     achievable_range,
     solve,
     solve_bisection,
@@ -270,6 +271,12 @@ class TestProportional:
         r1, r2 = kept_fractions(p, alloc)
         assert abs(r1 - r2) <= 1e-8
 
+    def test_lost_value_slope_where_the_curve_ratio_overflows(self):
+        # psi / tau leaves binary64 at a subnormal tau, yet the decay is
+        # 1,479: the whole range is lost, with a finite slope of 0.
+        lost, slope = _lost_value(StreamCurve(0.3, 0.95, 1e-320, 0.01), 1e-3)
+        assert lost == pytest.approx(0.65 / 0.7) and slope == 0.0
+
     def test_meets_target_where_rule_needs_small_bers(self):
         # 1 - rho * L_i sits just above the curve floor here; a ratio
         # resolved to 1e-9 * rho missed the target by 1.9e-6
@@ -459,8 +466,8 @@ class TestGridOracle:
             solve_grid_oracle(default_problem, 32)
 
     def test_arrays_skip_the_scalar_quantile(self, default_problem, monkeypatch):
-        # default.yaml's problem: the 2 x 4096 grid BERs go through numpy
-        # AS241, and only the winning point through NormalDist.inv_cdf.
+        # default.yaml's problem: the 2 x 4096 grid BERs go to the stdlib
+        # kernel directly, and only the winning point through _quantile.
         calls = []
         quantile = numerics._quantile
         monkeypatch.setattr(numerics, "_quantile", lambda p: calls.append(p) or quantile(p))
