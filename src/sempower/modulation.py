@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .channel import ChannelState
 from .errors import DomainError
-from .numerics import _q_inv, np, q_function, q_inverse
+from .numerics import _quantile, np, q_function, q_inverse
 
 __all__ = [
     "ModulationScheme",
@@ -136,7 +136,7 @@ def _outside_branch(name: str, top: float) -> DomainError:
 
 
 def _power(c: _Inversion, psi: float) -> float:
-    """``x * x / b * k`` with ``x = Qinv(max(psi, PSI_FLOOR) g)`` for a float BER.
+    """``x * x / b * k`` with ``x = -Qinv(max(psi, PSI_FLOOR) g)``, the normal quantile.
 
     The float path of :func:`snr_from_ber` and :func:`power_from_ber`;
     the solvers build ``c`` once per stream and call it directly. With
@@ -145,7 +145,7 @@ def _power(c: _Inversion, psi: float) -> float:
     name, top, g, b, k = c
     if not 0.0 < psi <= top:  # NaN fails too
         raise _outside_branch(name, top)
-    x = _q_inv((PSI_FLOOR if PSI_FLOOR > psi else psi) * g)
+    x = _quantile((PSI_FLOOR if PSI_FLOOR > psi else psi) * g)
     return x * x / b * k
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from statistics import _normal_dist_inv_cdf
 from typing import Callable
 
@@ -241,11 +242,6 @@ def _quantile(p: float) -> float:
     return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
-def _q_inv(p: float) -> float:
-    # inv_cdf(0.5) is +0.0, so its negation is -0.0; adding +0.0 makes it +0.0.
-    return -_quantile(p) + 0.0
-
-
 def q_inverse(p):
     """Inverse of :func:`q_function` on the open interval (0, 1).
 
@@ -264,14 +260,16 @@ def q_inverse(p):
     if isinstance(p, float):
         if not 0.0 < p < 1.0:  # NaN fails too
             raise DomainError("q_inverse requires 0 < p < 1")
-        return _q_inv(p)
+        # inv_cdf(0.5) is +0.0, so its negation is -0.0; adding +0.0 makes it +0.0.
+        return -_quantile(p) + 0.0
     arr = np.asarray(p, dtype=float)
     if arr.ndim == 0:
         return q_inverse(float(arr))
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("q_inverse requires 0 < p < 1")
-    # 0.0 - x negates the quantile with +0.0 at p = 0.5, as _q_inv does
-    return 0.0 - np.frompyfunc(_normal_dist_inv_cdf, 3, 1)(arr, 0.0, 1.0).astype(float)
+    # 0.0 - x negates the quantile with +0.0 at p = 0.5, as the float path does
+    x = map(_normal_dist_inv_cdf, arr.ravel().tolist(), repeat(0.0), repeat(1.0))
+    return 0.0 - np.fromiter(x, float, arr.size).reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

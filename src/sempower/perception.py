@@ -217,11 +217,14 @@ def surface_partials(s: SurfaceParams, psi1, psi2):
         raise SingularityError("dP/dpsi1 is singular at psi1=0 when beta1 < 1")
     if s.beta2 < 1.0 and np.any(a2 == 0.0):
         raise SingularityError("dP/dpsi2 is singular at psi2=0 when beta2 < 1")
-    envelope = (s.pmax - s.p0) * np.exp(
-        -((a1 / s.tau1) ** s.beta1) - (a2 / s.tau2) ** s.beta2
-    )
-    d1 = envelope * (s.beta1 / s.tau1) * (a1 / s.tau1) ** (s.beta1 - 1.0)
-    d2 = envelope * (s.beta2 / s.tau2) * (a2 / s.tau2) ** (s.beta2 - 1.0)
+    # psi / tau overflows at a subnormal tau; where the envelope underflows, 0 is the limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = (s.pmax - s.p0) * np.exp(
+            -((a1 / s.tau1) ** s.beta1) - (a2 / s.tau2) ** s.beta2
+        )
+        d1 = envelope * (s.beta1 / s.tau1) * (a1 / s.tau1) ** (s.beta1 - 1.0)
+        d2 = envelope * (s.beta2 / s.tau2) * (a2 / s.tau2) ** (s.beta2 - 1.0)
+    d1, d2 = np.where(envelope > 0.0, d1, 0.0), np.where(envelope > 0.0, d2, 0.0)
     if np.ndim(psi1) == 0 and np.ndim(psi2) == 0:
         return float(d1), float(d2)
     return d1, d2
@@ -230,7 +233,8 @@ def surface_partials(s: SurfaceParams, psi1, psi2):
 def eval_curve(c: StreamCurve, psi):
     """Single-stream perception error ``P_i(psi)``; exactly ``p0`` at 0."""
     a = _check_psi(psi)
-    out = c.p0 + (c.pmax - c.p0) * (-np.expm1(-((a / c.tau) ** c.beta)))
+    with np.errstate(over="ignore"):  # psi / tau overflows at a subnormal tau: its limit, inf
+        out = c.p0 + (c.pmax - c.p0) * (-np.expm1(-((a / c.tau) ** c.beta)))
     return float(out) if np.ndim(psi) == 0 else out
 
 

@@ -102,6 +102,8 @@ SEARCH_TOL = ToleranceConfig(abs_tol=1e-9, rel_tol=1e-300, max_iter=100)
 _TINY = 5e-324  # the smallest positive double
 # Largest |P - p_bar| a proportional allocation may leave.
 PROPORTIONAL_ATOL = 1e-9
+# Largest difference of the two streams' lost value fractions it may leave.
+PROPORTIONAL_RULE_ATOL = 1e-8
 # Largest |P - p_bar| an equal-SNR allocation may leave: acceptance c03's.
 EQUAL_SNR_ATOL = 1e-6
 
@@ -351,9 +353,11 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     ``d lost_i / d log s_i = A_i e^-v_i v_i beta_i / beta_s,i`` (0 where
     the BER is capped at the box), and :func:`line_point` gives the BERs,
     so the target is met by construction. ``iterations`` counts every
-    evaluation of the difference. Raises :class:`DomainError` when the
-    rule needs a BER beyond a stream's zero-power value (the decoupled
-    requirement cannot bind there), or when rounding leaves the target
+    evaluation of the difference. Raises :class:`DomainError`, naming the
+    stream that loses less, when the converged point's lost fractions
+    differ by more than :data:`PROPORTIONAL_RULE_ATOL` (the rule needs a
+    BER beyond that stream's zero-power value, or the difference jumps
+    across 0 where a BER underflows), or when rounding leaves the target
     missed by more than :data:`PROPORTIONAL_ATOL`.
     """
     if isinstance(line := _line(p, "proportional"), Allocation):
@@ -371,18 +375,17 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
                            + (d2 * shares[0] / sf.beta2 if psi[1] < box[1] else 0.0))
         return l1 - l2
 
-    ends = _line_ends(top)
-    for i, (s, sign) in enumerate(zip(p.streams, (1.0, -1.0))):
-        # Still below the point at the largest share inside the box: the
-        # rule needs a larger BER on stream i than its modulation shows.
-        if sign * lost_gap(ends[1 - i]) < 0.0:
-            raise DomainError(
-                f"proportional rule requires BER on stream {s.name or i + 1} beyond the "
-                f"zero-power value {box[i]:g} of {s.modulation.name}"
-            )
     shares, steps, converged = _share_search(top, lambda z: lost_gap(_shares(z)), math.nan,
                                              lambda z: slope_of_gap[0])
-    return _finish(p, line, line_point(sf, u, shares, box), "proportional", steps, converged,
+    psi = line_point(sf, u, shares, box)
+    if converged and abs(gap := lost_gap(shares)) > PROPORTIONAL_RULE_ATOL:
+        i = 0 if gap < 0.0 else 1
+        s = p.streams[i]
+        raise DomainError(
+            f"proportional rule cannot be met: stream {s.name or i + 1} keeps {abs(gap):.3g} more "
+            f"of its semantic value than the other at BER {psi[i]:g} (zero-power value "
+            f"{box[i]:g} of {s.modulation.name})")
+    return _finish(p, line, psi, "proportional", steps, converged,
                    atol=PROPORTIONAL_ATOL, why="its point rounds off the constraint line")
 
 
@@ -462,9 +465,10 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     slopes' exact derivatives: ``d gap / dz = -(d_2 s_1 + d_1 s_2)``, with
     ``d_i`` stream ``i``'s slope derivative in ``log s_i``. Below the BER
     floor the power is clamped, which can leave a cheaper minimum at an
-    end, so the cheapest of the found point and both ends is returned.
-    ``iterations`` counts the evaluations of the slope difference; the
-    search is ITP, and the solver keeps the paper's name.
+    end, so the cheapest of the found point and both ends is returned, the
+    found point on a tie. ``iterations`` counts the evaluations of the
+    slope difference, two normal quantiles each, and the pricing takes six
+    more; the search is ITP, and the solver keeps the paper's name.
     """
     if isinstance(line := _line(p, "bisection"), Allocation):
         return line
@@ -481,21 +485,12 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
         return a - b + offset
 
     found, steps, converged = _share_search(top, gap, -e, lambda z: slope_of_gap[0])
-    psi = line_point(sf, u, found, box)
-    q = _powers(links, psi)
-    best = w[0] * q[0] + w[1] * q[1], psi, q
-    for shares in _line_ends(top):
+    best = None
+    for shares in (found, *_line_ends(top)):  # an end must be strictly cheaper to win
         psi = line_point(sf, u, shares, box)
-        # Price the stream starved of its share first: the end is no
-        # cheaper than the best point when that term alone is not.
-        j = 0 if shares[0] < shares[1] else 1
-        qj = _power(links[j], PSI_FLOOR if PSI_FLOOR > psi[j] else psi[j])
-        if w[j] * qj >= best[0]:
-            continue
-        qk = _power(links[1 - j], PSI_FLOOR if PSI_FLOOR > psi[1 - j] else psi[1 - j])
-        q = (qj, qk) if j == 0 else (qk, qj)
+        q = _powers(links, psi)
         cost = w[0] * q[0] + w[1] * q[1]
-        if cost < best[0]:
+        if best is None or cost < best[0]:
             best = cost, psi, q
     return _finish(p, line, best[1], "bisection", steps, converged, best[2])
 

@@ -10,7 +10,6 @@ from sempower.errors import DomainError
 from sempower.numerics import (
     Rng,
     ToleranceConfig,
-    _q_inv,
     bisect_root,
     derive_seed,
     finite_difference,
@@ -140,7 +139,7 @@ class TestQInverse:
         ps = np.concatenate([[1.006929401973205e-13, 0.060682882055706044], near, tail,
                              1.0 - tail, np.linspace(0.0, 1.0, 20_001)[1:-1]])
         ps = ps[(ps > 0.0) & (ps < 1.0)]
-        ref = np.array([_q_inv(float(p)) for p in ps])
+        ref = np.array([q_inverse(float(p)) for p in ps])
         assert np.array_equal(q_inverse(ps), ref)
         assert math.copysign(1.0, q_inverse(np.array([0.5]))[0]) == 1.0
 

@@ -195,6 +195,12 @@ class TestPartials:
         d1, d2 = surface_partials(s, 1e-6, 0.0)  # beta2 = 1 is fine at zero
         assert math.isfinite(d1) and math.isfinite(d2)
 
+    def test_envelope_underflow_at_a_subnormal_tau(self):
+        # psi1 / tau1 overflows, and the envelope underflows faster than
+        # beta1 / tau1 grows: the limit is 0, not 0 * inf
+        s = SurfaceParams(p0=0.3, pmax=0.95, tau1=1e-320, tau2=1e-3, beta1=1.0, beta2=1.0)
+        assert surface_partials(s, 0.4, 0.1) == (0.0, 0.0)
+
 
 class TestSemanticValues:
     def test_bundled_constants_exact(self):
@@ -212,6 +218,12 @@ class TestSemanticValues:
         # proportional rule divided by it
         with pytest.raises(DomainError, match="value must be > 0"):
             StreamCurve(p0=1.0 - 1e-13, pmax=1.0, tau=1e-3, beta=1.0, value=value)
+
+    def test_curve_at_a_subnormal_tau(self):
+        # psi / tau overflows without a warning: the whole range is lost
+        c = StreamCurve(p0=0.3, pmax=0.95, tau=1e-320, beta=0.01)
+        assert eval_curve(c, 0.4) == 0.95
+        assert semantic_value_received(c, 0.4) == pytest.approx(0.05)
 
     def test_received_equals_transmitted_at_zero(self):
         for c in (default_prompt_curve(), default_edge_curve()):

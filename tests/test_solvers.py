@@ -271,6 +271,18 @@ class TestProportional:
         r1, r2 = kept_fractions(p, alloc)
         assert abs(r1 - r2) <= 1e-8
 
+    def test_rule_broken_at_an_underflowing_ber_is_refused(self):
+        # Stream 1's curve decay is 0 at psi1 = 0 and 0.93 at 5e-324, so
+        # the lost-value difference jumps across 0 there: the search
+        # converges onto the jump, where stream 1 keeps all of its value
+        # and stream 2 only 0.603.
+        link = ChannelState(gain=1e-10, noise_w=1e-14)
+        curves = StreamCurve(0.3, 0.95, 1e-320, 0.01), default_edge_curve()
+        p = ProblemSpec(tuple(StreamSpec(1000, preset("bpsk"), link, c) for c in curves),
+                        default_surface(), target=0.6)
+        with pytest.raises(DomainError, match="cannot be met: stream 1 keeps 0.397 more"):
+            solve_proportional(p)
+
     def test_lost_value_slope_where_the_curve_ratio_overflows(self):
         # psi / tau leaves binary64 at a subnormal tau, yet the decay is
         # 1,479: the whole range is lost, with a finite slope of 0.
@@ -404,6 +416,18 @@ class TestBisection:
                     assert len(set(calls)) == len(calls), (solver.__name__, calls)
                     assert alloc.iterations == len(calls), solver.__name__
 
+    def test_quantile_calls_on_fading_blocks(self, monkeypatch):
+        # Two normal quantiles per evaluation of the slope difference, and
+        # two for each of the found point and the line's two ends.
+        calls = []
+        kernel = numerics._normal_dist_inv_cdf
+        monkeypatch.setattr(numerics, "_normal_dist_inv_cdf",
+                            lambda *a: calls.append(a) or kernel(*a))
+        for p in fading_blocks():
+            calls.clear()
+            alloc = solve_bisection(p)
+            assert len(calls) == 2 * alloc.iterations + 6
+
     def test_mean_proportional_steps_on_fading_blocks(self):
         # Newton steps on the exact derivative of the lost-value difference
         # from the line's midpoint: about 4 evaluations, every one counted,
@@ -467,10 +491,12 @@ class TestGridOracle:
 
     def test_arrays_skip_the_scalar_quantile(self, default_problem, monkeypatch):
         # default.yaml's problem: the 2 x 4096 grid BERs go to the stdlib
-        # kernel directly, and only the winning point through _quantile.
+        # kernel directly, and only the winning point through _power's _quantile.
+        import sempower.modulation as modulation_mod
+
         calls = []
-        quantile = numerics._quantile
-        monkeypatch.setattr(numerics, "_quantile", lambda p: calls.append(p) or quantile(p))
+        quantile = modulation_mod._quantile
+        monkeypatch.setattr(modulation_mod, "_quantile", lambda p: calls.append(p) or quantile(p))
         solve_grid_oracle(default_problem, 4096)
         assert 0 < len(calls) <= 4
 
