@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .channel import ChannelState
 from .errors import DomainError
-from .numerics import _quantile, np, q_function, q_inverse
+from .numerics import _elementwise, _q, _quantile
 
 __all__ = [
     "ModulationScheme",
@@ -97,22 +98,21 @@ def zero_power_ber(m: ModulationScheme) -> float:
     return top if top < 0.5 else 0.5  # min(0.5, top), without the call
 
 
+def _ber(m: ModulationScheme, snr_value: float) -> float:
+    """:func:`ber_from_snr`'s float kernel; the solvers call it directly."""
+    if not 0.0 <= snr_value < math.inf:  # NaN fails too
+        raise DomainError("snr must be finite and >= 0")
+    psi = (m.a / m.bits_per_symbol) * _q(math.sqrt(snr_value * m.b))
+    return psi if psi < 0.5 else 0.5  # min(psi, 0.5), without the call
+
+
 def ber_from_snr(m: ModulationScheme, snr_value):
     """BER at a given (linear) SNR; clamped to at most 0.5.
 
-    Strictly decreasing in ``snr`` wherever below the clamp. Accepts
-    scalars or arrays; a float comes back as a float, by the same
-    arithmetic.
+    Strictly decreasing in ``snr`` wherever below the clamp. Floats or
+    arrays (:func:`~sempower.numerics._elementwise`).
     """
-    if isinstance(snr_value, float):
-        if not 0.0 <= snr_value < math.inf:  # NaN fails too
-            raise DomainError("snr must be finite and >= 0")
-        return min(0.5, (m.a / m.bits_per_symbol) * q_function(math.sqrt(snr_value * m.b)))
-    arr = np.asarray(snr_value, dtype=float)
-    if arr.size and (np.any(arr < 0.0) or not np.all(np.isfinite(arr))):
-        raise DomainError("snr must be finite and >= 0")
-    psi = np.minimum(0.5, (m.a / m.bits_per_symbol) * q_function(np.sqrt(arr * m.b)))
-    return float(psi) if np.ndim(snr_value) == 0 else psi
+    return _elementwise(partial(_ber, m), snr_value)
 
 
 class _Inversion(NamedTuple):
@@ -129,22 +129,17 @@ def _inversion(m: ModulationScheme, k: float = 1.0) -> _Inversion:
     return _Inversion(m.name, zero_power_ber(m), m.bits_per_symbol / m.a, m.b, k)
 
 
-def _outside_branch(name: str, top: float) -> DomainError:
-    return DomainError(
-        f"target BER must lie in (0, {top:g}] for {name}; larger values are met at zero power"
-    )
-
-
 def _power(c: _Inversion, psi: float) -> float:
     """``x * x / b * k`` with ``x = -Qinv(max(psi, PSI_FLOOR) g)``, the normal quantile.
 
-    The float path of :func:`snr_from_ber` and :func:`power_from_ber`;
+    The float kernel of :func:`snr_from_ber` and :func:`power_from_ber`;
     the solvers build ``c`` once per stream and call it directly. With
     ``psi`` in ``(0, top]`` the argument of ``Qinv`` lies in ``(0, 0.5]``.
     """
     name, top, g, b, k = c
     if not 0.0 < psi <= top:  # NaN fails too
-        raise _outside_branch(name, top)
+        raise DomainError(f"target BER must lie in (0, {top:g}] for {name}; larger values "
+                          "are met at zero power")
     x = _quantile((PSI_FLOOR if PSI_FLOOR > psi else psi) * g)
     return x * x / b * k
 
@@ -155,17 +150,9 @@ def snr_from_ber(m: ModulationScheme, psi):
     ``psi`` must lie in ``(0, zero_power_ber(m)]``; the boundary maps to
     SNR 0. Values below ``PSI_FLOOR`` are clamped before inversion. A
     target above the branch is unreachable at any power (it is already
-    beaten for free) and raises :class:`DomainError`. A float comes back
-    as a float, by the same arithmetic as an array element.
+    beaten for free) and raises :class:`DomainError`. Floats or arrays.
     """
-    if isinstance(psi, float):
-        return _power(_inversion(m), psi)
-    top = zero_power_ber(m)
-    arr = np.asarray(psi, dtype=float)
-    if not np.all((arr > 0.0) & (arr <= top)):  # NaN fails too
-        raise _outside_branch(m.name, top)
-    x = q_inverse(np.maximum(arr, PSI_FLOOR) * (m.bits_per_symbol / m.a))
-    return x * x / m.b
+    return _elementwise(partial(_power, _inversion(m)), psi)
 
 
 def power_from_ber(m: ModulationScheme, state: ChannelState, psi):
@@ -173,9 +160,6 @@ def power_from_ber(m: ModulationScheme, state: ChannelState, psi):
 
     Equal to ``sigma^2 / (b |h|^2) * Qinv(psi log2(M) / a)^2``; zero at
     the zero-power boundary BER and increasing without bound as
-    ``psi -> 0``.
+    ``psi -> 0``. Floats or arrays.
     """
-    k = state.noise_w / state.gain
-    if isinstance(psi, float):
-        return _power(_inversion(m, k), psi)
-    return snr_from_ber(m, psi) * k
+    return _elementwise(partial(_power, _inversion(m, state.noise_w / state.gain)), psi)

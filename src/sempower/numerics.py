@@ -6,17 +6,17 @@ smooth functions, Newton given the derivative, from an end value the
 caller has), central finite differences, and a small counter-based
 random generator used for every stochastic draw in the package. The
 tail is ``math.erfc`` and its inverse the standard library's normal
-quantile (Wichura's AS241); arrays go element by element through the
-same float kernels, so every element is bit-identical to the float
-result. The package does not need scipy. All routines are
-deterministic, double precision, and free of global state.
+quantile (Wichura's AS241). A public function of a float or an array
+is a float kernel lifted by :func:`_elementwise`, so each array element
+is bit-identical to the float result. The package does not need scipy.
+All routines are deterministic, double precision, and free of global
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from statistics import _normal_dist_inv_cdf
 from typing import Callable
 
@@ -56,6 +56,26 @@ class _Numpy:
 np = _Numpy()
 
 
+def _elementwise(kernel: Callable[..., float], *args, nout: int = 1):
+    """``kernel(*args)`` on floats; otherwise element by element on broadcast float arrays.
+
+    Each element goes through the kernel as Python floats, so it is
+    bit-identical to the float call. A 0-d result comes back as a float
+    (``nout`` of them when the kernel returns ``nout`` values).
+    """
+    for a in args:
+        if type(a) is not float:  # a numpy scalar too: its arithmetic warns where a float's raises
+            break
+    else:
+        return kernel(*args)
+    # the kernels handle overflow and invalid values, whose flags numpy would warn about
+    with np.errstate(all="ignore"):
+        out = np.frompyfunc(kernel, len(args), nout)(*(np.asarray(a, dtype=float) for a in args))
+    outs = tuple(float(o) if np.ndim(o) == 0 else o.astype(float)
+                 for o in (out if nout > 1 else (out,)))
+    return outs if nout > 1 else outs[0]
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Iteration-control knobs shared by the iterative routines.
@@ -89,10 +109,18 @@ class ToleranceConfig:
 
 _GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, odd
 _SPAWN_ODD = 0xD1B54A32D192ED03
+_MASK64 = 2**64 - 1
+
+
+def _mix64_int(z: int) -> int:
+    """SplitMix64 finaliser (Steele, Lea & Flood) on one word in ``[0, 2**64)``."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser on a uint64 array, in place (Steele, Lea & Flood)."""
+    """:func:`_mix64_int` on a uint64 array, in place."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -108,11 +136,7 @@ def derive_seed(seed: int, index: int) -> int:
     bijection on 64-bit words), so parallel consumers can draw from
     statistically disjoint streams.
     """
-    z = np.asarray(
-        [((int(seed) ^ _GOLDEN) + (2 * int(index) + 1) * _SPAWN_ODD) % 2**64],
-        dtype=np.uint64,
-    )
-    return int(_mix64(z)[0])
+    return _mix64_int(((int(seed) ^ _GOLDEN) + (2 * int(index) + 1) * _SPAWN_ODD) & _MASK64)
 
 
 def _unit(w: np.ndarray) -> np.ndarray:
@@ -148,7 +172,7 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed) % 2**64
-        self._key = int(_mix64(np.asarray([self.seed], dtype=np.uint64))[0])
+        self._key = _mix64_int(self.seed)
         self._pos = 0
 
     def _mix_at(self, z: np.ndarray) -> np.ndarray:
@@ -228,18 +252,21 @@ def q_function(x):
     ``Q(x) = P(Z > x) = erfc(x / sqrt(2)) / 2`` with ``math.erfc``, which
     agrees with scipy's ``erfc`` to about 1e-13 relative on ``[-5, 38]``.
     Strictly decreasing, with range (0, 1); underflows smoothly to 0 for
-    ``x`` beyond about 38. A float comes back as a float; arrays go
-    element-wise through the same kernel.
+    ``x`` beyond about 38. Floats or arrays (:func:`_elementwise`).
     """
-    if isinstance(x, float):
-        return _q(x)
-    arr = np.asarray(x, dtype=float)
-    return _q(float(arr)) if arr.ndim == 0 else np.frompyfunc(_q, 1, 1)(arr).astype(float)
+    return _elementwise(_q, x)
 
 
 def _quantile(p: float) -> float:
     """The standard normal quantile of ``p`` in (0, 1): the standard library's AS241."""
     return _normal_dist_inv_cdf(p, 0.0, 1.0)
+
+
+def _q_inverse(p: float) -> float:
+    if not 0.0 < p < 1.0:  # NaN fails too
+        raise DomainError("q_inverse requires 0 < p < 1")
+    # inv_cdf(0.5) is +0.0, so its negation is -0.0; adding +0.0 makes it +0.0.
+    return -_quantile(p) + 0.0
 
 
 def q_inverse(p):
@@ -252,24 +279,11 @@ def q_inverse(p):
     ``p`` to well inside 1e-8. On the upper branch the accuracy is
     capped at ``ulp(1) / (2 pdf(x))`` by the binary64 representation of
     ``p`` itself. Negative results for ``p > 0.5``, exactly ``+0.0`` at
-    ``p = 0.5``. A float goes to the AS241 kernel behind
-    :class:`statistics.NormalDist`'s ``inv_cdf`` and comes back as a
-    float. Arrays are checked, then run element by element through the
-    same kernel, so every element is bit-identical to the float result.
+    ``p = 0.5``. The kernel is the AS241 behind
+    :class:`statistics.NormalDist`'s ``inv_cdf``; floats or arrays
+    (:func:`_elementwise`).
     """
-    if isinstance(p, float):
-        if not 0.0 < p < 1.0:  # NaN fails too
-            raise DomainError("q_inverse requires 0 < p < 1")
-        # inv_cdf(0.5) is +0.0, so its negation is -0.0; adding +0.0 makes it +0.0.
-        return -_quantile(p) + 0.0
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 0:
-        return q_inverse(float(arr))
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise DomainError("q_inverse requires 0 < p < 1")
-    # 0.0 - x negates the quantile with +0.0 at p = 0.5, as the float path does
-    x = map(_normal_dist_inv_cdf, arr.ravel().tolist(), repeat(0.0), repeat(1.0))
-    return 0.0 - np.fromiter(x, float, arr.size).reshape(arr.shape)
+    return _elementwise(_q_inverse, p)
 
 
 # ---------------------------------------------------------------------------

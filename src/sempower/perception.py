@@ -25,7 +25,9 @@ only on evaluation (:func:`eval_surface`), monotonicity, the inverse in
 ``psi2`` along the constraint line (:func:`invert_surface_psi2`), and
 the line's decay-share form (:func:`decay_shares` and
 :func:`line_point`), all closed-form for this family, so swapping the
-family means providing those four for the new form.
+family means providing those four for the new form. Each function of
+the BERs is a float kernel, which the solvers call directly, lifted to
+arrays by :func:`~sempower.numerics._elementwise`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import partial
 import yaml
 
 from .errors import ConfigError, DomainError, InfeasibleError, SingularityError
-from .numerics import Rng, ToleranceConfig, np
+from .numerics import Rng, ToleranceConfig, _elementwise, np
 
 __all__ = [
     "PSI_MAX",
@@ -149,11 +151,9 @@ class StreamCurve:
             raise DomainError("value must be > 0 and agree with 1 - p0 (within rounding)")
 
 
-def _check_psi(psi, what: str = "psi") -> np.ndarray:
-    arr = np.asarray(psi, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= PSI_MAX)):  # NaN and +-inf fail too
+def _check_ber(psi: float, what: str) -> None:
+    if not 0.0 <= psi <= PSI_MAX:  # NaN and +-inf fail too
         raise DomainError(f"{what} must lie in [0, {PSI_MAX}]")
-    return arr
 
 
 def _decay(psi: float, tau: float, beta: float) -> float:
@@ -169,39 +169,45 @@ def _decay(psi: float, tau: float, beta: float) -> float:
 
 
 def _surface(s: SurfaceParams, psi1: float, psi2: float) -> float:
-    """:func:`eval_surface` at two checked floats: the kernel of both of its paths."""
+    """:func:`eval_surface`'s float kernel; the solvers call it directly."""
+    _check_ber(psi1, "psi1")
+    _check_ber(psi2, "psi2")
     u = _decay(psi1, s.tau1, s.beta1) + _decay(psi2, s.tau2, s.beta2)
     return s.p0 + (s.pmax - s.p0) * -math.expm1(-u)
 
 
 def eval_surface(s: SurfaceParams, psi1, psi2):
-    """Perception error ``P(psi1, psi2)``; scalars or arrays.
+    """Perception error ``P(psi1, psi2)``; floats or arrays.
 
     Non-decreasing in each argument, with range ``[p0, pmax)`` over the
     BER domain ``[0, 0.5]^2``. Evaluated as
     ``p0 + (pmax - p0) * (1 - exp(-u))`` with ``expm1``, which is exact
     at the floor and accurate for small decay arguments. A decay beyond
-    binary64 is infinite and gives exactly ``pmax``. One kernel serves
-    both paths: libm's ``pow`` (Python's ``**``) and ``math.expm1``. Two
-    floats go to it directly, without the array conversion and checks;
-    arrays go through it element by element, so every element is
-    bit-identical to the float result.
+    binary64 is infinite and gives exactly ``pmax``.
     """
-    if isinstance(psi1, float) and isinstance(psi2, float):
-        # numpy scalars become floats, whose division overflows without a warning
-        psi1, psi2 = float(psi1), float(psi2)
-        if not 0.0 <= psi1 <= PSI_MAX:  # NaN and +-inf fail too
-            raise DomainError(f"psi1 must lie in [0, {PSI_MAX}]")
-        if not 0.0 <= psi2 <= PSI_MAX:
-            raise DomainError(f"psi2 must lie in [0, {PSI_MAX}]")
-        return _surface(s, psi1, psi2)
-    a1 = _check_psi(psi1, "psi1")
-    a2 = _check_psi(psi2, "psi2")
-    if a1.ndim == 0 and a2.ndim == 0:
-        return _surface(s, float(a1), float(a2))
-    # the overflow flag a caught OverflowError leaves set would otherwise warn
-    with np.errstate(over="ignore"):
-        return np.frompyfunc(partial(_surface, s), 2, 1)(a1, a2).astype(float)
+    return _elementwise(partial(_surface, s), psi1, psi2)
+
+
+def _slope(envelope: float, psi: float, u: float, tau: float, beta: float) -> float:
+    """``envelope`` times ``d u / d psi``: ``beta u / psi``, as ``beta / tau`` overflows at a
+    subnormal ``tau``, or ``beta (psi/tau)^(beta-1) / tau`` where ``u`` is below the normals."""
+    if u < sys.float_info.min:  # psi = 0 too
+        return envelope * (beta * _decay(psi, tau, beta - 1.0) / tau)
+    return envelope * beta * u / psi
+
+
+def _partials(s: SurfaceParams, psi1: float, psi2: float) -> tuple[float, float]:
+    _check_ber(psi1, "psi1")
+    _check_ber(psi2, "psi2")
+    if s.beta1 < 1.0 and psi1 == 0.0:
+        raise SingularityError("dP/dpsi1 is singular at psi1=0 when beta1 < 1")
+    if s.beta2 < 1.0 and psi2 == 0.0:
+        raise SingularityError("dP/dpsi2 is singular at psi2=0 when beta2 < 1")
+    u1, u2 = _decay(psi1, s.tau1, s.beta1), _decay(psi2, s.tau2, s.beta2)
+    envelope = (s.pmax - s.p0) * math.exp(-u1 - u2)
+    if envelope == 0.0:  # underflowed, or a decay is infinite: the limit is 0
+        return 0.0, 0.0
+    return _slope(envelope, psi1, u1, s.tau1, s.beta1), _slope(envelope, psi2, u2, s.tau2, s.beta2)
 
 
 def surface_partials(s: SurfaceParams, psi1, psi2):
@@ -209,33 +215,19 @@ def surface_partials(s: SurfaceParams, psi1, psi2):
 
     Both are non-negative everywhere on the domain. With a shape
     exponent below one the derivative diverges at zero BER, which raises
-    :class:`SingularityError`.
+    :class:`SingularityError`. Floats or arrays.
     """
-    a1 = _check_psi(psi1, "psi1")
-    a2 = _check_psi(psi2, "psi2")
-    if s.beta1 < 1.0 and np.any(a1 == 0.0):
-        raise SingularityError("dP/dpsi1 is singular at psi1=0 when beta1 < 1")
-    if s.beta2 < 1.0 and np.any(a2 == 0.0):
-        raise SingularityError("dP/dpsi2 is singular at psi2=0 when beta2 < 1")
-    # psi / tau overflows at a subnormal tau; where the envelope underflows, 0 is the limit
-    with np.errstate(over="ignore", invalid="ignore"):
-        envelope = (s.pmax - s.p0) * np.exp(
-            -((a1 / s.tau1) ** s.beta1) - (a2 / s.tau2) ** s.beta2
-        )
-        d1 = envelope * (s.beta1 / s.tau1) * (a1 / s.tau1) ** (s.beta1 - 1.0)
-        d2 = envelope * (s.beta2 / s.tau2) * (a2 / s.tau2) ** (s.beta2 - 1.0)
-    d1, d2 = np.where(envelope > 0.0, d1, 0.0), np.where(envelope > 0.0, d2, 0.0)
-    if np.ndim(psi1) == 0 and np.ndim(psi2) == 0:
-        return float(d1), float(d2)
-    return d1, d2
+    return _elementwise(partial(_partials, s), psi1, psi2, nout=2)
+
+
+def _curve(c: StreamCurve, psi: float) -> float:
+    _check_ber(psi, "psi")
+    return c.p0 + (c.pmax - c.p0) * -math.expm1(-_decay(psi, c.tau, c.beta))
 
 
 def eval_curve(c: StreamCurve, psi):
-    """Single-stream perception error ``P_i(psi)``; exactly ``p0`` at 0."""
-    a = _check_psi(psi)
-    with np.errstate(over="ignore"):  # psi / tau overflows at a subnormal tau: its limit, inf
-        out = c.p0 + (c.pmax - c.p0) * (-np.expm1(-((a / c.tau) ** c.beta)))
-    return float(out) if np.ndim(psi) == 0 else out
+    """Single-stream perception error ``P_i(psi)``; exactly ``p0`` at 0. Floats or arrays."""
+    return _elementwise(partial(_curve, c), psi)
 
 
 def semantic_value_transmitted(c: StreamCurve) -> float:
@@ -243,16 +235,18 @@ def semantic_value_transmitted(c: StreamCurve) -> float:
     return c.value if c.value is not None else 1.0 - c.p0
 
 
+def _received(c: StreamCurve, psi: float) -> float:
+    return semantic_value_transmitted(c) - (_curve(c, psi) - c.p0)
+
+
 def semantic_value_received(c: StreamCurve, psi):
     """Semantic value after transmission at BER ``psi``, ``1 - P_i(psi)``.
 
     Computed as the transmitted value minus the perception degradation
     above the floor, so it equals the transmitted value exactly at zero
-    BER and never exceeds it.
+    BER and never exceeds it. Floats or arrays.
     """
-    degradation = np.asarray(eval_curve(c, psi)) - c.p0
-    out = semantic_value_transmitted(c) - degradation
-    return float(out) if np.ndim(psi) == 0 else out
+    return _elementwise(partial(_received, c), psi)
 
 
 def default_surface() -> SurfaceParams:
@@ -284,27 +278,41 @@ def default_curve(name: str) -> StreamCurve:
 # ---------------------------------------------------------------------------
 
 
+def _line_u(s: SurfaceParams, p_bar: float) -> float:
+    """``U = -log1p(-(p_bar - p0) / (pmax - p0))``, the decay sum on ``P = p_bar``; inf at ``pmax``."""
+    x = (p_bar - s.p0) / (s.pmax - s.p0)
+    return -math.log1p(-x) if x < 1.0 else math.inf
+
+
+def _psi2_of(s: SurfaceParams, u: float, psi2_max: float, psi1: float) -> float:
+    """:func:`invert_surface_psi2`'s float kernel at ``U = u``; the grid oracle calls it directly."""
+    rest = u - _decay(psi1, s.tau1, s.beta1)
+    psi2 = _ber_of_decay(s.tau2, rest, 1.0 / s.beta2) if rest > 0.0 else 0.0
+    return psi2 if psi2 < psi2_max else psi2_max
+
+
 def invert_surface_psi2(s: SurfaceParams, psi1, p_bar: float, psi2_max: float = PSI_MAX):
     """Closed-form ``psi2`` on the constraint ``P(psi1, psi2) = p_bar``.
 
     ``P = p_bar`` is equivalent to ``(psi1/tau1)^beta1 + (psi2/tau2)^beta2
     = U`` with ``U = -log1p(-(p_bar - p0) / (pmax - p0))``, so
     ``psi2 = tau2 * max(U - (psi1/tau1)^beta1, 0)^(1/beta2)``, clipped
-    to ``[0, psi2_max]``. Both powers are taken in logs, as
-    ``rest = max(U - exp(beta1 (log psi1 - log tau1)), 0)`` and
-    ``psi2 = exp(log tau2 + log(rest) / beta2)``, so no step overflows:
-    ``log 0 = -inf`` gives 0 at either end, and a decay beyond binary64
-    is infinite. Scalars or arrays of ``psi1``; no validation, the
-    caller keeps ``p0 <= p_bar < pmax`` and ``psi1`` in the domain
+    to ``[0, psi2_max]``. The powers are :func:`line_point`'s, taken in
+    logs where they leave binary64, so a decay beyond binary64 is
+    infinite. Floats or arrays of ``psi1``; no validation, the caller
+    keeps ``p0 <= p_bar <= pmax`` and ``psi1`` in the domain
     (:func:`solve_psi2_on_constraint` is the checked form).
     """
-    a1 = np.asarray(psi1, dtype=float)
-    u = -math.log1p(-(p_bar - s.p0) / (s.pmax - s.p0))
-    with np.errstate(divide="ignore", over="ignore"):
-        rest = np.maximum(u - np.exp(s.beta1 * (np.log(a1) - math.log(s.tau1))), 0.0)
-        psi2 = np.exp(math.log(s.tau2) + np.log(rest) / s.beta2)
-    out = np.minimum(psi2, psi2_max)
-    return float(out) if a1.ndim == 0 else out
+    return _elementwise(partial(_psi2_of, s, _line_u(s, p_bar), psi2_max), psi1)
+
+
+def _solve_psi2(s: SurfaceParams, p_bar: float, psi2_max: float, psi1: float) -> float:
+    lo, hi, r = _surface(s, psi1, 0.0), _surface(s, psi1, psi2_max), _P_ROUNDING
+    if not lo - r <= p_bar <= hi + r:  # a NaN target fails too
+        raise InfeasibleError(
+            f"target {p_bar:g} outside the reachable slice [{lo:g}, {hi:g}] at psi1={psi1:g}"
+        )
+    return 0.0 if lo >= p_bar else _psi2_of(s, _line_u(s, p_bar), psi2_max, psi1)
 
 
 def solve_psi2_on_constraint(
@@ -316,23 +324,15 @@ def solve_psi2_on_constraint(
 ):
     """The ``psi2`` with ``P(psi1, psi2) = p_bar`` at fixed ``psi1``.
 
-    Checked form of :func:`invert_surface_psi2` for scalars or arrays of
-    ``psi1``: raises :class:`InfeasibleError` when ``p_bar`` is outside
-    the reachable slice ``[P(psi1, 0), P(psi1, psi2_max)]`` by more than
-    rounding (so the ends from :func:`constraint_line_endpoints` are
-    accepted), and returns exactly 0 where ``P(psi1, 0) >= p_bar``.
+    Checked form of :func:`invert_surface_psi2` for floats or arrays of
+    ``psi1``: raises :class:`InfeasibleError` when ``p_bar`` is NaN or
+    outside the reachable slice ``[P(psi1, 0), P(psi1, psi2_max)]`` by
+    more than rounding (so the ends from :func:`constraint_line_endpoints`
+    are accepted), and returns exactly 0 where ``P(psi1, 0) >= p_bar``.
     ``tol`` is ignored (the root is closed-form); it stays for callers
     that pass it.
     """
-    lo_val = eval_surface(s, psi1, 0.0)
-    hi_val = eval_surface(s, psi1, psi2_max)
-    if np.any(p_bar < lo_val - _P_ROUNDING) or np.any(p_bar > hi_val + _P_ROUNDING):
-        raise InfeasibleError(
-            f"target {p_bar:g} outside the reachable slice "
-            f"[{np.max(lo_val):g}, {np.min(hi_val):g}] at the given psi1"
-        )
-    psi2 = np.where(lo_val >= p_bar, 0.0, invert_surface_psi2(s, psi1, p_bar, psi2_max))
-    return float(psi2) if np.ndim(psi1) == 0 else psi2
+    return _elementwise(partial(_solve_psi2, s, p_bar, psi2_max), psi1)
 
 
 def decay_shares(
@@ -350,7 +350,7 @@ def decay_shares(
     runs from ``1 - top_j`` to ``top_i``. No validation: the caller
     keeps ``p0 < p_bar < pmax``.
     """
-    u = -math.log1p(-(p_bar - s.p0) / (s.pmax - s.p0))
+    u = _line_u(s, p_bar)
     return (u, _top_share(psi_max[0], s.tau1, s.beta1, u),
             _top_share(psi_max[1], s.tau2, s.beta2, u))
 
@@ -410,8 +410,7 @@ def constraint_line_endpoints(
 
     Raises :class:`InfeasibleError` unless ``p0 < p_bar < P(psi_max)``.
     """
-    m1, m2 = psi_max
-    top = eval_surface(s, m1, m2)
+    top = _surface(s, *psi_max)
     if not (s.p0 < p_bar < top):
         raise InfeasibleError(
             f"target {p_bar:g} outside the open achievable range ({s.p0:g}, {top:g})"
@@ -438,8 +437,10 @@ class SampleSet:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.psi1.shape == self.psi2.shape == self.p.shape) or self.psi1.ndim != 1:
             raise DomainError("psi1, psi2 and p must be equal-length 1-D arrays")
-        _check_psi(self.psi1, "psi1")
-        _check_psi(self.psi2, "psi2")
+        for name in ("psi1", "psi2"):
+            v = getattr(self, name)
+            if not np.all((v >= 0.0) & (v <= PSI_MAX)):  # NaN and +-inf fail too
+                raise DomainError(f"{name} must lie in [0, {PSI_MAX}]")
         if self.p.size and (np.any(self.p < 0.0) or np.any(self.p > 1.0)):
             raise DomainError("P values must lie in [0, 1]")
 

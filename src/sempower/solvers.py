@@ -56,25 +56,17 @@ from typing import Callable, Sequence
 
 from .channel import ChannelState
 from .errors import DomainError, InfeasibleError, SempowerWarning
-from .modulation import (
-    PSI_FLOOR,
-    ModulationScheme,
-    _inversion,
-    _Inversion,
-    _power,
-    ber_from_snr,
-    power_from_ber,
-)
-from .numerics import ToleranceConfig, _quantile, bisect_root, np
+from .modulation import PSI_FLOOR, ModulationScheme, _ber, _inversion, _Inversion, _power
+from .numerics import ToleranceConfig, _quantile, bisect_root
 from .perception import (
     StreamCurve,
     SurfaceParams,
     _ber_of_decay,
     _decay,
     _line_ends,
+    _psi2_of,
+    _surface,
     decay_shares,
-    eval_surface,
-    invert_surface_psi2,
     line_point,
     semantic_value_transmitted,
 )
@@ -142,8 +134,8 @@ class ProblemSpec:
         # The dearest allocation holds both streams at the BER floor; a
         # finite cost there keeps every solver's powers and costs finite.
         dearest = 0.0
-        for i, (s, w) in enumerate(zip(self.streams, _weights(self))):
-            dearest += w * power_from_ber(s.modulation, s.channel, PSI_FLOOR)
+        for i, (s, w, link) in enumerate(zip(self.streams, _weights(self), _inversions(self))):
+            dearest += w * _power(link, PSI_FLOOR)
             if not math.isfinite(dearest):
                 raise DomainError(
                     f"stream {s.name or i + 1}: the power for BER {PSI_FLOOR:g} overflows over "
@@ -179,7 +171,7 @@ def achievable_range(p: ProblemSpec) -> tuple[float, float]:
     is met for free at zero power.
     """
     c1, c2 = _inversions(p)
-    return float(p.surface.p0), float(eval_surface(p.surface, c1.top, c2.top))
+    return float(p.surface.p0), _surface(p.surface, c1.top, c2.top)
 
 
 def _inversions(p: ProblemSpec) -> tuple[_Inversion, _Inversion]:
@@ -210,13 +202,13 @@ def _finish(p: ProblemSpec, line: _Line, psi: tuple[float, float], solver: str, 
         raise DomainError(
             f"{solver}: the total cost of powers {q[0]:g} W and {q[1]:g} W overflows"
         )
-    achieved = eval_surface(p.surface, psi[0], psi[1])
+    achieved = _surface(p.surface, psi[0], psi[1])
     if converged and abs(achieved - p.target) > atol:
         raise DomainError(f"{solver} misses target {p.target:g} by "
                           f"{abs(achieved - p.target):.3g}: {why}")
     return Allocation(
         q=q,
-        psi=(float(psi[0]), float(psi[1])),
+        psi=psi,
         achieved_p=achieved,
         total_cost=cost,
         solver=solver,
@@ -240,7 +232,7 @@ def _line(p: ProblemSpec, solver: str) -> _Line | Allocation:
     """
     links = _inversions(p)
     box = links[0].top, links[1].top
-    lo, hi = float(p.surface.p0), float(eval_surface(p.surface, box[0], box[1]))
+    lo, hi = float(p.surface.p0), _surface(p.surface, box[0], box[1])
     if p.target <= lo:
         raise InfeasibleError(
             f"target {p.target:g} at or below the surface floor; achievable range "
@@ -277,8 +269,7 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
         g = math.exp(v)
         # a decay beyond binary64 (near a lo set by the smallest double in
         # place of a smaller psi g) is infinite, and so is its logarithm
-        d = (_decay(ber_from_snr(m1, g), sf.tau1, sf.beta1)
-             + _decay(ber_from_snr(m2, g), sf.tau2, sf.beta2))
+        d = _decay(_ber(m1, g), sf.tau1, sf.beta1) + _decay(_ber(m2, g), sf.tau2, sf.beta2)
         return log_u - math.log(d) if d > 0.0 else math.inf
 
     def snr(c: _Inversion, psi: float) -> float:  # not clamped at PSI_FLOOR: hi stays above
@@ -292,7 +283,7 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
               for shares in (top, (min(0.5, top[0]), min(0.5, top[1]))))
     v, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, min(gap(lo), 0.0))
     g_star = math.exp(v)
-    psi = (ber_from_snr(m1, g_star), ber_from_snr(m2, g_star))
+    psi = (_ber(m1, g_star), _ber(m2, g_star))
     # Equal SNR fixes the powers directly; BER inversion would amplify
     # rounding where the curve is flat, so use the exact values.
     q = tuple(g_star * s.channel.noise_w / s.channel.gain for s in p.streams)
@@ -500,26 +491,33 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
 
     ``grid_n`` log-spaced ``psi1`` values cover the feasible bracket (from
     ``1e-12`` of its top where it starts at 0, linearly spaced where that
-    underflows);
-    ``psi2`` comes from the closed-form constraint inverse in one array
-    call and the cheapest point wins (ties go to the smallest ``psi1``).
+    underflows), the ends exact. Each point takes its ``psi2`` from the
+    closed-form constraint inverse and is priced on floats; the cheapest
+    point wins (ties go to the smallest ``psi1``).
     Serves as the independent check on the optimising solvers.
     """
     if grid_n < 64:
         raise DomainError(f"grid_n must be >= 64, got {grid_n}")
     if isinstance(line := _line(p, "grid_oracle"), Allocation):
         return line
-    box, u, top, _, w = line
-    l1, r1 = (line_point(p.surface, u, shares, box)[0] for shares in _line_ends(top))
+    box, u, top, links, (w1, w2) = line
+    sf, div = p.surface, grid_n - 1
+    l1, r1 = (line_point(sf, u, shares, box)[0] for shares in _line_ends(top))
     lo = l1 if l1 > 0.0 else r1 * 1e-12
-    grid = np.geomspace(lo, r1, grid_n) if lo > 0.0 else np.linspace(0.0, r1, grid_n)
-    psi2 = invert_surface_psi2(p.surface, grid, p.target, box[1])
-    s1, s2 = p.streams
-    q1 = np.asarray(power_from_ber(s1.modulation, s1.channel, np.maximum(grid, PSI_FLOOR)))
-    q2 = np.asarray(power_from_ber(s2.modulation, s2.channel, np.maximum(psi2, PSI_FLOOR)))
-    cost = w[0] * q1 + w[1] * q2
-    k = int(np.argmin(cost))
-    return _finish(p, line, (float(grid[k]), float(psi2[k])), "grid_oracle", grid_n)
+    if lo > 0.0:  # 10^(log10 lo + i step), the ends exact
+        a = math.log10(lo)
+        step = (math.log10(r1) - a) / div
+        inner = (10.0 ** (i * step + a) for i in range(1, div))
+    else:
+        inner = (r1 * i / div for i in range(1, div))
+
+    def price(psi1: float) -> tuple[float, float, float]:
+        psi = psi1, _psi2_of(sf, u, box[1], psi1)
+        q1, q2 = _powers(links, psi)
+        return w1 * q1 + w2 * q2, *psi
+
+    _, psi1, psi2 = min(map(price, (lo, *inner, r1)))
+    return _finish(p, line, (psi1, psi2), "grid_oracle", grid_n)
 
 
 _SOLVERS = {

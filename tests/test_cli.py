@@ -190,19 +190,23 @@ class TestStartup:
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
         assert (tmp_path / "out" / output).is_file()
 
-    @pytest.mark.parametrize("argv", [["-c", "import sempower.cli"],
-                                      ["-m", "sempower.cli", "--version"]],
-                             ids=["import", "version"])
-    def test_numpy_not_imported(self, argv):
-        loaded = imported_modules(*argv)
+    @pytest.mark.parametrize("argv", [
+        ["-c", "import sempower.cli"],
+        ["-m", "sempower.cli", "--version"],
+        ["-m", "sempower.cli", "solve", "--config", "configs/default.yaml"],
+        ["-m", "sempower.cli", "sweep", "--config", "configs/sweep_modulations.yaml"],
+    ], ids=["import", "version", "readme-solve", "readme-sweep"])
+    def test_numpy_not_imported(self, tmp_path, argv):
+        out = ["--out", str(tmp_path / "run")] if "--config" in argv else []
+        loaded = imported_modules(*argv, *out, cwd=REPO)
         assert "sempower.solvers" in loaded
         assert not [m for m in loaded if m.split(".")[0] == "numpy"]
 
     @pytest.mark.parametrize("call, printed", [
-        ('solve(p, "grid_oracle").feasible', "True"),
+        ("sempower.eval_curve(default_edge_curve(), [0.0]).shape", "(1,)"),
         ("sempower.q_inverse([0.5, 0.5]).tolist()", "[0.0, 0.0]"),
         ("len(sempower.Rng(1).normal(4))", "4"),
-    ], ids=["grid_oracle", "q_inverse", "rng"])
+    ], ids=["eval_curve", "q_inverse", "rng"])
     def test_numpy_loads_on_first_use(self, call, printed):
         # A fresh process, as this one has numpy loaded already.
         src = str(Path(sempower.__file__).resolve().parents[1])

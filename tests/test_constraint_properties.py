@@ -96,9 +96,7 @@ def test_closed_form_line(problem, fractions):
     p_array = np.asarray(eval_surface(s, psi1, array))
     assert np.all(np.abs(p_scalar - p_bar) <= P_ATOL)
     assert np.all(np.abs(p_array - p_bar) <= P_ATOL)
-    # numpy's vector pow may differ from the scalar one by an ulp, which
-    # cancellation near the right end amplifies in psi2; compare in P
-    assert np.all(np.abs(p_scalar - p_array) <= P_ATOL)
+    assert scalar.tobytes() == array.tobytes()
     assert np.all((array == unchecked) | (array == 0.0))
 
     for v, closed in zip(psi1, scalar):

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sempower.errors import ConfigError, DomainError, InfeasibleError, SingularityError
-from sempower.numerics import ToleranceConfig, finite_difference
+from sempower.channel import ChannelState
+from sempower.errors import (
+    ConfigError,
+    DomainError,
+    InfeasibleError,
+    SempowerError,
+    SingularityError,
+)
+from sempower.modulation import ber_from_snr, power_from_ber, preset, snr_from_ber
+from sempower.numerics import ToleranceConfig, finite_difference, q_function, q_inverse
 from sempower.perception import (
     PSI_MAX,
     SampleSet,
@@ -20,6 +28,7 @@ from sempower.perception import (
     eval_curve,
     eval_surface,
     fit_surface,
+    invert_surface_psi2,
     load_curve,
     load_sample_set,
     load_surface,
@@ -71,20 +80,63 @@ def surface_points(draw):
 OVERFLOWING = SurfaceParams(p0=0.3, pmax=0.95, tau1=5e-3, tau2=1e-10, beta1=1.0, beta2=60.0)
 
 
+# A decay whose ratio psi/tau overflows at a subnormal tau (the decay itself is about 3.7).
+SUBNORMAL_TAU = SurfaceParams(p0=0.3, pmax=0.999, tau1=2.66e-319, tau2=5e-3, beta1=0.00179,
+                              beta2=1.0)
+
+
+def lifted(s):
+    """Every float-or-array function, as a function of two BERs, its other inputs taken from ``s``."""
+    curve = StreamCurve(s.p0, s.pmax, s.tau1, s.beta1)
+    m, link, p_bar = preset("16qam"), ChannelState(gain=1e-10, noise_w=1e-14), 0.5 * (s.p0 + s.pmax)
+    return {
+        "q_function": lambda x, y: q_function(x - y),
+        "q_inverse": lambda x, y: q_inverse(x),
+        "ber_from_snr": lambda x, y: ber_from_snr(m, 1e3 * x),
+        "snr_from_ber": lambda x, y: snr_from_ber(m, x),
+        "power_from_ber": lambda x, y: power_from_ber(m, link, x),
+        "eval_surface": lambda x, y: eval_surface(s, x, y),
+        "surface_partials": lambda x, y: surface_partials(s, x, y),
+        "eval_curve": lambda x, y: eval_curve(curve, x),
+        "semantic_value_received": lambda x, y: semantic_value_received(curve, x),
+        "invert_surface_psi2": lambda x, y: invert_surface_psi2(s, x, p_bar),
+        "solve_psi2_on_constraint": lambda x, y: solve_psi2_on_constraint(s, x, p_bar),
+    }
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the :class:`SempowerError` it raises."""
+    try:
+        return fn(*args)
+    except SempowerError as exc:
+        return type(exc)
+
+
 @given(surface_points())
 @example((OVERFLOWING, [(0.0, 0.0), (PSI_MAX, PSI_MAX), (1e-3, 0.3), (5e-324, PSI_MAX)]))
 @example((default_surface(), [(0.0, 0.0), (PSI_MAX, 0.0), (0.0, PSI_MAX), (4e-3, 1e-3)]))
 @example((SurfaceParams(0.1, 0.9, 5e-324, 1e-3, 1.0, 2.0), [(PSI_MAX, 0.1), (0.0, 0.0)]))
+@example((SUBNORMAL_TAU, [(0.25, 0.01), (0.25, 0.0)]))
 def test_float_path_matches_array_path(case):
+    # Each element of an array call is the float call, bit for bit, and
+    # an array raises what its first failing element raises.
     s, pairs = case
     psi1, psi2 = (np.array(v) for v in zip(*pairs))
-    array = eval_surface(s, psi1, psi2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for (v1, v2), want in zip(pairs, array):
-            got = eval_surface(s, v1, v2)
-            assert type(got) is float and np.float64(got).tobytes() == want.tobytes(), (v1, v2)
-            assert eval_surface(s, np.float64(v1), np.float64(v2)) == got
+        for name, fn in lifted(s).items():
+            floats = [outcome(fn, v1, v2) for v1, v2 in pairs]
+            array = outcome(fn, psi1, psi2)
+            errors = [r for r in floats if isinstance(r, type)]
+            if errors:
+                assert array is errors[0], name
+                continue
+            assert all(type(v) is float for r in floats
+                       for v in (r if type(r) is tuple else (r,))), name
+            assert np.array(floats).tobytes() == np.array(array).T.tobytes(), name
+            for (v1, v2), want in zip(pairs, floats):
+                got = fn(np.float64(v1), np.float64(v2))
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (name, v1, v2)
 
 
 class TestEvalSurface:
@@ -110,13 +162,20 @@ class TestEvalSurface:
         assert eval_surface(OVERFLOWING, np.array([PSI_MAX]), PSI_MAX)[0] == OVERFLOWING.pmax
 
     def test_decay_whose_ratio_overflows_stays_finite(self):
-        # psi/tau leaves binary64 at a subnormal tau, but (psi/tau)^beta does not
-        s = SurfaceParams(p0=0.3, pmax=0.999, tau1=2.66e-319, tau2=5e-3, beta1=0.00179, beta2=1.0)
+        # psi/tau leaves binary64 at a subnormal tau, but (psi/tau)^beta does
+        # not; nor do the curve on the same scale and the surface's slopes
+        s = SUBNORMAL_TAU
         u = math.exp(s.beta1 * (math.log(0.25) - math.log(s.tau1)))
         want = s.p0 + (s.pmax - s.p0) * -math.expm1(-u)
-        assert 3.0 < u < 4.0
+        assert 3.0 < u < 4.0 and abs(want - 0.98186) < 1e-5
         assert eval_surface(s, 0.25, 0.0) == want
         assert eval_surface(s, np.array([0.25]), 0.0)[0] == want
+        assert_rel(eval_curve(StreamCurve(s.p0, s.pmax, s.tau1, s.beta1), 0.25), want, 1e-15)
+        envelope = (s.pmax - s.p0) * math.exp(-u - 2.0)  # psi2 = 0.01 is 2 tau2
+        d1, d2 = surface_partials(s, 0.25, 0.01)
+        assert_rel(d1, envelope * s.beta1 * u / 0.25, 1e-13)
+        assert_rel(d2, envelope / s.tau2, 1e-13)
+        assert abs(d1 - 6.16e-5) < 1e-7 and abs(d2 - 0.464) < 1e-3
 
     def test_domain_errors(self):
         s = default_surface()
@@ -194,6 +253,12 @@ class TestPartials:
             surface_partials(s, 0.0, 0.1)
         d1, d2 = surface_partials(s, 1e-6, 0.0)  # beta2 = 1 is fine at zero
         assert math.isfinite(d1) and math.isfinite(d2)
+
+    def test_decay_below_the_normals(self):
+        # (psi1/tau1)^beta1 = 1e-400 underflows; the slope, about 1e-150, does not
+        s = SurfaceParams(p0=0.3, pmax=0.95, tau1=1.0, tau2=1e-3, beta1=1.6, beta2=1.0)
+        d1, _ = surface_partials(s, 1e-250, 1e-3)
+        assert_rel(d1, 0.65 * math.exp(-1.0) * 1.6 * 1e-150, 1e-12)
 
     def test_envelope_underflow_at_a_subnormal_tau(self):
         # psi1 / tau1 overflows, and the envelope underflows faster than
@@ -290,6 +355,18 @@ class TestConstraintGeometry:
         s = default_surface()
         with pytest.raises(InfeasibleError):
             solve_psi2_on_constraint(s, 0.4, 0.31, TIGHT)
+
+    @pytest.mark.parametrize("psi1", [0.01, np.array([0.01, 0.02])], ids=["float", "array"])
+    def test_nan_target_refused(self, psi1):
+        with pytest.raises(InfeasibleError, match="target nan outside the reachable slice"):
+            solve_psi2_on_constraint(default_surface(), psi1, math.nan)
+
+    def test_target_at_the_ceiling(self):
+        # P(0.01, 0.5) rounds to pmax: the decay sum U is infinite, and
+        # psi2 sits at the top of the slice
+        s = default_surface()
+        assert eval_surface(s, 0.01, PSI_MAX) == s.pmax
+        assert solve_psi2_on_constraint(s, 0.01, s.pmax) == PSI_MAX
 
     def test_endpoints_satisfy_constraint(self):
         s = default_surface()

