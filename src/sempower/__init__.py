@@ -67,7 +67,6 @@ from .perception import (
     eval_curve,
     eval_surface,
     fit_surface,
-    invert_surface_psi2,
     load_sample_set,
     load_surface,
     save_sample_set,

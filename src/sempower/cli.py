@@ -16,6 +16,7 @@ written but flagged), 4 infeasible target.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import astuple, fields
@@ -272,6 +273,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # threads only slow start-up: the one BLAS call is tiny
     sys.exit(main())
 
 

@@ -21,13 +21,13 @@ bits, so it is more fragile per bit error rate).
 Serialised documents carry a ``family`` identifier
 (:data:`SURFACE_FAMILY` / :data:`CURVE_FAMILY`) so that alternative
 functional forms can be introduced without ambiguity. The solvers rely
-only on evaluation (:func:`eval_surface`), monotonicity, the inverse in
-``psi2`` along the constraint line (:func:`invert_surface_psi2`), and
-the line's decay-share form (:func:`decay_shares` and
-:func:`line_point`), all closed-form for this family, so swapping the
-family means providing those four for the new form. Each function of
-the BERs is a float kernel, which the solvers call directly, lifted to
-arrays by :func:`~sempower.numerics._elementwise`.
+only on evaluation (:func:`_surface`), monotonicity and the line's
+decay-share form (:func:`decay_shares` and :func:`line_point`), and the
+grid oracle on the closed-form ``psi2`` along the line (:func:`_psi2_of`);
+all are closed-form for this family, so swapping the family means
+providing those four for the new form. Each function of the BERs is a
+float kernel, which the solvers call directly, lifted to arrays by
+:func:`~sempower.numerics._elementwise`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "eval_curve",
     "semantic_value_transmitted",
     "semantic_value_received",
-    "invert_surface_psi2",
     "decay_shares",
     "line_point",
     "solve_psi2_on_constraint",
@@ -285,25 +284,14 @@ def _line_u(s: SurfaceParams, p_bar: float) -> float:
 
 
 def _psi2_of(s: SurfaceParams, u: float, psi2_max: float, psi1: float) -> float:
-    """:func:`invert_surface_psi2`'s float kernel at ``U = u``; the grid oracle calls it directly."""
+    """The ``psi2`` on the line ``u1 + u2 = u`` at ``psi1``, clipped to ``psi2_max``; unchecked.
+
+    The closed form of :func:`solve_psi2_on_constraint`, which checks the
+    target first; the grid oracle calls it directly.
+    """
     rest = u - _decay(psi1, s.tau1, s.beta1)
     psi2 = _ber_of_decay(s.tau2, rest, 1.0 / s.beta2) if rest > 0.0 else 0.0
     return psi2 if psi2 < psi2_max else psi2_max
-
-
-def invert_surface_psi2(s: SurfaceParams, psi1, p_bar: float, psi2_max: float = PSI_MAX):
-    """Closed-form ``psi2`` on the constraint ``P(psi1, psi2) = p_bar``.
-
-    ``P = p_bar`` is equivalent to ``(psi1/tau1)^beta1 + (psi2/tau2)^beta2
-    = U`` with ``U = -log1p(-(p_bar - p0) / (pmax - p0))``, so
-    ``psi2 = tau2 * max(U - (psi1/tau1)^beta1, 0)^(1/beta2)``, clipped
-    to ``[0, psi2_max]``. The powers are :func:`line_point`'s, taken in
-    logs where they leave binary64, so a decay beyond binary64 is
-    infinite. Floats or arrays of ``psi1``; no validation, the caller
-    keeps ``p0 <= p_bar <= pmax`` and ``psi1`` in the domain
-    (:func:`solve_psi2_on_constraint` is the checked form).
-    """
-    return _elementwise(partial(_psi2_of, s, _line_u(s, p_bar), psi2_max), psi1)
 
 
 def _solve_psi2(s: SurfaceParams, p_bar: float, psi2_max: float, psi1: float) -> float:
@@ -322,15 +310,18 @@ def solve_psi2_on_constraint(
     tol: ToleranceConfig | None = None,
     psi2_max: float = PSI_MAX,
 ):
-    """The ``psi2`` with ``P(psi1, psi2) = p_bar`` at fixed ``psi1``.
+    """The ``psi2`` with ``P(psi1, psi2) = p_bar`` at fixed ``psi1``; floats or arrays.
 
-    Checked form of :func:`invert_surface_psi2` for floats or arrays of
-    ``psi1``: raises :class:`InfeasibleError` when ``p_bar`` is NaN or
-    outside the reachable slice ``[P(psi1, 0), P(psi1, psi2_max)]`` by
-    more than rounding (so the ends from :func:`constraint_line_endpoints`
-    are accepted), and returns exactly 0 where ``P(psi1, 0) >= p_bar``.
-    ``tol`` is ignored (the root is closed-form); it stays for callers
-    that pass it.
+    ``P = p_bar`` is equivalent to ``(psi1/tau1)^beta1 + (psi2/tau2)^beta2
+    = U`` with ``U = -log1p(-(p_bar - p0) / (pmax - p0))``, so
+    ``psi2 = tau2 * max(U - (psi1/tau1)^beta1, 0)^(1/beta2)``, clipped to
+    ``[0, psi2_max]``. The powers are :func:`line_point`'s, taken in logs
+    where they leave binary64. Raises :class:`InfeasibleError` when
+    ``p_bar`` is NaN or outside the reachable slice
+    ``[P(psi1, 0), P(psi1, psi2_max)]`` by more than rounding (so the ends
+    from :func:`constraint_line_endpoints` are accepted), and returns
+    exactly 0 where ``P(psi1, 0) >= p_bar``. ``tol`` is ignored (the root
+    is closed-form); it stays for callers that pass it.
     """
     return _elementwise(partial(_solve_psi2, s, p_bar, psi2_max), psi1)
 

@@ -12,11 +12,11 @@ with equality, so every method works on the constraint line
     the common SNR is found by a one-dimensional root search.
 ``proportional``
     Decouples the constraint per stream: both streams keep the same
-    fraction ``L_hat_i / L_i`` of their semantic value. A search along
-    the line compares the fractions the two streams have lost.
+    fraction ``L_hat_i / L_i`` of their semantic value: each stream's
+    rule is the fraction it has lost.
 ``bisection``
-    The paper's solver: a search along the line for the point where the
-    cost stops falling as one stream's decay share grows; keeps the
+    The paper's solver: each stream's rule is its cost's slope in its
+    decay share, and where they meet the cost stops falling; keeps the
     cheapest of that point and the line's two ends.
 ``grid_oracle``
     Brute force: a log-spaced scan of the line, used as independent
@@ -26,18 +26,19 @@ Every solver starts from one set-up (:func:`_line`): it checks the
 target against the reachable range, returns the zero-power allocation
 for a target at or above the zero-power error, and otherwise gives the
 line ``u1 + u2 = U`` with ``u_i = (psi_i/tau_i)^beta_i`` and each
-stream's link constants. The two semantic-aware methods run one search.
-The shares ``s_i = u_i / U`` give each BER in closed form,
-``psi_i = tau_i (s_i U)^(1/beta_i)``; each method searches the line in
-``z = log(s1 / s2)`` for the sign change of its own difference between
-the two streams, so its point is on the line by construction, and both
-shares keep full relative precision down to the subnormals.
+stream's link constants. The shares ``s_i = u_i / U`` give each BER in
+closed form, ``psi_i = tau_i (s_i U)^(1/beta_i)``. The two
+semantic-aware methods differ only in a per-stream rule, a value of the
+stream's share with its derivative; one search (:func:`_share_search`)
+finds where the two streams' rules meet, in ``z = log(s1 / s2)``, so
+the point is on the line by construction and both shares keep full
+relative precision down to the subnormals.
 
 Every search is the bracketed ITP search of :func:`bisect_root` on a
 logarithm, never more than midpoint bisection's count plus one step.
 ``equal_snr`` brackets its common SNR in closed form: 6 evaluations or
-so. ``proportional`` and ``bisection`` take Newton steps on exact
-derivatives, ``bisection`` from the closed-form high-SNR optimum: 4
+so. The share search takes Newton steps on the rules' exact
+derivatives, ``bisection``'s from the closed-form high-SNR optimum: 4
 evaluations or so each.
 
 Costs use symbol power times the stream's bit count by default
@@ -299,27 +300,36 @@ def _shares(z: float) -> tuple[float, float]:
 
 
 def _share_search(
-    top: Sequence[float], gap: Callable[[float], float], seed: float = math.nan,
-    dgap: Callable[[float], float] | None = None,
+    top: Sequence[float], rules: Sequence[Callable[[float], tuple[float, float]]],
+    offset: float = 0.0, seed: float = math.nan,
 ) -> tuple[tuple[float, float], int, bool]:
-    """Search the constraint line in ``z = log(s1 / s2)`` for a solver's point.
+    """Search the constraint line in ``z = log(s1 / s2)`` for the point where two rules meet.
 
-    ``gap(z)`` is negative below the point and positive above it. With
-    ``top``, each stream's largest share inside the box
+    Each stream's rule maps its share ``s_i`` to ``(value, d value / d log s_i)``.
+    The gap ``rule2(s2) - rule1(s1) + offset`` is negative below the point
+    and positive above it; its derivative ``-(d2 s1 + d1 s2)`` gives Newton
+    steps. With ``top``, each stream's largest share in the box
     (:func:`decay_shares`), the line runs from ``log((1 - top2) / top2)``
     to ``log(top1 / (1 - top1))``, a share of 0 taken as 5e-324; the ends
-    are never evaluated, and :func:`_shares` keeps both shares to full
-    relative precision. A ``seed`` inside the line is evaluated first, and
-    its value starts the search from that end. ``dgap(z)``, the derivative
-    of the last call's ``gap``, gives Newton steps. Returns ``((s1, s2),
-    steps, converged)``, counting every call to ``gap``.
+    are never evaluated. A ``seed`` inside the line is evaluated first,
+    and its value starts the search from that end. Returns ``((s1, s2),
+    steps, converged)``, counting every evaluation of the gap.
     """
+    rule1, rule2 = rules
+    slope = [math.nan]  # d gap / dz at the last call
+
+    def gap(z: float) -> float:
+        s1, s2 = _shares(z)
+        (a, d2), (b, d1) = rule2(s2), rule1(s1)
+        slope[0] = -(d2 * s1 + d1 * s2)  # d log s1 / dz = s2, d log s2 / dz = -s1
+        return a - b + offset
+
     lo, hi = (math.log(s1 or _TINY) - math.log(s2 or _TINY) for s1, s2 in _line_ends(top))
     f_lo, f_hi, calls = math.nan, math.nan, 0
     if lo < seed < hi:  # the seed's value ends the bracket on the point's side
         y, calls = gap(seed), 1
         lo, hi, f_lo, f_hi = (seed, hi, y, f_hi) if y < 0.0 else (lo, seed, f_lo, y)
-    z, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, f_lo, f_hi, dgap)
+    z, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, f_lo, f_hi, lambda z: slope[0])
     return _shares(z), steps + calls, converged
 
 
@@ -333,6 +343,16 @@ def _lost_value(c: StreamCurve, psi: float) -> tuple[float, float]:
     return -math.expm1(-v) * scale, math.exp(-v) * v * c.beta * scale
 
 
+def _minus_lost(c: StreamCurve, tau: float, beta: float, u: float, cap: float, share: float):
+    """:func:`solve_proportional`'s rule: minus :func:`_lost_value` at the BER of ``share`` on
+    the line, clipped at ``cap`` as :func:`line_point` clips it, and its derivative in
+    ``log share`` (0 where clipped). Minus, so rule 2 minus rule 1 is ``lost_1 - lost_2``."""
+    psi = _ber_of_decay(tau, share * u, 1.0 / beta)
+    psi = cap if cap < psi else psi
+    lost, d = _lost_value(c, psi)
+    return -lost, -d / beta if psi < cap else 0.0
+
+
 def solve_proportional(p: ProblemSpec) -> Allocation:
     """Both streams keep the same fraction of their semantic value.
 
@@ -340,36 +360,26 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     ``A_i (1 - exp(-v_i))`` with ``A_i = (pmax_i - p0_i) / L_i`` and
     ``v_i = (psi_i/tau_i)^beta_i`` on its curve, rises with its decay
     share while the other stream's falls. :func:`_share_search` finds the
-    share ratio where their difference changes sign, with Newton steps on
-    ``d lost_i / d log s_i = A_i e^-v_i v_i beta_i / beta_s,i`` (0 where
-    the BER is capped at the box), and :func:`line_point` gives the BERs,
-    so the target is met by construction. ``iterations`` counts every
-    evaluation of the difference. Raises :class:`DomainError`, naming the
-    stream that loses less, when the converged point's lost fractions
-    differ by more than :data:`PROPORTIONAL_RULE_ATOL` (the rule needs a
-    BER beyond that stream's zero-power value, or the difference jumps
-    across 0 where a BER underflows), or when rounding leaves the target
-    missed by more than :data:`PROPORTIONAL_ATOL`.
+    share ratio where the two streams' :func:`_minus_lost` meet, and
+    :func:`line_point` gives the BERs, so the target is met by
+    construction. ``iterations`` counts every evaluation of the
+    difference. Raises :class:`DomainError`, naming the stream that loses
+    less, when the converged point's lost fractions differ by more than
+    :data:`PROPORTIONAL_RULE_ATOL` (the rule needs a BER beyond that
+    stream's zero-power value, or the difference jumps across 0 where a
+    BER underflows), or when rounding leaves the target missed by more
+    than :data:`PROPORTIONAL_ATOL`.
     """
     if isinstance(line := _line(p, "proportional"), Allocation):
         return line
     box, u, top = line[:3]
     sf = p.surface
-    curves = [s.curve for s in p.streams]
-    slope_of_gap = [math.nan]  # d gap / dz at the last call
-
-    def lost_gap(shares: tuple[float, float]) -> float:
-        psi = line_point(sf, u, shares, box)
-        (l1, d1), (l2, d2) = _lost_value(curves[0], psi[0]), _lost_value(curves[1], psi[1])
-        # d log s1 / dz = s2 and d log s2 / dz = -s1; a capped BER stays put
-        slope_of_gap[0] = ((d1 * shares[1] / sf.beta1 if psi[0] < box[0] else 0.0)
-                           + (d2 * shares[0] / sf.beta2 if psi[1] < box[1] else 0.0))
-        return l1 - l2
-
-    shares, steps, converged = _share_search(top, lambda z: lost_gap(_shares(z)), math.nan,
-                                             lambda z: slope_of_gap[0])
+    rules = [partial(_minus_lost, s.curve, tau, beta, u, cap) for s, tau, beta, cap
+             in zip(p.streams, (sf.tau1, sf.tau2), (sf.beta1, sf.beta2), box)]
+    shares, steps, converged = _share_search(top, rules)
     psi = line_point(sf, u, shares, box)
-    if converged and abs(gap := lost_gap(shares)) > PROPORTIONAL_RULE_ATOL:
+    gap = rules[1](shares[1])[0] - rules[0](shares[0])[0]  # lost_1 - lost_2 at the answer
+    if converged and abs(gap) > PROPORTIONAL_RULE_ATOL:
         i = 0 if gap < 0.0 else 1
         s = p.streams[i]
         raise DomainError(
@@ -444,22 +454,19 @@ def _slope_offsets(line: _Line, beta: tuple[float, float]) -> tuple[float, float
 def solve_bisection(p: ProblemSpec) -> Allocation:
     """The paper's solver: a search of the constraint line in its decay-share coordinate.
 
-    On the line ``u1 + u2 = U`` (:func:`decay_shares`) each stream's BER
-    follows in closed form from its share of ``U``. :func:`_share_search`
-    finds the ``z = log(s1 / s2)`` where the difference of the two streams'
-    ``log |d cost_i / d s_i|`` (:func:`_share_slope`) changes sign, that
-    is where the cost stops falling as one share grows. The search
-    starts from the high-SNR optimum: with ``x = Qinv(psi g)`` large,
+    Each stream's rule is its ``log |d cost_i / d s_i|`` (:func:`_share_slope`),
+    and :func:`_share_search` finds the ``z = log(s1 / s2)`` where the two
+    meet, up to the constants' ratio (:func:`_slope_offsets`): there the
+    cost stops falling as one share grows. The search starts from the
+    high-SNR optimum: with ``x = Qinv(psi g)`` large,
     ``log x + x^2/2 + log psi ~ -log g - log(2 pi)/2``, so the slopes meet
     near ``s_i ~ w_i sigma_i^2 / (b_i |h_i|^2 beta_i)``, that is at
-    ``z = -e`` (:func:`_slope_offsets`), and takes Newton steps on the
-    slopes' exact derivatives: ``d gap / dz = -(d_2 s_1 + d_1 s_2)``, with
-    ``d_i`` stream ``i``'s slope derivative in ``log s_i``. Below the BER
-    floor the power is clamped, which can leave a cheaper minimum at an
-    end, so the cheapest of the found point and both ends is returned, the
-    found point on a tie. ``iterations`` counts the evaluations of the
-    slope difference, two normal quantiles each, and the pricing takes six
-    more; the search is ITP, and the solver keeps the paper's name.
+    ``z = -e``. Below the BER floor the power is clamped, which can leave
+    a cheaper minimum at an end, so the cheapest of the found point and
+    both ends is returned, the found point on a tie. ``iterations`` counts
+    the evaluations of the slope difference, two normal quantiles each,
+    and the pricing takes six more; the search is ITP, and the solver
+    keeps the paper's name.
     """
     if isinstance(line := _line(p, "bisection"), Allocation):
         return line
@@ -467,15 +474,7 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     sf = p.surface
     slope = _share_slope(p, 0, u, box[0], links[0].g), _share_slope(p, 1, u, box[1], links[1].g)
     offset, e = _slope_offsets(line, (sf.beta1, sf.beta2))
-    slope_of_gap = [math.nan]  # d gap / dz at the last call
-
-    def gap(z: float) -> float:
-        s1, s2 = _shares(z)
-        (a, d2), (b, d1) = slope[1](s2), slope[0](s1)
-        slope_of_gap[0] = -(d2 * s1 + d1 * s2)  # d log s1 / dz = s2, d log s2 / dz = -s1
-        return a - b + offset
-
-    found, steps, converged = _share_search(top, gap, -e, lambda z: slope_of_gap[0])
+    found, steps, converged = _share_search(top, slope, offset, -e)
     best = None
     for shares in (found, *_line_ends(top)):  # an end must be strictly cheaper to win
         psi = line_point(sf, u, shares, box)

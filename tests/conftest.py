@@ -96,20 +96,29 @@ def midpoint_run(f, lo, hi, tol):
 
 @contextlib.contextmanager
 def recorded_gap_calls():
-    """Record the points at which each share search calls its ``gap``.
+    """Record the points at which each share search evaluates its gap.
 
-    Yields a list that gets ``z = log(s1 / s2)`` at each call, in order;
-    clear it between solves.
+    Yields a list that gets the shares ``(s1, s2)`` of each evaluation, in
+    order; clear it between solves. Each evaluation calls both streams'
+    rules once, so a pair is complete once both have been called.
     """
     calls = []
     search = solvers._share_search
 
-    def recording(top, gap, *rest):
-        def recorded_gap(z):
-            calls.append(z)
-            return gap(z)
+    def recording(top, rules, *rest):
+        pair = [None, None]
 
-        return search(top, recorded_gap, *rest)
+        def recorded(i, rule):
+            def call(share):
+                pair[i] = share
+                if None not in pair:
+                    calls.append(tuple(pair))
+                    pair[:] = None, None
+                return rule(share)
+
+            return call
+
+        return search(top, [recorded(i, rule) for i, rule in enumerate(rules)], *rest)
 
     with mock.patch.object(solvers, "_share_search", recording):
         yield calls

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ import yaml
 
 import sempower
 from sempower.cli import SIM_HEADER, SWEEP_HEADER, main
+from sempower.config import ExperimentConfig, load_config
 from sempower.errors import SempowerWarning
 from sempower.perception import (
     SampleSet,
@@ -31,6 +32,25 @@ def write_config(tmp_path, name="config.yaml", **overrides):
     with open(path, "w") as fh:
         yaml.safe_dump(overrides, fh)
     return path
+
+
+def write_unreachable_proportional(tmp_path, **overrides):
+    """A config on which the proportional rule cannot be met above P = 0.258.
+
+    Stream 1 barely moves the surface but its curve is very BER-tolerant,
+    so there the rule needs a BER beyond what 16-QAM shows at zero power;
+    the other solvers solve.
+    """
+    from sempower.perception import StreamCurve, SurfaceParams, save_curve, save_surface
+
+    save_surface(SurfaceParams(p0=0.25, pmax=0.9999, tau1=50.0, tau2=1e-3, beta1=1.0,
+                               beta2=1.0), tmp_path / "surface.yaml")
+    streams = []
+    for name, tau in (("tolerant", 10.0), ("fragile", 1e-4)):
+        save_curve(StreamCurve(p0=0.3, pmax=0.95, tau=tau, beta=1.0), tmp_path / f"{name}.yaml")
+        streams.append({"name": name, "bits": 1000, "modulation": "16qam",
+                        "curve": f"{name}.yaml"})
+    return write_config(tmp_path, surface="surface.yaml", streams=streams, grid_n=512, **overrides)
 
 
 def read_rows(path):
@@ -68,15 +88,20 @@ class TestFit:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("content", [None, b"psi1,psi2,P\n\xff\xfe,0,0.4\n"],
-                             ids=["missing", "not-utf8"])
-    def test_unreadable_csv_exit_2(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        (b"psi1,psi2,P\n\xff\xfe,0,0.4\n", "can't decode"),
+        (b"", "empty file"),
+        (b"psi1,psi2,P\n0.7,0,0.4\n", "psi1 must lie in [0, 0.5]"),
+    ], ids=["missing", "not-utf8", "empty", "psi1-outside"])
+    def test_unreadable_csv_exit_2(self, tmp_path, capsys, content, message):
         samples = tmp_path / "samples.csv"
         if content is not None:
             samples.write_bytes(content)
         code = main(["fit", str(samples), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "samples.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "samples.csv" in err and message in err
         assert not (tmp_path / "out").exists()
 
     def test_nonconverged_fit_exit_3_still_writes(self, tmp_path, monkeypatch, capsys):
@@ -202,6 +227,21 @@ class TestStartup:
         assert "sempower.solvers" in loaded
         assert not [m for m in loaded if m.split(".")[0] == "numpy"]
 
+    def test_entrypoint_sets_only_unset_thread_counts(self, monkeypatch):
+        # BLAS threads slow a fresh process that loads numpy; a count set already stays.
+        import sempower.cli as cli_mod
+
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.setenv(name, "3")  # so that teardown restores what was there before
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        monkeypatch.delenv("MKL_NUM_THREADS")
+        monkeypatch.setattr(cli_mod, "main", lambda: 0)
+        with pytest.raises(SystemExit) as exc:
+            cli_mod.entrypoint()
+        assert exc.value.code == 0
+        assert [os.environ[name] for name in names] == ["1", "3", "1"]
+
     @pytest.mark.parametrize("call, printed", [
         ("sempower.eval_curve(default_edge_curve(), [0.0]).shape", "(1,)"),
         ("sempower.q_inverse([0.5, 0.5]).tolist()", "[0.0, 0.0]"),
@@ -244,6 +284,14 @@ class TestSolve:
         assert (tmp_path / "a" / "solve.csv").read_bytes() == (
             tmp_path / "b" / "solve.csv"
         ).read_bytes()
+
+    def test_failed_solver_printed_as_infeasible(self, tmp_path, capsys):
+        cfg = write_unreachable_proportional(tmp_path, target=0.8)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
+        assert printed["proportional"].startswith(
+            f"{'proportional':<14}infeasible: proportional rule cannot be met: stream tolerant")
+        assert "infeasible" not in printed["bisection"]
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.yaml")]) == 2
@@ -297,6 +345,14 @@ class TestSweep:
         echo = json.loads((out / "manifest.json").read_text())["config"]["targets"]
         assert echo == {"start": 0.4, "stop": 0.8, "step": 0.1}
 
+    def test_csv_format_writes_no_svg(self, tmp_path):
+        cfg = write_config(tmp_path, targets=[0.4, 0.7], grid_n=512)
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep_16qam.csv"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["output"]["format"] == "csv"
+
     def test_svg_well_formed_one_polyline_per_series(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -334,20 +390,7 @@ class TestSweep:
         assert "flagged" in capsys.readouterr().err
 
     def test_unreachable_proportional_target_leaves_error_row(self, tmp_path):
-        # Stream 1 barely moves the surface but its curve is very
-        # BER-tolerant, so above P = 0.258 the rule needs a BER beyond
-        # what 16-QAM shows at zero power; the other cells solve.
-        from sempower.perception import StreamCurve, SurfaceParams, save_curve, save_surface
-
-        save_surface(SurfaceParams(p0=0.25, pmax=0.9999, tau1=50.0, tau2=1e-3, beta1=1.0,
-                                   beta2=1.0), tmp_path / "surface.yaml")
-        streams = []
-        for name, tau in (("tolerant", 10.0), ("fragile", 1e-4)):
-            save_curve(StreamCurve(p0=0.3, pmax=0.95, tau=tau, beta=1.0), tmp_path / f"{name}.yaml")
-            streams.append({"name": name, "bits": 1000, "modulation": "16qam",
-                            "curve": f"{name}.yaml"})
-        cfg = write_config(tmp_path, surface="surface.yaml", streams=streams,
-                           targets=[0.255, 0.8], grid_n=512)
+        cfg = write_unreachable_proportional(tmp_path, targets=[0.255, 0.8])
         out = tmp_path / "run"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_rows(out / "sweep_16qam.csv")
@@ -486,6 +529,10 @@ class TestConfig:
             ({"channel": {"h0_db": True}}, "channel.h0_db"),
             ({"grid_n": 64.5}, "grid_n"),
             ({"streams": [{"M": 4}, {}]}, "streams[0].M"),
+            ({"channel": 5}, "channel: expected a mapping"),
+            ({"targets": "abc"}, "targets: expected a list or a start/stop range"),
+            ({"surface": "missing.yaml"}, "surface: file not found"),
+            ({"target": None}, "target: required for solve"),
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, overrides, key):
@@ -494,6 +541,39 @@ class TestConfig:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {key}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "error: --config is required"),
+        ("- 0.6\n", "expected a mapping at the top level"),
+        ('{"manifest_version": 1, "config": 3}', "manifest 'config' is not a mapping"),
+    ], ids=["no-config", "list", "manifest-config"])
+    def test_unusable_config_exit_2(self, tmp_path, capsys, content, message):
+        out = tmp_path / "run"
+        argv = ["solve", "--out", str(out)]
+        if content is not None:
+            (tmp_path / "config.yaml").write_text(content)
+            argv += ["--config", str(tmp_path / "config.yaml")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_section_keeps_its_defaults(self, tmp_path):
+        for name, overrides in (("null", {"channel": None}), ("absent", {})):
+            cfg = write_config(tmp_path, f"{name}.yaml", target=0.6, grid_n=512, **overrides)
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        null, absent = (json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+                        for name in ("null", "absent"))
+        assert null["channel"] == absent["channel"]
+        assert (tmp_path / "null" / "solve.csv").read_bytes() == (
+            tmp_path / "absent" / "solve.csv").read_bytes()
+
+    def test_default_yaml_is_the_defaults(self, tmp_path):
+        # Its header says every key it shows is the built-in default.
+        shown = load_config(REPO / "configs" / "default.yaml")
+        empty = load_config(write_config(tmp_path))
+        for f in fields(ExperimentConfig):
+            if f.name != "input_files":
+                assert getattr(shown, f.name) == getattr(empty, f.name), f.name
 
     @pytest.mark.parametrize(
         "key, value", [("h0_db", 4000), ("noise_dbm", 4000), ("d0_m", 1.0e300)]
@@ -534,10 +614,19 @@ class TestConfig:
         assert f"error: {key}: unknown key" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("content", [b"p0: [0.3\npmax: 0.95\n", b"p0: \xff\xfe\n"],
-                             ids=["bad-yaml", "not-utf8"])
+    # Each document has both kinds' fields; the messages are the surface's and the curve's.
+    @pytest.mark.parametrize("content, messages", [
+        (b"p0: [0.3\npmax: 0.95\n", ("", "")),
+        (b"p0: \xff\xfe\n", ("", "")),
+        (b"- 0.3\n- 0.95\n", ("expected a mapping",) * 2),
+        (b"{p0: 0.3, pmax: 0.95, tau1: 5.0e-3, tau2: 1.0e-3, beta1: 1.0, tau: 5.0e-3}",
+         ("missing field 'beta2'", "missing field 'beta'")),
+        (b"{p0: 0.3, pmax: 0.95, tau1: -1, tau2: 1.0e-3, beta1: 1.0, beta2: 1.0,"
+         b" tau: -1, beta: 1.0}",
+         ("tau1 must be finite and > 0", "tau must be finite and > 0")),
+    ], ids=["bad-yaml", "not-utf8", "list", "missing-field", "negative-tau"])
     @pytest.mark.parametrize("kind", ["surface", "curve"])
-    def test_malformed_document_exit_2(self, tmp_path, capsys, kind, content):
+    def test_malformed_document_exit_2(self, tmp_path, capsys, kind, content, messages):
         (tmp_path / "doc.yaml").write_bytes(content)
         overrides = (
             {"surface": "doc.yaml"} if kind == "surface"
@@ -545,7 +634,8 @@ class TestConfig:
         )
         cfg = write_config(tmp_path, **overrides)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
-        assert "doc.yaml" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "doc.yaml" in err and messages[kind == "curve"] in err
 
     def test_custom_modulation(self, tmp_path):
         cfg = write_config(

@@ -28,7 +28,6 @@ from sempower.perception import (
     eval_curve,
     eval_surface,
     fit_surface,
-    invert_surface_psi2,
     load_curve,
     load_sample_set,
     load_surface,
@@ -99,7 +98,6 @@ def lifted(s):
         "surface_partials": lambda x, y: surface_partials(s, x, y),
         "eval_curve": lambda x, y: eval_curve(curve, x),
         "semantic_value_received": lambda x, y: semantic_value_received(curve, x),
-        "invert_surface_psi2": lambda x, y: invert_surface_psi2(s, x, p_bar),
         "solve_psi2_on_constraint": lambda x, y: solve_psi2_on_constraint(s, x, p_bar),
     }
 
