@@ -22,10 +22,9 @@ Serialised documents carry a ``family`` identifier
 (:data:`SURFACE_FAMILY` / :data:`CURVE_FAMILY`) so that alternative
 functional forms can be introduced without ambiguity. The solvers rely
 only on evaluation (:func:`_surface`), monotonicity and the line's
-decay-share form (:func:`decay_shares` and :func:`line_point`), and the
-grid oracle on the closed-form ``psi2`` along the line (:func:`_psi2_of`);
-all are closed-form for this family, so swapping the family means
-providing those four for the new form. Each function of the BERs is a
+decay-share form (:func:`decay_shares` and :func:`line_point`), all
+closed-form for this family, so swapping the family means providing
+those three for the new form. Each function of the BERs is a
 float kernel, which the solvers call directly, lifted to arrays by
 :func:`~sempower.numerics._elementwise`.
 """
@@ -283,24 +282,17 @@ def _line_u(s: SurfaceParams, p_bar: float) -> float:
     return -math.log1p(-x) if x < 1.0 else math.inf
 
 
-def _psi2_of(s: SurfaceParams, u: float, psi2_max: float, psi1: float) -> float:
-    """The ``psi2`` on the line ``u1 + u2 = u`` at ``psi1``, clipped to ``psi2_max``; unchecked.
-
-    The closed form of :func:`solve_psi2_on_constraint`, which checks the
-    target first; the grid oracle calls it directly.
-    """
-    rest = u - _decay(psi1, s.tau1, s.beta1)
-    psi2 = _ber_of_decay(s.tau2, rest, 1.0 / s.beta2) if rest > 0.0 else 0.0
-    return psi2 if psi2 < psi2_max else psi2_max
-
-
 def _solve_psi2(s: SurfaceParams, p_bar: float, psi2_max: float, psi1: float) -> float:
     lo, hi, r = _surface(s, psi1, 0.0), _surface(s, psi1, psi2_max), _P_ROUNDING
     if not lo - r <= p_bar <= hi + r:  # a NaN target fails too
         raise InfeasibleError(
             f"target {p_bar:g} outside the reachable slice [{lo:g}, {hi:g}] at psi1={psi1:g}"
         )
-    return 0.0 if lo >= p_bar else _psi2_of(s, _line_u(s, p_bar), psi2_max, psi1)
+    rest = _line_u(s, p_bar) - _decay(psi1, s.tau1, s.beta1)
+    if lo >= p_bar or rest <= 0.0:
+        return 0.0
+    psi2 = _ber_of_decay(s.tau2, rest, 1.0 / s.beta2)
+    return psi2 if psi2 < psi2_max else psi2_max
 
 
 def solve_psi2_on_constraint(

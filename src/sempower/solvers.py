@@ -19,8 +19,8 @@ with equality, so every method works on the constraint line
     decay share, and where they meet the cost stops falling; keeps the
     cheapest of that point and the line's two ends.
 ``grid_oracle``
-    Brute force: a log-spaced scan of the line, used as independent
-    ground truth for the optimisers.
+    Brute force: a two-pass scan of the line in decay shares, used as
+    independent ground truth for the optimisers.
 
 Every solver starts from one set-up (:func:`_line`): it checks the
 target against the reachable range, returns the zero-power allocation
@@ -65,7 +65,6 @@ from .perception import (
     _ber_of_decay,
     _decay,
     _line_ends,
-    _psi2_of,
     _surface,
     decay_shares,
     line_point,
@@ -486,37 +485,41 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
 
 
 def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
-    """Exhaustive scan of the constraint line at grid resolution.
+    """Exhaustive scan of the constraint line in its decay shares.
 
-    ``grid_n`` log-spaced ``psi1`` values cover the feasible bracket (from
-    ``1e-12`` of its top where it starts at 0, linearly spaced where that
-    underflows), the ends exact. Each point takes its ``psi2`` from the
-    closed-form constraint inverse and is priced on floats; the cheapest
-    point wins (ties go to the smallest ``psi1``).
-    Serves as the independent check on the optimising solvers.
+    At ``y`` the smaller share is ``e^-|y| / 2`` (stream 1's for ``y < 0``)
+    and the larger one minus it. Exactly ``grid_n`` points are priced
+    through :func:`line_point` and :func:`_powers`: both exact line ends, a
+    pass evenly spaced in ``y`` over the line (a share of 0 taken as
+    5e-324), and one evenly spaced strictly between the neighbours of its
+    cheapest point. The cheapest point wins, ties going to the smallest
+    ``psi1``: the independent check on the optimising solvers.
     """
     if grid_n < 64:
         raise DomainError(f"grid_n must be >= 64, got {grid_n}")
     if isinstance(line := _line(p, "grid_oracle"), Allocation):
         return line
     box, u, top, links, (w1, w2) = line
-    sf, div = p.surface, grid_n - 1
-    l1, r1 = (line_point(sf, u, shares, box)[0] for shares in _line_ends(top))
-    lo = l1 if l1 > 0.0 else r1 * 1e-12
-    if lo > 0.0:  # 10^(log10 lo + i step), the ends exact
-        a = math.log10(lo)
-        step = (math.log10(r1) - a) / div
-        inner = (10.0 ** (i * step + a) for i in range(1, div))
-    else:
-        inner = (r1 * i / div for i in range(1, div))
+    sf, exp = p.surface, math.exp
 
-    def price(psi1: float) -> tuple[float, float, float]:
-        psi = psi1, _psi2_of(sf, u, box[1], psi1)
+    def price(y: float, shares: tuple[float, float] | None = None) -> tuple[float, ...]:
+        if shares is None:
+            e = 0.5 * exp(y if y < 0.0 else -y)  # the smaller share, without abs()
+            shares = (e, 1.0 - e) if y < 0.0 else (1.0 - e, e)
+        psi1, psi2 = psi = line_point(sf, u, shares, box)
         q1, q2 = _powers(links, psi)
-        return w1 * q1 + w2 * q2, *psi
+        return w1 * q1 + w2 * q2, y, psi1, psi2
 
-    _, psi1, psi2 = min(map(price, (lo, *inner, r1)))
-    return _finish(p, line, (psi1, psi2), "grid_oracle", grid_n)
+    ends = _line_ends(top)
+    lo, hi = (math.log(2.0 * (s1 or _TINY)) if s1 < s2 else -math.log(2.0 * (s2 or _TINY))
+              for s1, s2 in ends)
+    n1, n2 = (grid_n - 1) // 2, (grid_n - 2) // 2
+    step = (hi - lo) / (n1 + 1)
+    first = min(map(price, [lo + i * step for i in range(1, n1 + 1)]))
+    a, fine = first[1] - step, 2.0 * step / (n2 + 1)
+    best = min(price(lo, ends[0]), price(hi, ends[1]), first,  # an even pass 2 skips first
+               *map(price, [a + j * fine for j in range(1, n2 + 1)]))
+    return _finish(p, line, best[2:], "grid_oracle", grid_n)
 
 
 _SOLVERS = {

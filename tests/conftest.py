@@ -1,5 +1,6 @@
 import contextlib
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,22 @@ settings.register_profile(
     "suite", derandomize=True, deadline=None, max_examples=200, database=None
 )
 settings.load_profile("suite")
+# `--hypothesis-profile=fuzz` draws afresh: 10x the examples from a seed
+# printed in the report header, which `--hypothesis-seed` takes back.
+settings.register_profile(
+    "fuzz", derandomize=False, deadline=None, max_examples=2000, database=None
+)
+
+
+@pytest.hookimpl(tryfirst=True)  # before Hypothesis reads the seed
+def pytest_configure(config):
+    if config.option.hypothesis_profile == "fuzz" and config.option.hypothesis_seed is None:
+        config.option.hypothesis_seed = str(random.randrange(2**32))
+
+
+def pytest_report_header(config):
+    if config.option.hypothesis_profile == "fuzz":
+        return f"hypothesis seed {config.option.hypothesis_seed}"
 
 # Reference link: -30 dB at 1 m, 100 m distance, exponent 3.4 (-98 dB
 # total), -110 dBm noise.

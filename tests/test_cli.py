@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,9 +19,11 @@ from sempower.config import ExperimentConfig, load_config
 from sempower.errors import SempowerWarning
 from sempower.perception import (
     SampleSet,
+    SurfaceParams,
     default_surface,
     load_surface,
     save_sample_set,
+    save_surface,
     synthetic_sample_set,
 )
 
@@ -313,6 +316,23 @@ class TestSolve:
         assert code == 3
         assert len(read_rows(out / "solve.csv")) == 4
         assert "flagged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_small_beta1_surface_not_flagged(self, tmp_path, command):
+        # beta1 = 0.069: twelve decades of psi1 below its top are under one
+        # decade of stream 1's share, where a grid over them sat 9% above
+        # bisection and flagged the cost as not unimodal.
+        save_surface(SurfaceParams(0.3, 0.95, 5.6029223416311225e-192, 1.3597206671358468,
+                                   0.06905819716309045, 0.18360094535316446),
+                     tmp_path / "surface.yaml")
+        streams = [{"name": name, "bits": bits, "modulation": "bpsk", "curve": f"default-{name}"}
+                   for name, bits in (("prompt", 1024), ("edge", 8192))]
+        cfg = write_config(tmp_path, surface="surface.yaml", streams=streams,
+                           target=0.6643066782379515, targets=[0.6643066782379515])
+        with warnings.catch_warnings(record=True) as caught:
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, SempowerWarning)]
 
 
 class TestSweep:
@@ -726,9 +746,9 @@ REPO = Path(__file__).resolve().parents[1]
 # SHA-256 of every CSV/SVG/surface output of the four README commands. An
 # intended change to one of these outputs updates its pin here.
 README_PINS = {
-    "solve/solve.csv": "c78c44318aa60a329aa4de1a53361b3c509c62527e4dc88691ec3c0e13a16c95",
-    "sweep/sweep_8qam.csv": "cb60c13f04a8af51c8bbcb92be66e031d0912738c6645bf34ff247228c0c0a94",
-    "sweep/sweep_16qam.csv": "b7764e289625991b783aaad0fca5e840b9bcd22847fa6705d6a8469967d1c55f",
+    "solve/solve.csv": "cc79c4741d31b7359596501f5504da9fcccb746cafebf2e58e76cc7877c1fb4e",
+    "sweep/sweep_8qam.csv": "4692561be73212baaf625718150bf5aa48b044455ef03f3f2ab4df44f34b69dc",
+    "sweep/sweep_16qam.csv": "8b822128d8a2dc92f0f332e5d27b261a82377deddad4bb0f74f2ee030815e3f5",
     "sweep/sweep.svg": "c2e7269a4365e7d08772ec757f52444fb45e0892ff5cdef02ef6c15055b062bf",
     "simulate/simulate.csv": "04a282fa124d37ab35cb3b1b39057bb61e193a9330a76adf653a2728dd64f550",
     "fit/surface.yaml": "2e4479cd0bb4a52283ece89ae12063764f2d1d8e8f96be7cb0472d07a74300c1",

@@ -12,7 +12,7 @@ from dataclasses import replace
 from statistics import NormalDist
 from unittest import mock
 
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from sempower import solvers
@@ -29,6 +29,7 @@ from sempower.modulation import (
 from sempower.numerics import bisect_root, finite_difference
 from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, SurfaceParams, default_surface
 from sempower.solvers import (
+    ORACLE_AGREEMENT_RTOL,
     ProblemSpec,
     StreamSpec,
     achievable_range,
@@ -185,6 +186,38 @@ def test_bisection_never_above_oracle(p):
     cost_b = solve_bisection(p).total_cost
     cost_g = solve_grid_oracle(p).total_cost
     assert cost_b <= cost_g * (1.0 + ORACLE_SLACK), (cost_b, cost_g)
+
+
+@st.composite
+def wide_problems(draw):
+    """The reference problem on a surface with ``tau`` from 1e-320 to 10 and
+    ``beta`` from 0.05 to 50, both streams on one preset."""
+    taus = [10.0 ** draw(st.floats(-320.0, 1.0)) for _ in range(2)]
+    betas = [10.0 ** draw(st.floats(-1.3, 1.7)) for _ in range(2)]
+    scheme = draw(st.sampled_from(["bpsk", "8qam", "16qam"]))
+    p = replace(make_problem(make_channel_state(REF_CHANNEL), scheme),
+                surface=SurfaceParams(0.3, 0.95, *taus, *betas))
+    lo, hi = achievable_range(p)
+    target = lo + (hi - lo) * draw(st.floats(0.05, 0.95))
+    assume(lo < target < hi)  # a range narrower than rounding holds no target
+    return replace(p, target=target)
+
+
+def _small_beta1():
+    # beta1 = 0.069: twelve decades of psi1 below its top are under one
+    # decade of stream 1's share, and a grid over them priced 2.2282 where
+    # bisection finds 2.0390.
+    surface = SurfaceParams(0.3, 0.95, 5.6029223416311225e-192, 1.3597206671358468,
+                            0.06905819716309045, 0.18360094535316446)
+    p = make_problem(make_channel_state(REF_CHANNEL), "bpsk", target=0.6643066782379515)
+    return replace(p, surface=surface)
+
+
+@given(wide_problems())
+@example(_small_beta1())
+def test_oracle_agrees_with_bisection_on_wide_surfaces(p):
+    cost_g = solve_grid_oracle(p).total_cost
+    assert cost_g <= solve_bisection(p).total_cost * (1.0 + ORACLE_AGREEMENT_RTOL), cost_g
 
 
 def _gap_flat_at_its_root():
