@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import Rng, np
+from .numerics import Rng, _check_positive, np
 
 __all__ = [
     "ChannelParams",
@@ -77,12 +77,7 @@ class ChannelState:
     fading: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise DomainError(f"gain must be finite and > 0, got {self.gain}")
-        if not (math.isfinite(self.noise_w) and self.noise_w > 0.0):
-            raise DomainError(f"noise_w must be finite and > 0, got {self.noise_w}")
-        if not (math.isfinite(self.fading) and self.fading > 0.0):
-            raise DomainError(f"fading must be finite and > 0, got {self.fading}")
+        _check_positive(self, "gain", "noise_w", "fading")
 
 
 def _finite_positive(f, *args) -> bool:

@@ -32,13 +32,12 @@ from typing import NamedTuple
 
 from .channel import ChannelState
 from .errors import DomainError
-from .numerics import _elementwise, _q, _quantile
+from .numerics import _check_positive, _elementwise, _q, _quantile
 
 __all__ = [
     "ModulationScheme",
     "PRESETS",
     "preset",
-    "PSI_FLOOR",
     "zero_power_ber",
     "ber_from_snr",
     "snr_from_ber",
@@ -61,10 +60,7 @@ class ModulationScheme:
     def __post_init__(self) -> None:
         if self.M < 2 or (self.M & (self.M - 1)) != 0:
             raise DomainError(f"M must be a power of two >= 2, got {self.M}")
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise DomainError(f"a must be finite and > 0, got {self.a}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise DomainError(f"b must be finite and > 0, got {self.b}")
+        _check_positive(self, "a", "b")
 
     @property
     def bits_per_symbol(self) -> int:

@@ -76,6 +76,14 @@ def _elementwise(kernel: Callable[..., float], *args, nout: int = 1):
     return outs if nout > 1 else outs[0]
 
 
+def _check_positive(obj, *names: str) -> None:
+    """Raise :class:`DomainError` on the first field of ``obj`` in ``names`` not finite and > 0."""
+    for name in names:
+        v = getattr(obj, name)
+        if not (math.isfinite(v) and v > 0.0):  # NaN and +-inf fail too
+            raise DomainError(f"{name} must be finite and > 0, got {v}")
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Iteration-control knobs shared by the iterative routines.
@@ -95,10 +103,7 @@ class ToleranceConfig:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        _check_positive(self, "abs_tol", "rel_tol")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 

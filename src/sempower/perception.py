@@ -20,11 +20,13 @@ bits, so it is more fragile per bit error rate).
 
 Serialised documents carry a ``family`` identifier
 (:data:`SURFACE_FAMILY` / :data:`CURVE_FAMILY`) so that alternative
-functional forms can be introduced without ambiguity. The solvers rely
-only on evaluation (:func:`_surface`), monotonicity and the line's
-decay-share form (:func:`decay_shares` and :func:`line_point`), all
-closed-form for this family, so swapping the family means providing
-those three for the new form. Each function of the BERs is a
+functional forms can be introduced without ambiguity. Swapping the
+family means replacing all that the solvers read of it: evaluation
+(:func:`_surface`) and its monotonicity, the line's decay-share form
+(:func:`decay_shares` and :func:`line_point`), the decay :func:`_decay`
+that ``equal_snr``'s gap sums, its inverse :func:`_ber_of_decay`, through
+which both per-stream rules read each stream's ``(tau_i, beta_i)``, and
+each ``beta_i`` in the share search's offsets. Each function of the BERs is a
 float kernel, which the solvers call directly, lifted to arrays by
 :func:`~sempower.numerics._elementwise`.
 """
@@ -41,10 +43,9 @@ from functools import partial
 import yaml
 
 from .errors import ConfigError, DomainError, InfeasibleError, SingularityError
-from .numerics import Rng, ToleranceConfig, _elementwise, np
+from .numerics import Rng, ToleranceConfig, _check_positive, _elementwise, np
 
 __all__ = [
-    "PSI_MAX",
     "L_PROMPT",
     "L_EDGE",
     "SurfaceParams",
@@ -56,24 +57,17 @@ __all__ = [
     "eval_curve",
     "semantic_value_transmitted",
     "semantic_value_received",
-    "decay_shares",
-    "line_point",
     "solve_psi2_on_constraint",
     "constraint_line_endpoints",
     "fit_surface",
     "default_surface",
     "default_prompt_curve",
     "default_edge_curve",
-    "default_curve",
     "synthetic_sample_set",
     "load_sample_set",
     "save_sample_set",
     "save_surface",
     "load_surface",
-    "save_curve",
-    "load_curve",
-    "SURFACE_FAMILY",
-    "CURVE_FAMILY",
 ]
 
 # BER domain: 0.5 is the random-guess ceiling for binary data.
@@ -92,6 +86,13 @@ SURFACE_FAMILY = "exp-power-sum"
 CURVE_FAMILY = "exp-power"
 
 
+def _check_perception(params, *positive: str) -> None:
+    """A surface's or a curve's rules: ``0 <= p0 < pmax <= 1``, then ``positive`` finite and > 0."""
+    if not (0.0 <= params.p0 < params.pmax <= 1.0):
+        raise DomainError(f"need 0 <= p0 < pmax <= 1, got p0={params.p0}, pmax={params.pmax}")
+    _check_positive(params, *positive)
+
+
 @dataclass(frozen=True)
 class SurfaceParams:
     """Parameters of the joint perception-error surface.
@@ -108,14 +109,7 @@ class SurfaceParams:
     beta2: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p0 < self.pmax <= 1.0):
-            raise DomainError(
-                f"need 0 <= p0 < pmax <= 1, got p0={self.p0}, pmax={self.pmax}"
-            )
-        for name in ("tau1", "tau2", "beta1", "beta2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be finite and > 0, got {v}")
+        _check_perception(self, "tau1", "tau2", "beta1", "beta2")
 
 
 @dataclass(frozen=True)
@@ -135,14 +129,7 @@ class StreamCurve:
     value: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p0 < self.pmax <= 1.0):
-            raise DomainError(
-                f"need 0 <= p0 < pmax <= 1, got p0={self.p0}, pmax={self.pmax}"
-            )
-        for name in ("tau", "beta"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be finite and > 0, got {v}")
+        _check_perception(self, "tau", "beta")
         if self.value is not None and not (
             self.value > 0.0 and abs((1.0 - self.p0) - self.value) <= 1e-12
         ):

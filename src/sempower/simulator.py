@@ -59,7 +59,7 @@ from .errors import DomainError
 from .modulation import ModulationScheme, ber_from_snr
 from .numerics import Rng, np
 
-__all__ = ["SimConfig", "simulate_ber", "simulate_stream_report", "StreamSimResult"]
+__all__ = ["SimConfig", "simulate_ber"]
 
 @dataclass(frozen=True)
 class SimConfig:

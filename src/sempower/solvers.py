@@ -410,7 +410,7 @@ def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
     """
     tau, beta = (p.surface.tau1, p.surface.beta1) if i == 0 else (p.surface.tau2, p.surface.beta2)
     inv_beta = 1.0 / beta
-    log, exp, log_g = math.log, math.exp, math.log(g)
+    log, exp, log_bg = math.log, math.exp, math.log(beta) + math.log(g)
     d0, d1 = inv_beta - 1.0, math.sqrt(2.0 * math.pi) * inv_beta  # M = sqrt(2 pi) e^h
 
     def slope(share: float) -> tuple[float, float]:
@@ -423,8 +423,7 @@ def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
         if x <= 0.0:
             return -math.inf, -math.inf
         h = log(pg) + 0.5 * x * x  # log(pg): x is the quantile of pg as rounded
-        r = x / (beta * share)  # beyond binary64 near a share of e^-707: take its log in parts
-        value = (log(r) if r < math.inf else log(x) - log(beta) - log(share)) + h - log_g
+        value = log(x) - log(share) + h - log_bg
         return value, -1.0 if capped else d0 - (x + 1.0 / x) * d1 * exp(h)
 
     return slope

@@ -553,6 +553,9 @@ class TestConfig:
             ({"targets": "abc"}, "targets: expected a list or a start/stop range"),
             ({"surface": "missing.yaml"}, "surface: file not found"),
             ({"target": None}, "target: required for solve"),
+            ({"targets": [0.5] * 10_001}, "targets: more than 10000 targets"),
+            ({"streams": [{"modulation": "custom", "M": 3, "a": 1.0, "b": 1.0}, {}]},
+             "streams[0]: M must be a power of two >= 2, got 3"),
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, overrides, key):
@@ -561,6 +564,14 @@ class TestConfig:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {key}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_config_is_the_defaults(self, tmp_path):
+        empty = tmp_path / "empty.yaml"
+        empty.write_text("")
+        default = REPO / "configs" / "default.yaml"  # every key at its built-in default
+        assert (replace(load_config(empty), input_files=())
+                == replace(load_config(default), input_files=()))
+        assert main(["solve", "--config", str(empty), "--out", str(tmp_path / "run")]) == 0
 
     @pytest.mark.parametrize("content, message", [
         (None, "error: --config is required"),
