@@ -90,8 +90,7 @@ def zero_power_ber(m: ModulationScheme) -> float:
     This is the top of the invertible branch: errors above it cannot
     occur at any power, below it the BER-power map is strictly monotone.
     """
-    top = 0.5 * m.a / m.bits_per_symbol
-    return top if top < 0.5 else 0.5  # min(0.5, top), without the call
+    return _inversion(m).top
 
 
 def _ber(m: ModulationScheme, snr_value: float) -> float:
@@ -122,7 +121,9 @@ class _Inversion(NamedTuple):
 
 
 def _inversion(m: ModulationScheme, k: float = 1.0) -> _Inversion:
-    return _Inversion(m.name, zero_power_ber(m), m.bits_per_symbol / m.a, m.b, k)
+    bits = m.M.bit_length() - 1  # bits_per_symbol, without the property
+    top = 0.5 * m.a / bits
+    return _Inversion(m.name, top if top < 0.5 else 0.5, bits / m.a, m.b, k)  # min(0.5, top)
 
 
 def _power(c: _Inversion, psi: float) -> float:

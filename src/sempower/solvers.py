@@ -53,8 +53,9 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from . import numerics
 from .channel import ChannelState
 from .errors import DomainError, InfeasibleError, SempowerWarning
 from .modulation import PSI_FLOOR, ModulationScheme, _ber, _inversion, _Inversion, _power
@@ -176,27 +177,57 @@ def achievable_range(p: ProblemSpec) -> tuple[float, float]:
 
 def _inversions(p: ProblemSpec) -> tuple[_Inversion, _Inversion]:
     """Each stream's BER-inversion constants, built once per solve."""
-    return tuple(_inversion(s.modulation, s.channel.noise_w / s.channel.gain) for s in p.streams)
-
-
-def _powers(links: Sequence[_Inversion], psi: tuple[float, float]) -> tuple[float, float]:
-    # A line end can hold a BER of 0.0, which _power rejects: clamp it
-    # first (max(v, PSI_FLOOR), spelled out because the call costs more).
-    v1, v2 = psi
-    return (_power(links[0], PSI_FLOOR if PSI_FLOOR > v1 else v1),
-            _power(links[1], PSI_FLOOR if PSI_FLOOR > v2 else v2))
+    s1, s2 = p.streams
+    return (_inversion(s1.modulation, s1.channel.noise_w / s1.channel.gain),
+            _inversion(s2.modulation, s2.channel.noise_w / s2.channel.gain))
 
 
 _Line = namedtuple("_Line", "box u top links w")  # one solve's set-up: see _line
 
 
-def _finish(p: ProblemSpec, line: _Line, psi: tuple[float, float], solver: str, iterations: int,
-            converged: bool = True, q: tuple[float, float] | None = None,
+def _cheapest(p: ProblemSpec, line: _Line, shares: Iterable[tuple[float, float]]):
+    """The first cheapest of the share pairs ``shares`` on ``p``'s line: ``(cost, index, psi, q)``.
+
+    Each point is :func:`line_point`, :func:`_power` of each BER clamped at
+    :data:`PSI_FLOOR` (a line end can hold a BER of 0.0) and ``w1 q1 + w2 q2``
+    in their order of operations, so to the last bit, with each stream's
+    constants bound once. Every cost is at most the finite one that
+    :class:`ProblemSpec` checks, both BERs at the floor, so one point wins.
+    """
+    sf, u, (w1, w2), (l1, l2) = p.surface, line.u, line.w, line.links
+    (_, top1, g1, b1, k1), (_, top2, g2, b2, k2) = l1, l2
+    tau1, tau2, ib1, ib2 = sf.tau1, sf.tau2, 1.0 / sf.beta1, 1.0 / sf.beta2
+    inv_cdf, floor, best_cost = numerics._normal_dist_inv_cdf, PSI_FLOOR, math.inf
+    for i, (s1, s2) in enumerate(shares):
+        try:
+            psi1 = tau1 * (s1 * u) ** ib1
+        except OverflowError:
+            psi1 = _ber_of_decay(tau1, s1 * u, ib1)
+        try:
+            psi2 = tau2 * (s2 * u) ** ib2
+        except OverflowError:
+            psi2 = _ber_of_decay(tau2, s2 * u, ib2)
+        psi1 = top1 if top1 < psi1 else psi1  # clipped to the box, as line_point clips
+        psi2 = top2 if top2 < psi2 else psi2
+        v1 = floor if floor > psi1 else psi1
+        v2 = floor if floor > psi2 else psi2
+        if not (0.0 < v1 <= top1 and 0.0 < v2 <= top2):  # NaN fails too
+            _power(l1, v1), _power(l2, v2)  # one of them raises _power's DomainError
+        x1, x2 = inv_cdf(v1 * g1, 0.0, 1.0), inv_cdf(v2 * g2, 0.0, 1.0)
+        q1, q2 = x1 * x1 / b1 * k1, x2 * x2 / b2 * k2
+        cost = w1 * q1 + w2 * q2
+        if cost < best_cost:
+            best_cost, best = cost, (i, psi1, psi2, q1, q2)
+    i, psi1, psi2, q1, q2 = best
+    return best_cost, i, (psi1, psi2), (q1, q2)
+
+
+def _finish(p: ProblemSpec, line: _Line, psi: tuple[float, float], q: tuple[float, float],
+            solver: str, iterations: int, converged: bool = True,
             atol: float = math.inf, why: str = "") -> Allocation:
-    """The allocation at ``psi``; a converged one that misses the target by
-    more than ``atol`` raises :class:`DomainError`, saying ``why``."""
+    """The allocation at ``psi`` with powers ``q``; a converged one that misses
+    the target by more than ``atol`` raises :class:`DomainError`, saying ``why``."""
     w = line.w
-    q = _powers(line.links, psi) if q is None else q
     cost = w[0] * q[0] + w[1] * q[1]
     if not math.isfinite(cost):
         raise DomainError(
@@ -206,16 +237,8 @@ def _finish(p: ProblemSpec, line: _Line, psi: tuple[float, float], solver: str, 
     if converged and abs(achieved - p.target) > atol:
         raise DomainError(f"{solver} misses target {p.target:g} by "
                           f"{abs(achieved - p.target):.3g}: {why}")
-    return Allocation(
-        q=q,
-        psi=psi,
-        achieved_p=achieved,
-        total_cost=cost,
-        solver=solver,
-        iterations=iterations,
-        feasible=True,
-        converged=converged,
-    )
+    # positional: keyword arguments cost 2% of a solve on a fading block
+    return Allocation(q, psi, achieved, cost, solver, iterations, True, converged)
 
 
 def _line(p: ProblemSpec, solver: str) -> _Line | Allocation:
@@ -287,7 +310,7 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     # Equal SNR fixes the powers directly; BER inversion would amplify
     # rounding where the curve is flat, so use the exact values.
     q = tuple(g_star * s.channel.noise_w / s.channel.gain for s in p.streams)
-    return _finish(p, line, psi, "equal_snr", steps + 1, converged, q, EQUAL_SNR_ATOL,
+    return _finish(p, line, psi, q, "equal_snr", steps + 1, converged, EQUAL_SNR_ATOL,
                    "P moves too steeply with the common SNR to meet it")
 
 
@@ -323,7 +346,8 @@ def _share_search(
         slope[0] = -(d2 * s1 + d1 * s2)  # d log s1 / dz = s2, d log s2 / dz = -s1
         return a - b + offset
 
-    lo, hi = (math.log(s1 or _TINY) - math.log(s2 or _TINY) for s1, s2 in _line_ends(top))
+    (a1, a2), (b1, b2), log = *_line_ends(top), math.log
+    lo, hi = log(a1 or _TINY) - log(a2 or _TINY), log(b1 or _TINY) - log(b2 or _TINY)
     f_lo, f_hi, calls = math.nan, math.nan, 0
     if lo < seed < hi:  # the seed's value ends the bracket on the point's side
         y, calls = gap(seed), 1
@@ -360,7 +384,7 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     ``v_i = (psi_i/tau_i)^beta_i`` on its curve, rises with its decay
     share while the other stream's falls. :func:`_share_search` finds the
     share ratio where the two streams' :func:`_minus_lost` meet, and
-    :func:`line_point` gives the BERs, so the target is met by
+    :func:`_cheapest` gives the BERs and powers, so the target is met by
     construction. ``iterations`` counts every evaluation of the
     difference. Raises :class:`DomainError`, naming the stream that loses
     less, when the converged point's lost fractions differ by more than
@@ -376,7 +400,7 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     rules = [partial(_minus_lost, s.curve, tau, beta, u, cap) for s, tau, beta, cap
              in zip(p.streams, (sf.tau1, sf.tau2), (sf.beta1, sf.beta2), box)]
     shares, steps, converged = _share_search(top, rules)
-    psi = line_point(sf, u, shares, box)
+    _, _, psi, q = _cheapest(p, line, [shares])
     gap = rules[1](shares[1])[0] - rules[0](shares[0])[0]  # lost_1 - lost_2 at the answer
     if converged and abs(gap) > PROPORTIONAL_RULE_ATOL:
         i = 0 if gap < 0.0 else 1
@@ -385,7 +409,7 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
             f"proportional rule cannot be met: stream {s.name or i + 1} keeps {abs(gap):.3g} more "
             f"of its semantic value than the other at BER {psi[i]:g} (zero-power value "
             f"{box[i]:g} of {s.modulation.name})")
-    return _finish(p, line, psi, "proportional", steps, converged,
+    return _finish(p, line, psi, q, "proportional", steps, converged,
                    atol=PROPORTIONAL_ATOL, why="its point rounds off the constraint line")
 
 
@@ -409,17 +433,20 @@ def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
     ``psi`` is capped or underflows and ``-inf`` at the zero-power BER.
     """
     tau, beta = (p.surface.tau1, p.surface.beta1) if i == 0 else (p.surface.tau2, p.surface.beta2)
-    inv_beta = 1.0 / beta
-    log, exp, log_bg = math.log, math.exp, math.log(beta) + math.log(g)
-    d0, d1 = inv_beta - 1.0, math.sqrt(2.0 * math.pi) * inv_beta  # M = sqrt(2 pi) e^h
+    inv_beta, log, exp, inv_cdf = 1.0 / beta, math.log, math.exp, numerics._normal_dist_inv_cdf
+    log_bg = log(beta) + log(g)
+    d0, d1 = inv_beta - 1.0, 2.5066282746310002 * inv_beta  # sqrt(2 pi); M = sqrt(2 pi) e^h
 
     def slope(share: float) -> tuple[float, float]:
-        psi = _ber_of_decay(tau, share * u, inv_beta)
+        try:  # _ber_of_decay, without the call where tau x^(1/beta) fits binary64
+            psi = tau * (share * u) ** inv_beta
+        except OverflowError:
+            psi = _ber_of_decay(tau, share * u, inv_beta)
         capped = cap < psi
         pg = (cap if capped else psi) * g  # min(psi, cap) g, without the call
         if pg == 0.0:
             return math.inf, -1.0
-        x = -_quantile(pg)
+        x = -inv_cdf(pg, 0.0, 1.0)
         if x <= 0.0:
             return -math.inf, -math.inf
         h = log(pg) + 0.5 * x * x  # log(pg): x is the quantile of pg as rounded
@@ -460,27 +487,20 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     ``log x + x^2/2 + log psi ~ -log g - log(2 pi)/2``, so the slopes meet
     near ``s_i ~ w_i sigma_i^2 / (b_i |h_i|^2 beta_i)``, that is at
     ``z = -e``. Below the BER floor the power is clamped, which can leave
-    a cheaper minimum at an end, so the cheapest of the found point and
-    both ends is returned, the found point on a tie. ``iterations`` counts
-    the evaluations of the slope difference, two normal quantiles each,
-    and the pricing takes six more; the search is ITP, and the solver
-    keeps the paper's name.
+    a cheaper minimum at an end, so :func:`_cheapest` prices the found
+    point and both ends, and an end wins only when strictly cheaper.
+    ``iterations`` counts the evaluations of the slope difference, two
+    normal quantiles each, and the pricing takes six more; the search is
+    ITP, and the solver keeps the paper's name.
     """
     if isinstance(line := _line(p, "bisection"), Allocation):
         return line
-    box, u, top, links, w = line
-    sf = p.surface
+    box, u, top, links = line[:4]
     slope = _share_slope(p, 0, u, box[0], links[0].g), _share_slope(p, 1, u, box[1], links[1].g)
-    offset, e = _slope_offsets(line, (sf.beta1, sf.beta2))
+    offset, e = _slope_offsets(line, (p.surface.beta1, p.surface.beta2))
     found, steps, converged = _share_search(top, slope, offset, -e)
-    best = None
-    for shares in (found, *_line_ends(top)):  # an end must be strictly cheaper to win
-        psi = line_point(sf, u, shares, box)
-        q = _powers(links, psi)
-        cost = w[0] * q[0] + w[1] * q[1]
-        if best is None or cost < best[0]:
-            best = cost, psi, q
-    return _finish(p, line, best[1], "bisection", steps, converged, best[2])
+    _, _, psi, q = _cheapest(p, line, (found, *_line_ends(top)))
+    return _finish(p, line, psi, q, "bisection", steps, converged)
 
 
 def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
@@ -488,37 +508,36 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
 
     At ``y`` the smaller share is ``e^-|y| / 2`` (stream 1's for ``y < 0``)
     and the larger one minus it. Exactly ``grid_n`` points are priced
-    through :func:`line_point` and :func:`_powers`: both exact line ends, a
-    pass evenly spaced in ``y`` over the line (a share of 0 taken as
-    5e-324), and one evenly spaced strictly between the neighbours of its
-    cheapest point. The cheapest point wins, ties going to the smallest
-    ``psi1``: the independent check on the optimising solvers.
+    through :func:`_cheapest`: both exact line ends, a pass evenly spaced
+    in ``y`` over the line (a share of 0 taken as 5e-324), and one evenly
+    spaced strictly between the neighbours of its cheapest point. The
+    cheapest point wins, ties going to the smallest ``y``: the independent
+    check on the optimising solvers.
     """
     if grid_n < 64:
         raise DomainError(f"grid_n must be >= 64, got {grid_n}")
     if isinstance(line := _line(p, "grid_oracle"), Allocation):
         return line
-    box, u, top, links, (w1, w2) = line
-    sf, exp = p.surface, math.exp
+    ends, exp = _line_ends(line.top), math.exp
 
-    def price(y: float, shares: tuple[float, float] | None = None) -> tuple[float, ...]:
-        if shares is None:
+    def on_line(ys: list[float]):  # the share pairs at each y
+        for y in ys:
             e = 0.5 * exp(y if y < 0.0 else -y)  # the smaller share, without abs()
-            shares = (e, 1.0 - e) if y < 0.0 else (1.0 - e, e)
-        psi1, psi2 = psi = line_point(sf, u, shares, box)
-        q1, q2 = _powers(links, psi)
-        return w1 * q1 + w2 * q2, y, psi1, psi2
+            yield (e, 1.0 - e) if y < 0.0 else (1.0 - e, e)
 
-    ends = _line_ends(top)
+    def cheapest(ys: list[float], shares=None) -> tuple:  # (cost, y, psi, q), first cheapest y
+        cost, i, psi, q = _cheapest(p, line, on_line(ys) if shares is None else shares)
+        return cost, ys[i], psi, q
+
     lo, hi = (math.log(2.0 * (s1 or _TINY)) if s1 < s2 else -math.log(2.0 * (s2 or _TINY))
               for s1, s2 in ends)
     n1, n2 = (grid_n - 1) // 2, (grid_n - 2) // 2
     step = (hi - lo) / (n1 + 1)
-    first = min(map(price, [lo + i * step for i in range(1, n1 + 1)]))
-    a, fine = first[1] - step, 2.0 * step / (n2 + 1)
-    best = min(price(lo, ends[0]), price(hi, ends[1]), first,  # an even pass 2 skips first
-               *map(price, [a + j * fine for j in range(1, n2 + 1)]))
-    return _finish(p, line, best[2:], "grid_oracle", grid_n)
+    first = cheapest([lo + i * step for i in range(1, n1 + 1)])
+    a, fine = first[1] - step, 2.0 * step / (n2 + 1)  # an even pass 2 skips first
+    *_, psi, q = min(cheapest([lo, hi], ends), first,
+                     cheapest([a + j * fine for j in range(1, n2 + 1)]))
+    return _finish(p, line, psi, q, "grid_oracle", grid_n)
 
 
 _SOLVERS = {

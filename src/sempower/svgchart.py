@@ -6,11 +6,15 @@ Deterministic output: the same series always render to the same bytes.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .errors import DomainError
 
 __all__ = ["line_chart"]
+
+
+def escape(text: str) -> str:  # xml.sax.saxutils's, whose import loads urllib.request
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 _PALETTE = (
     "#1f77b4",

@@ -9,14 +9,17 @@ example runs :func:`sweep_targets` on one target with numpy
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from sempower import solvers
 from sempower.channel import ChannelState, make_channel_state
+from sempower.config import load_config
 from sempower.errors import DomainError, InfeasibleError, SempowerWarning
 from sempower.modulation import (
     PSI_FLOOR,
@@ -27,7 +30,18 @@ from sempower.modulation import (
     zero_power_ber,
 )
 from sempower.numerics import bisect_root, finite_difference
-from sempower.perception import L_EDGE, L_PROMPT, StreamCurve, SurfaceParams, default_surface
+from sempower.perception import (
+    L_EDGE,
+    L_PROMPT,
+    StreamCurve,
+    SurfaceParams,
+    decay_shares,
+    default_edge_curve,
+    default_prompt_curve,
+    default_surface,
+    eval_surface,
+    line_point,
+)
 from sempower.solvers import (
     ORACLE_AGREEMENT_RTOL,
     ProblemSpec,
@@ -220,6 +234,106 @@ def test_oracle_agrees_with_bisection_on_wide_surfaces(p):
     assert cost_g <= solve_bisection(p).total_cost * (1.0 + ORACLE_AGREEMENT_RTOL), cost_g
 
 
+# Both solvers price their points through one loop; a slow pricer built
+# from the public kernels alone keeps the oracle an independent check.
+
+
+def _ends(p):
+    """The line's end shares, stream 2's largest share first."""
+    box = tuple(zero_power_ber(s.modulation) for s in p.streams)
+    _, top1, top2 = decay_shares(p.surface, p.target, box)
+    return (max(1.0 - top2, 0.0), top2), (top1, max(1.0 - top1, 0.0))
+
+
+def _priced(p, points):
+    """The cheapest of ``points``, ``(y, shares)`` pairs, each priced by
+    :func:`line_point` and :func:`power_from_ber`: ``(cost, y, psi, q)``."""
+    box = tuple(zero_power_ber(s.modulation) for s in p.streams)
+    u = decay_shares(p.surface, p.target, box)[0]
+    w = [s.bits / (s.modulation.bits_per_symbol if p.cost_basis == "symbols" else 1)
+         for s in p.streams]
+
+    def price(y, shares):
+        psi = line_point(p.surface, u, shares, box)
+        q = tuple(power_from_ber(s.modulation, s.channel, max(v, PSI_FLOOR))
+                  for s, v in zip(p.streams, psi))
+        return w[0] * q[0] + w[1] * q[1], y, psi, q
+
+    return min(price(y, shares) for y, shares in points)
+
+
+def _reference_oracle(p, grid_n):
+    """The oracle's grid: both ends, an even pass in ``y``, and a finer one
+    around the first pass's cheapest point; ties go to the smallest ``y``."""
+    ends = _ends(p)
+    lo, hi = (math.log(2.0 * (s1 or 5e-324)) if s1 < s2 else -math.log(2.0 * (s2 or 5e-324))
+              for s1, s2 in ends)
+    n1, n2 = (grid_n - 1) // 2, (grid_n - 2) // 2
+    step = (hi - lo) / (n1 + 1)
+
+    def on_line(y):  # the smaller share is e^-|y| / 2, stream 1's below 0
+        e = 0.5 * math.exp(-abs(y))
+        return y, ((e, 1.0 - e) if y < 0.0 else (1.0 - e, e))
+
+    first = _priced(p, [on_line(lo + i * step) for i in range(1, n1 + 1)])
+    a, fine = first[1] - step, 2.0 * step / (n2 + 1)
+    return min(first, _priced(p, [(lo, ends[0]), (hi, ends[1]),
+                                  *(on_line(a + j * fine) for j in range(1, n2 + 1))]))
+
+
+def assert_priced_as_reference(p, grid_n=4096):
+    """``grid_oracle`` and ``bisection`` return the reference pricer's
+    allocations, ``repr`` for ``repr``; ``bisection`` keeps the point its
+    search found unless an end is strictly cheaper."""
+    found, search = [], solvers._share_search
+
+    def recorded(*args):
+        out = search(*args)
+        found.append(out[0])
+        return out
+
+    with mock.patch.object(solvers, "_share_search", recorded):
+        got_b = solve_bisection(p)
+    ends = _ends(p)
+    for got, (cost, _, psi, q) in (
+        (solve_grid_oracle(p, grid_n), _reference_oracle(p, grid_n)),
+        (got_b, _priced(p, [(0, found[0]), (1, ends[0]), (2, ends[1])])),
+    ):
+        want = replace(got, q=q, psi=psi, total_cost=cost,
+                       achieved_p=eval_surface(p.surface, *psi))
+        assert repr(got) == repr(want), got.solver
+
+
+def _readme_problems():
+    """The problems of the README ``solve`` and ``sweep`` commands."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    solve_cfg, sweep_cfg = (load_config(configs / name)
+                            for name in ("default.yaml", "sweep_modulations.yaml"))
+    return [solve_cfg.problem(solve_cfg.target)] + [
+        sweep_cfg.problem(t, preset(m)) for m in sweep_cfg.modulations for t in sweep_cfg.targets]
+
+
+def _line_point_past_binary64():
+    # (s U)^(1/beta2) overflows at beta2 0.00179, and tau2 (s U)^(1/beta2)
+    # at a subnormal tau2 does not: the pricer's fallback to _ber_of_decay.
+    m = ModulationScheme("c", 4, 1.0, 1.0)
+    link = ChannelState(gain=1e-10, noise_w=1e-13)
+    streams = (StreamSpec(1024, m, link, default_prompt_curve()),
+               StreamSpec(8192, m, link, default_edge_curve()))
+    return ProblemSpec(streams, SurfaceParams(0.3, 0.999, 5e-3, 2.66e-319, 1.0, 0.00179), 0.988)
+
+
+@pytest.mark.parametrize("p", [*_readme_problems(), _line_point_past_binary64()])
+def test_readme_problems_priced_as_reference(p):
+    assert_priced_as_reference(p)
+
+
+@given(problems() | wide_problems())
+def test_priced_as_reference(p):
+    assume(p.target < achievable_range(p)[1])  # a free target prices nothing
+    assert_priced_as_reference(p, 129)
+
+
 def _gap_flat_at_its_root():
     # proportional's gap rounds to exactly 0 at a midpoint well before the
     # bracket is narrow: a reference that stopped there counted 15 steps
@@ -326,18 +440,23 @@ def links(draw):
     return StreamSpec(1024, m, state, StreamCurve(0.0, 1.0, 1e-3, 1.0))
 
 
-@given(links(), links(), st.floats(-20.0, 0.0), st.floats(0.0, 1.0))
-def test_hoisted_powers_are_power_from_ber_bit_for_bit(s1, s2, log_psi1, frac2):
-    # The solvers build each stream's inversion constants once per solve.
-    # Their power must be power_from_ber's to the last bit, and both the
-    # textbook x = Qinv(psi log2 M / a), x * x / b * (noise / gain).
+@given(links(), links(), st.floats(-400.0, 0.0))
+def test_hoisted_powers_are_power_from_ber_bit_for_bit(s1, s2, log_share):
+    # The solvers price a point of the line with each stream's inversion
+    # constants bound once per solve. Its BERs must be line_point's and its
+    # powers power_from_ber's to the last bit, and both the textbook
+    # x = Qinv(psi log2 M / a), x * x / b * (noise / gain).
     p = ProblemSpec((s1, s2), default_surface(), 0.5)
-    top1, top2 = (zero_power_ber(s.modulation) for s in (s1, s2))
-    psi = (min(10.0**log_psi1, top1), max(top2 * frac2, 5e-324))
-    got = solvers._powers(solvers._inversions(p), psi)
+    line = solvers._line(p, "")
+    assume(not isinstance(line, solvers.Allocation))  # met for free
+    shares = (10.0**log_share, 1.0 - 10.0**log_share)  # a share of 0 gives a BER of 0
+    cost, _, psi, got = solvers._cheapest(p, line, [shares])
+    assert psi == line_point(p.surface, line.u, shares, line.box)
     for s, v, q in zip(p.streams, psi, got):
         m = s.modulation
         x = -NormalDist().inv_cdf(max(v, PSI_FLOOR) * (m.bits_per_symbol / m.a)) + 0.0
         assert q == x * x / m.b * (s.channel.noise_w / s.channel.gain)
         assert q == power_from_ber(m, s.channel, max(v, PSI_FLOOR))
-        assert q == power_from_ber(m, s.channel, v)  # the clamp is inside too
+        if v > 0.0:
+            assert q == power_from_ber(m, s.channel, v)  # the clamp is inside too
+    assert cost == line.w[0] * got[0] + line.w[1] * got[1]
