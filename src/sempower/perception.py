@@ -22,13 +22,13 @@ Serialised documents carry a ``family`` identifier
 (:data:`SURFACE_FAMILY` / :data:`CURVE_FAMILY`) so that alternative
 functional forms can be introduced without ambiguity. Swapping the
 family means replacing all that the solvers read of it: evaluation
-(:func:`_surface`) and its monotonicity, the line's decay-share form
-(:func:`decay_shares` and :func:`line_point`), the decay :func:`_decay`
-that ``equal_snr``'s gap sums, its inverse :func:`_ber_of_decay`, through
-which both per-stream rules read each stream's ``(tau_i, beta_i)``, and
-each ``beta_i`` in the share search's offsets. Each function of the BERs is a
-float kernel, which the solvers call directly, lifted to arrays by
-:func:`~sempower.numerics._elementwise`.
+(:func:`_surface`, :func:`_surface_of_decay`) and its monotonicity, the
+line's decay-share form (:func:`decay_shares`, its parts, :func:`line_point`),
+the decay :func:`_decay` that ``equal_snr``'s gap sums, its inverse
+:func:`_ber_of_decay` (spelt out in the solvers from each ``tau_i`` and
+``1 / beta_i``) and each ``beta_i`` in the share search's offsets. Each
+function of the BERs is a float kernel, which the solvers call directly,
+lifted to arrays by :func:`~sempower.numerics._elementwise`.
 """
 
 from __future__ import annotations
@@ -157,7 +157,11 @@ def _surface(s: SurfaceParams, psi1: float, psi2: float) -> float:
     """:func:`eval_surface`'s float kernel; the solvers call it directly."""
     _check_ber(psi1, "psi1")
     _check_ber(psi2, "psi2")
-    u = _decay(psi1, s.tau1, s.beta1) + _decay(psi2, s.tau2, s.beta2)
+    return _surface_of_decay(s, _decay(psi1, s.tau1, s.beta1) + _decay(psi2, s.tau2, s.beta2))
+
+
+def _surface_of_decay(s: SurfaceParams, u: float) -> float:
+    """The surface at the decay sum ``u``: ``p0 + (pmax - p0) (1 - exp(-u))``."""
     return s.p0 + (s.pmax - s.p0) * -math.expm1(-u)
 
 
@@ -321,12 +325,12 @@ def decay_shares(
     keeps ``p0 < p_bar < pmax``.
     """
     u = _line_u(s, p_bar)
-    return (u, _top_share(psi_max[0], s.tau1, s.beta1, u),
-            _top_share(psi_max[1], s.tau2, s.beta2, u))
+    return (u, _top_share(_decay(psi_max[0], s.tau1, s.beta1), u),
+            _top_share(_decay(psi_max[1], s.tau2, s.beta2), u))
 
 
-def _top_share(psi_max: float, tau: float, beta: float, u: float) -> float:
-    share = _decay(psi_max, tau, beta) / u  # a decay beyond binary64 is far above U
+def _top_share(decay: float, u: float) -> float:  # a stream's decay at the box over U, at most 1
+    share = decay / u  # a decay beyond binary64 is far above U
     return share if share < 1.0 else 1.0  # min(1, share), without the call
 
 

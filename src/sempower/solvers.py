@@ -32,7 +32,8 @@ semantic-aware methods differ only in a per-stream rule, a value of the
 stream's share with its derivative; one search (:func:`_share_search`)
 finds where the two streams' rules meet, in ``z = log(s1 / s2)``, so
 the point is on the line by construction and both shares keep full
-relative precision down to the subnormals.
+relative precision down to the subnormals; each evaluation is one call
+of a pair rule that gives both streams' rules at once.
 
 Every search is the bracketed ITP search of :func:`bisect_root` on a
 logarithm, never more than midpoint bisection's count plus one step.
@@ -66,8 +67,10 @@ from .perception import (
     _ber_of_decay,
     _decay,
     _line_ends,
+    _line_u,
     _surface,
-    decay_shares,
+    _surface_of_decay,
+    _top_share,
     line_point,
     semantic_value_transmitted,
 )
@@ -157,6 +160,14 @@ class Allocation:
     feasible: bool
     converged: bool = True
 
+    def __init__(self, q, psi, achieved_p, total_cost, solver, iterations, feasible,
+                 converged=True):
+        # plain stores: the generated __init__'s object.__setattr__ calls took 6% of a solve
+        d = self.__dict__
+        d["q"], d["psi"], d["achieved_p"], d["total_cost"] = q, psi, achieved_p, total_cost
+        d["solver"], d["iterations"], d["feasible"] = solver, iterations, feasible
+        d["converged"] = converged
+
 
 def _weights(p: ProblemSpec) -> tuple[float, float]:
     s1, s2 = p.streams
@@ -182,7 +193,7 @@ def _inversions(p: ProblemSpec) -> tuple[_Inversion, _Inversion]:
             _inversion(s2.modulation, s2.channel.noise_w / s2.channel.gain))
 
 
-_Line = namedtuple("_Line", "box u top links w")  # one solve's set-up: see _line
+_Line = namedtuple("_Line", "box u top ends links w")  # one solve's set-up: see _line
 
 
 def _cheapest(p: ProblemSpec, line: _Line, shares: Iterable[tuple[float, float]]):
@@ -222,13 +233,11 @@ def _cheapest(p: ProblemSpec, line: _Line, shares: Iterable[tuple[float, float]]
     return best_cost, i, (psi1, psi2), (q1, q2)
 
 
-def _finish(p: ProblemSpec, line: _Line, psi: tuple[float, float], q: tuple[float, float],
+def _finish(p: ProblemSpec, psi: tuple[float, float], q: tuple[float, float], cost: float,
             solver: str, iterations: int, converged: bool = True,
             atol: float = math.inf, why: str = "") -> Allocation:
-    """The allocation at ``psi`` with powers ``q``; a converged one that misses
-    the target by more than ``atol`` raises :class:`DomainError`, saying ``why``."""
-    w = line.w
-    cost = w[0] * q[0] + w[1] * q[1]
+    """The allocation at ``psi`` with powers ``q`` and total ``cost``; a converged one that
+    misses the target by more than ``atol`` raises :class:`DomainError`, saying ``why``."""
     if not math.isfinite(cost):
         raise DomainError(
             f"{solver}: the total cost of powers {q[0]:g} W and {q[1]:g} W overflows"
@@ -246,26 +255,27 @@ def _line(p: ProblemSpec, solver: str) -> _Line | Allocation:
 
     Returns a :class:`_Line`: the reachable box (BERs above a stream's
     zero-power value never occur), the line ``u1 + u2 = U`` with each
-    stream's largest share ``top`` inside it (:func:`decay_shares`), and
-    each stream's :func:`_inversions` and :func:`_weights`, built once
-    per solve. Targets at or below the surface floor are unreachable at
-    any power. Targets at or above the zero-power error are met with
-    slack by transmitting nothing: the zero-power allocation is returned
-    instead of the line, feasible but not on the constraint.
+    stream's largest share ``top`` inside it (:func:`decay_shares`) and
+    its ``ends``, and each stream's :func:`_inversions` and :func:`_weights`,
+    all built once per solve. Targets at or below the surface floor are
+    unreachable at any power. Targets at or above the zero-power error are
+    met with slack by transmitting nothing: the zero-power allocation is
+    returned instead of the line, feasible but not on the constraint.
     """
-    links = _inversions(p)
-    box = links[0].top, links[1].top
-    lo, hi = float(p.surface.p0), _surface(p.surface, box[0], box[1])
+    links, sf = _inversions(p), p.surface
+    box = links[0].top, links[1].top  # in (0, 0.5]: no _check_ber
+    # each stream's decay at the box, for both the surface there and its top share
+    v1, v2 = _decay(box[0], sf.tau1, sf.beta1), _decay(box[1], sf.tau2, sf.beta2)
+    lo, hi = float(sf.p0), _surface_of_decay(sf, v1 + v2)
     if p.target <= lo:
         raise InfeasibleError(
             f"target {p.target:g} at or below the surface floor; achievable range "
             f"is ({lo:g}, {hi:g})"
         )
     if p.target >= hi:
-        return Allocation(q=(0.0, 0.0), psi=box, achieved_p=hi, total_cost=0.0,
-                          solver=solver, iterations=0, feasible=True)
-    u, top1, top2 = decay_shares(p.surface, p.target, box)
-    return _Line(box, u, (top1, top2), links, _weights(p))
+        return Allocation((0.0, 0.0), box, hi, 0.0, solver, 0, True)
+    top = _top_share(v1, u := _line_u(sf, p.target)), _top_share(v2, u)
+    return _Line(box, u, top, _line_ends(top), links, _weights(p))
 
 
 def solve_equal_snr(p: ProblemSpec) -> Allocation:
@@ -284,7 +294,7 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     """
     if isinstance(line := _line(p, "equal_snr"), Allocation):
         return line
-    box, u, top, links = line[:4]
+    box, u, top, _, links, w = line
     m1, m2 = (s.modulation for s in p.streams)
     sf = p.surface
 
@@ -310,8 +320,8 @@ def solve_equal_snr(p: ProblemSpec) -> Allocation:
     # Equal SNR fixes the powers directly; BER inversion would amplify
     # rounding where the curve is flat, so use the exact values.
     q = tuple(g_star * s.channel.noise_w / s.channel.gain for s in p.streams)
-    return _finish(p, line, psi, q, "equal_snr", steps + 1, converged, EQUAL_SNR_ATOL,
-                   "P moves too steeply with the common SNR to meet it")
+    return _finish(p, psi, q, w[0] * q[0] + w[1] * q[1], "equal_snr", steps + 1, converged,
+                   EQUAL_SNR_ATOL, "P moves too steeply with the common SNR to meet it")
 
 
 def _shares(z: float) -> tuple[float, float]:
@@ -322,37 +332,40 @@ def _shares(z: float) -> tuple[float, float]:
 
 
 def _share_search(
-    top: Sequence[float], rules: Sequence[Callable[[float], tuple[float, float]]],
+    ends: Sequence[tuple[float, float]], pair: Callable[[float, float], tuple[float, float, float]],
     offset: float = 0.0, seed: float = math.nan,
 ) -> tuple[tuple[float, float], int, bool]:
     """Search the constraint line in ``z = log(s1 / s2)`` for the point where two rules meet.
 
-    Each stream's rule maps its share ``s_i`` to ``(value, d value / d log s_i)``.
-    The gap ``rule2(s2) - rule1(s1) + offset`` is negative below the point
-    and positive above it; its derivative ``-(d2 s1 + d1 s2)`` gives Newton
-    steps. With ``top``, each stream's largest share in the box
-    (:func:`decay_shares`), the line runs from ``log((1 - top2) / top2)``
-    to ``log(top1 / (1 - top1))``, a share of 0 taken as 5e-324; the ends
-    are never evaluated. A ``seed`` inside the line is evaluated first,
-    and its value starts the search from that end. Returns ``((s1, s2),
-    steps, converged)``, counting every evaluation of the gap.
+    Each stream's rule maps its share ``s_i`` to a value and its derivative
+    ``d_i`` in ``log s_i``; one call ``pair(s1, s2)`` gives both streams',
+    ``(rule2(s2) - rule1(s1), d1, d2)``. The gap, that plus ``offset``, is
+    negative below the point and positive above it; its derivative
+    ``-(d2 s1 + d1 s2)`` gives Newton steps. Between the line's ``ends``
+    (:func:`_line_ends`), ``z`` runs from ``log((1 - top2) / top2)`` to
+    ``log(top1 / (1 - top1))``, a share of 0 taken as 5e-324; the ends are
+    never evaluated. A ``seed`` inside the line is evaluated first, and its
+    value starts the search from that end. Returns ``((s1, s2), steps,
+    converged)``, counting every evaluation of the gap.
     """
-    rule1, rule2 = rules
     slope = [math.nan]  # d gap / dz at the last call
 
-    def gap(z: float) -> float:
-        s1, s2 = _shares(z)
-        (a, d2), (b, d1) = rule2(s2), rule1(s1)
+    # gap and df bind what they read as defaults: a closure would make a cell per name per solve
+    def gap(z: float, pair=pair, offset=offset, slope=slope, exp=math.exp) -> float:
+        e = exp(-z if z > 0.0 else z)  # _shares(z), without the call
+        s1, s2 = (1.0 / (1.0 + e), e / (1.0 + e)) if z > 0.0 else (e / (1.0 + e), 1.0 / (1.0 + e))
+        y, d1, d2 = pair(s1, s2)
         slope[0] = -(d2 * s1 + d1 * s2)  # d log s1 / dz = s2, d log s2 / dz = -s1
-        return a - b + offset
+        return y + offset
 
-    (a1, a2), (b1, b2), log = *_line_ends(top), math.log
+    (a1, a2), (b1, b2), log = *ends, math.log
     lo, hi = log(a1 or _TINY) - log(a2 or _TINY), log(b1 or _TINY) - log(b2 or _TINY)
     f_lo, f_hi, calls = math.nan, math.nan, 0
     if lo < seed < hi:  # the seed's value ends the bracket on the point's side
         y, calls = gap(seed), 1
         lo, hi, f_lo, f_hi = (seed, hi, y, f_hi) if y < 0.0 else (lo, seed, f_lo, y)
-    z, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, f_lo, f_hi, lambda z: slope[0])
+    z, steps, converged = bisect_root(gap, lo, hi, SEARCH_TOL, f_lo, f_hi,
+                                      lambda z, slope=slope: slope[0])
     return _shares(z), steps + calls, converged
 
 
@@ -395,13 +408,18 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     """
     if isinstance(line := _line(p, "proportional"), Allocation):
         return line
-    box, u, top = line[:3]
+    box, u, _, ends = line[:4]
     sf = p.surface
-    rules = [partial(_minus_lost, s.curve, tau, beta, u, cap) for s, tau, beta, cap
-             in zip(p.streams, (sf.tau1, sf.tau2), (sf.beta1, sf.beta2), box)]
-    shares, steps, converged = _share_search(top, rules)
-    _, _, psi, q = _cheapest(p, line, [shares])
-    gap = rules[1](shares[1])[0] - rules[0](shares[0])[0]  # lost_1 - lost_2 at the answer
+    rule1, rule2 = (partial(_minus_lost, s.curve, tau, beta, u, cap) for s, tau, beta, cap
+                    in zip(p.streams, (sf.tau1, sf.tau2), (sf.beta1, sf.beta2), box))
+
+    def pair(s1: float, s2: float) -> tuple[float, float, float]:
+        (a, d2), (b, d1) = rule2(s2), rule1(s1)
+        return a - b, d1, d2
+
+    shares, steps, converged = _share_search(ends, pair)
+    cost, _, psi, q = _cheapest(p, line, [shares])
+    gap = pair(*shares)[0]  # lost_1 - lost_2 at the answer
     if converged and abs(gap) > PROPORTIONAL_RULE_ATOL:
         i = 0 if gap < 0.0 else 1
         s = p.streams[i]
@@ -409,81 +427,82 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
             f"proportional rule cannot be met: stream {s.name or i + 1} keeps {abs(gap):.3g} more "
             f"of its semantic value than the other at BER {psi[i]:g} (zero-power value "
             f"{box[i]:g} of {s.modulation.name})")
-    return _finish(p, line, psi, q, "proportional", steps, converged,
+    return _finish(p, psi, q, cost, "proportional", steps, converged,
                    atol=PROPORTIONAL_ATOL, why="its point rounds off the constraint line")
 
 
-def _share_slope(p: ProblemSpec, i: int, u: float, cap: float, g: float):
-    """``log |d cost_i / d s_i| - log k_i`` along the line as a function of the share ``s_i``.
+def _share_slopes(p: ProblemSpec, line: _Line) -> tuple[Callable, float, float]:
+    """:func:`solve_bisection`'s ``(pair, offset, seed)`` for :func:`_share_search`: the pair
+    rule of each stream's ``log |d cost_i / d s_i| - log k_i`` in its share ``s_i``.
 
     With ``x = Qinv(psi log2 M / a)`` the power falls with the BER as
     ``2 (sigma^2 / (b |h|^2)) (log2 M / a) x / phi(x)``, and
     ``dpsi/ds = psi / (beta s)``; the stream's constant
-    ``k_i = w_i (log2 M / a) sigma^2 / (b |h|^2)`` is left to
-    :func:`_slope_offsets`. The logarithm cannot overflow and drops the
+    ``k_i = w_i (log2 M / a) sigma^2 / (b |h|^2)`` goes into the offset
+    ``log(k_2 / k_1)``. The logarithm cannot overflow and drops the
     factor ``2 / sqrt(2 pi)`` both streams share. It is ``-inf`` at the
     zero-power BER and ``+inf`` where the BER underflows. The slope
     ignores the clamp at :data:`PSI_FLOOR`: the clamped cost can rise
     and then fall again along the line, which a one-dimensional search
     cannot follow, so the caller compares the line's ends instead. ``g``
-    is the stream's ``log2 M / a``; with ``cap`` inside the box the
+    is the stream's ``log2 M / a``; with the BER capped at the box the
     argument of ``Qinv`` lies in ``(0, 0.5]``. The derivative in ``log s``
     comes too, from the same ``x``: ``(1 - M (x + 1/x)) / beta - 1`` with
     ``M = Q(x)/phi(x) = sqrt(2 pi) exp(log(psi g) + x^2/2)``, -1 where
     ``psi`` is capped or underflows and ``-inf`` at the zero-power BER.
-    """
-    tau, beta = (p.surface.tau1, p.surface.beta1) if i == 0 else (p.surface.tau2, p.surface.beta2)
-    inv_beta, log, exp, inv_cdf = 1.0 / beta, math.log, math.exp, numerics._normal_dist_inv_cdf
-    log_bg = log(beta) + log(g)
-    d0, d1 = inv_beta - 1.0, 2.5066282746310002 * inv_beta  # sqrt(2 pi); M = sqrt(2 pi) e^h
 
-    def slope(share: float) -> tuple[float, float]:
-        try:  # _ber_of_decay, without the call where tau x^(1/beta) fits binary64
-            psi = tau * (share * u) ** inv_beta
-        except OverflowError:
-            psi = _ber_of_decay(tau, share * u, inv_beta)
-        capped = cap < psi
-        pg = (cap if capped else psi) * g  # min(psi, cap) g, without the call
-        if pg == 0.0:
-            return math.inf, -1.0
-        x = -inv_cdf(pg, 0.0, 1.0)
-        if x <= 0.0:
-            return -math.inf, -math.inf
-        h = log(pg) + 0.5 * x * x  # log(pg): x is the quantile of pg as rounded
-        value = log(x) - log(share) + h - log_bg
-        return value, -1.0 if capped else d0 - (x + 1.0 / x) * d1 * exp(h)
-
-    return slope
-
-
-def _slope_offsets(line: _Line, beta: tuple[float, float]) -> tuple[float, float]:
-    """``log(k_2 / k_1)`` for the constants ``k_i`` of :func:`_share_slope`, and the seed's ``e``.
-
-    From the solve's own link constants: ``e = log(c_2 / c_1)`` with
+    The seed is ``-e``: ``e = log(c_2 / c_1)`` with
     ``c_i = w_i (noise_i / gain_i) / (b_i beta_i)`` is ``log(s_2 / s_1)``
     at the high-SNR optimum, and ``k_i = c_i g_i beta_i``. A factor both
     streams share (the noise power scaled by 4, say) cancels exactly in
     the ratio; where it leaves binary64, the logarithms are subtracted.
     """
-    (l1, l2), (w1, w2), (b1, b2), log = line.links, line.w, beta, math.log
+    sf, (l1, l2), (w1, w2), log = p.surface, line.links, line.w, math.log
+    b1, b2, ib1, ib2 = sf.beta1, sf.beta2, 1.0 / sf.beta1, 1.0 / sf.beta2
     c1, c2 = w1 * l1.k / l1.b / b1, w2 * l2.k / l2.b / b2
     if 0.0 < c1 < math.inf and 0.0 < c2 / c1 < math.inf:
         e = log(c2 / c1)
     else:  # noise / gain itself may underflow to 0
         e1, e2 = (log(w) + log(link.k or _TINY) - log(link.b) - log(b)
-                  for w, link, b in zip(line.w, line.links, beta))
+                  for w, link, b in zip(line.w, line.links, (b1, b2)))
         e = e2 - e1
-    return e + log(l2.g * b2 / (l1.g * b1)), e
+    (cap1, cap2), g1, g2, sqrt_2pi = line.box, l1.g, l2.g, 2.5066282746310002  # M = sqrt(2 pi) e^h
+
+    # each stream's constants, bound once as defaults: no cell per name per solve
+    def pair(s1: float, s2: float, tau1=sf.tau1, tau2=sf.tau2, ib1=ib1, ib2=ib2, cap1=cap1,
+             cap2=cap2, g1=g1, g2=g2, u=line.u, lb1=log(b1) + log(g1), lb2=log(b2) + log(g2),
+             a1=ib1 - 1.0, a2=ib2 - 1.0, m1=sqrt_2pi * ib1, m2=sqrt_2pi * ib2, log=log,
+             exp=math.exp, inv_cdf=numerics._normal_dist_inv_cdf, inf=math.inf):
+        try:  # _ber_of_decay, without the calls where tau x^(1/beta) fits binary64
+            psi1, psi2 = tau1 * (s1 * u) ** ib1, tau2 * (s2 * u) ** ib2
+        except OverflowError:
+            psi1, psi2 = _ber_of_decay(tau1, s1 * u, ib1), _ber_of_decay(tau2, s2 * u, ib2)
+        capped1, capped2 = cap1 < psi1, cap2 < psi2  # pg: min(psi, cap) g, without the call
+        pg1, pg2 = (cap1 if capped1 else psi1) * g1, (cap2 if capped2 else psi2) * g2
+        if pg1 == 0.0 or (x := -inv_cdf(pg1, 0.0, 1.0)) <= 0.0:  # underflow, zero-power BER
+            v1, d1 = (inf, -1.0) if pg1 == 0.0 else (-inf, -inf)
+        else:
+            h = log(pg1) + 0.5 * x * x  # log(pg): x is the quantile of pg as rounded
+            v1 = log(x) - log(s1) + h - lb1
+            d1 = -1.0 if capped1 else a1 - (x + 1.0 / x) * m1 * exp(h)
+        if pg2 == 0.0 or (x := -inv_cdf(pg2, 0.0, 1.0)) <= 0.0:
+            v2, d2 = (inf, -1.0) if pg2 == 0.0 else (-inf, -inf)
+        else:
+            h = log(pg2) + 0.5 * x * x
+            v2 = log(x) - log(s2) + h - lb2
+            d2 = -1.0 if capped2 else a2 - (x + 1.0 / x) * m2 * exp(h)
+        return v2 - v1, d1, d2
+
+    return pair, e + log(l2.g * b2 / (l1.g * b1)), -e
 
 
 def solve_bisection(p: ProblemSpec) -> Allocation:
     """The paper's solver: a search of the constraint line in its decay-share coordinate.
 
-    Each stream's rule is its ``log |d cost_i / d s_i|`` (:func:`_share_slope`),
+    Each stream's rule is its ``log |d cost_i / d s_i|`` (:func:`_share_slopes`),
     and :func:`_share_search` finds the ``z = log(s1 / s2)`` where the two
-    meet, up to the constants' ratio (:func:`_slope_offsets`): there the
-    cost stops falling as one share grows. The search starts from the
-    high-SNR optimum: with ``x = Qinv(psi g)`` large,
+    meet, up to the constants' ratio: there the cost stops falling as one
+    share grows. The search starts from the high-SNR optimum: with ``x = Qinv(psi g)`` large,
     ``log x + x^2/2 + log psi ~ -log g - log(2 pi)/2``, so the slopes meet
     near ``s_i ~ w_i sigma_i^2 / (b_i |h_i|^2 beta_i)``, that is at
     ``z = -e``. Below the BER floor the power is clamped, which can leave
@@ -495,12 +514,9 @@ def solve_bisection(p: ProblemSpec) -> Allocation:
     """
     if isinstance(line := _line(p, "bisection"), Allocation):
         return line
-    box, u, top, links = line[:4]
-    slope = _share_slope(p, 0, u, box[0], links[0].g), _share_slope(p, 1, u, box[1], links[1].g)
-    offset, e = _slope_offsets(line, (p.surface.beta1, p.surface.beta2))
-    found, steps, converged = _share_search(top, slope, offset, -e)
-    _, _, psi, q = _cheapest(p, line, (found, *_line_ends(top)))
-    return _finish(p, line, psi, q, "bisection", steps, converged)
+    found, steps, converged = _share_search(line.ends, *_share_slopes(p, line))
+    cost, _, psi, q = _cheapest(p, line, (found, *line.ends))
+    return _finish(p, psi, q, cost, "bisection", steps, converged)
 
 
 def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
@@ -518,7 +534,7 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
         raise DomainError(f"grid_n must be >= 64, got {grid_n}")
     if isinstance(line := _line(p, "grid_oracle"), Allocation):
         return line
-    ends, exp = _line_ends(line.top), math.exp
+    ends, exp = line.ends, math.exp
 
     def on_line(ys: list[float]):  # the share pairs at each y
         for y in ys:
@@ -535,9 +551,9 @@ def solve_grid_oracle(p: ProblemSpec, grid_n: int = 4096) -> Allocation:
     step = (hi - lo) / (n1 + 1)
     first = cheapest([lo + i * step for i in range(1, n1 + 1)])
     a, fine = first[1] - step, 2.0 * step / (n2 + 1)  # an even pass 2 skips first
-    *_, psi, q = min(cheapest([lo, hi], ends), first,
-                     cheapest([a + j * fine for j in range(1, n2 + 1)]))
-    return _finish(p, line, psi, q, "grid_oracle", grid_n)
+    cost, _, psi, q = min(cheapest([lo, hi], ends), first,
+                          cheapest([a + j * fine for j in range(1, n2 + 1)]))
+    return _finish(p, psi, q, cost, "grid_oracle", grid_n)
 
 
 _SOLVERS = {

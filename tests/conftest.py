@@ -116,26 +116,18 @@ def recorded_gap_calls():
     """Record the points at which each share search evaluates its gap.
 
     Yields a list that gets the shares ``(s1, s2)`` of each evaluation, in
-    order; clear it between solves. Each evaluation calls both streams'
-    rules once, so a pair is complete once both have been called.
+    order; clear it between solves. Each evaluation makes one call of the
+    solve's pair rule, with both shares.
     """
     calls = []
     search = solvers._share_search
 
-    def recording(top, rules, *rest):
-        pair = [None, None]
+    def recording(ends, pair, *rest):
+        def recorded(s1, s2):
+            calls.append((s1, s2))
+            return pair(s1, s2)
 
-        def recorded(i, rule):
-            def call(share):
-                pair[i] = share
-                if None not in pair:
-                    calls.append(tuple(pair))
-                    pair[:] = None, None
-                return rule(share)
-
-            return call
-
-        return search(top, [recorded(i, rule) for i, rule in enumerate(rules)], *rest)
+        return search(ends, recorded, *rest)
 
     with mock.patch.object(solvers, "_share_search", recording):
         yield calls

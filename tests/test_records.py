@@ -1,7 +1,9 @@
 """The model records refuse what the paper's model does not admit, with the field named."""
 
+import dataclasses
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, astuple, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from sempower.errors import DomainError
 from sempower.modulation import preset
 from sempower.numerics import ToleranceConfig
 from sempower.perception import SampleSet, StreamCurve, SurfaceParams, default_edge_curve
-from sempower.solvers import StreamSpec
+from sempower.solvers import Allocation, StreamSpec
 from sempower.svgchart import line_chart
 
 # Each record with its fields that must be finite and > 0, in the order they are checked.
@@ -71,3 +73,63 @@ def test_chart_needs_a_plottable_point():
     series = [("a", [0.0, 1.0], [0.0, -1.0]), ("b", [math.nan], [1.0]), ("c", [], [])]
     with pytest.raises(DomainError, match="^no plottable points in any series$"):
         line_chart(series, "x", "y", "t")
+
+
+# Allocation stores its fields itself; it must keep every behaviour of the
+# frozen dataclass whose generated __init__ it replaces.
+@dataclass(frozen=True)
+class _GeneratedAllocation:
+    q: tuple[float, float]
+    psi: tuple[float, float]
+    achieved_p: float
+    total_cost: float
+    solver: str
+    iterations: int
+    feasible: bool
+    converged: bool = True
+
+
+ALLOCATION_VALUES = ((1.5, 2.0), (1e-3, 0.25), 0.6, 11.5, "bisection", 4, True, False)
+
+
+def _pair(*values):
+    return Allocation(*values), _GeneratedAllocation(*values)
+
+
+def test_allocation_is_frozen():
+    got = Allocation(*ALLOCATION_VALUES)
+    for name in ("q", "converged", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(got, name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(got, name)
+    assert astuple(got) == ALLOCATION_VALUES
+
+
+def test_allocation_matches_the_generated_dataclass():
+    got, want = _pair(*ALLOCATION_VALUES)
+    assert [(f.name, f.default, f.init, f.compare, f.hash) for f in fields(got)] == [
+        (f.name, f.default, f.init, f.compare, f.hash) for f in fields(want)]
+    assert astuple(got) == astuple(want)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want).replace("_GeneratedAllocation", "Allocation")
+    moved = replace(got, total_cost=3.0, solver="x")
+    moved_want = replace(want, total_cost=3.0, solver="x")
+    assert type(moved) is Allocation and astuple(moved) == astuple(moved_want)
+    assert got == Allocation(*ALLOCATION_VALUES) and got != moved
+    assert (got == moved) == (want == moved_want)
+    assert got != want  # as for any two dataclasses: equal only to its own class
+
+
+def test_allocation_construction():
+    names = [f.name for f in fields(Allocation)]
+    assert list(inspect.signature(Allocation).parameters) == names
+    keyword = Allocation(**dict(zip(names, ALLOCATION_VALUES)))
+    assert keyword == Allocation(*ALLOCATION_VALUES)
+    assert vars(keyword) == dict(zip(names, ALLOCATION_VALUES))  # the fields, and nothing else
+    got, want = _pair(*ALLOCATION_VALUES[:-1])
+    assert got.converged is True and astuple(got) == astuple(want)
+    for bad in (ALLOCATION_VALUES[:-2], ALLOCATION_VALUES + (1,)):
+        with pytest.raises(TypeError):
+            Allocation(*bad)

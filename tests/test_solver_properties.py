@@ -35,6 +35,7 @@ from sempower.perception import (
     L_PROMPT,
     StreamCurve,
     SurfaceParams,
+    _line_ends,
     decay_shares,
     default_edge_curve,
     default_prompt_curve,
@@ -234,6 +235,25 @@ def test_oracle_agrees_with_bisection_on_wide_surfaces(p):
     assert cost_g <= solve_bisection(p).total_cost * (1.0 + ORACLE_AGREEMENT_RTOL), cost_g
 
 
+@given(problems() | wide_problems(), st.sampled_from([None, 0, 1]))
+def test_line_set_up_is_the_surface_and_the_shares_bit_for_bit(p, at_top):
+    # _line takes each stream's decay at the box once, for the reachable top
+    # and the top shares: both must be what eval_surface and decay_shares
+    # give, and the zero-power allocation must start exactly at that top.
+    box = tuple(zero_power_ber(s.modulation) for s in p.streams)
+    hi = eval_surface(p.surface, *box)
+    if at_top is not None:  # the top itself, and the double just below it
+        assume(p.surface.p0 < math.nextafter(hi, 0.0) and (at_top or hi < 1.0))
+        p = replace(p, target=math.nextafter(hi, 0.0) if at_top else hi)
+    line = solvers._line(p, "")
+    if p.target >= hi:
+        assert line == solvers.Allocation((0.0, 0.0), box, hi, 0.0, "", 0, True)
+        return
+    assert line.box == box
+    assert (line.u, *line.top) == decay_shares(p.surface, p.target, box)
+    assert line.ends == _line_ends(line.top)
+
+
 # Both solvers price their points through one loop; a slow pricer built
 # from the public kernels alone keeps the oracle an independent check.
 
@@ -406,13 +426,26 @@ def test_share_slope_derivative_matches_finite_differences(p, i, wide, near_cap,
                                                            past_cap):
     # The derivative in log s that the Newton steps use, against a central
     # difference of the slope: along the line, past the share where the BER
-    # reaches the box and is capped, and at the infinite ends.
+    # reaches the box and is capped, and at the infinite ends. Stream i's
+    # share moves through the pair rule while the other's is held at half
+    # its largest share, where its slope is a finite constant.
     if wide:
         p = replace(p, streams=tuple(replace(s, modulation=WIDE) if n == i else s
                                      for n, s in enumerate(p.streams)))
-    box, u, _, links, _ = solvers._line(p, "bisection")
+    line = solvers._line(p, "bisection")
+    box, u, top = line.box, line.u, line.top
     tau, beta = ((p.surface.tau1, p.surface.beta1), (p.surface.tau2, p.surface.beta2))[i]
-    slope = solvers._share_slope(p, i, u, box[i], links[i].g)
+    pair, other = solvers._share_slopes(p, line)[0], 0.5 * top[1 - i]
+    held = line_point(p.surface, u, (other, other), box)[1 - i]
+    assume(held * line.links[1 - i].g > 0.0)  # the other stream's slope is finite there
+
+    def slope(share):  # stream i's slope, less the other's, and its derivative
+        if i == 0:
+            value, d, _ = pair(share, other)
+            return -value, d
+        value, _, d = pair(other, share)
+        return value, d
+
     at = beta * math.log(box[i] / tau) - math.log(u) + past_cap if near_cap else log_share
     value, derivative = slope(math.exp(at))
     if math.isinf(value):  # the BER underflows (+inf) or is the zero-power one (-inf)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -517,7 +518,21 @@ class TestGridOracle:
         assert a == b
 
 
+# SHA-256 of the repr of every allocation of the three searching solvers
+# on fading_blocks(400, 7), and of the grid oracle on every 20th block, one
+# per line. A speed-up leaves it as it is; an intended change of an answer
+# updates it here, as a README output updates README_PINS.
+FADING_BLOCKS_DIGEST = "c7acf3391e98c7f7b48523a3f598eae471dcbac6c7c4263bf526ef5292f021b9"
+
+
 class TestCrossCutting:
+    def test_fading_block_answers_pinned(self):
+        digest = hashlib.sha256()
+        for k, p in enumerate(fading_blocks(400, 7)):
+            for name in SOLVER_ORDER if k % 20 == 0 else SOLVER_ORDER[:3]:
+                digest.update(repr(solve(p, name)).encode() + b"\n")
+        assert digest.hexdigest() == FADING_BLOCKS_DIGEST
+
     def test_target_met_with_equality_by_all_solvers(self, ref_state):
         for t in (0.35, 0.6, 0.85):
             p = make_problem(ref_state, target=t)
