@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from ._version import __version__
-from .config import ExperimentConfig, build_manifest, load_config, write_manifest
+from .config import SNR_POINTS_MAX, ExperimentConfig, build_manifest, load_config, write_manifest
 from .errors import ConfigError, InfeasibleError, SempowerError, SempowerWarning
 from .modulation import preset
 from .perception import fit_surface, load_sample_set, save_surface
@@ -237,7 +237,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     results = [
         simulate_stream_report(s.name, s.modulation, s.channel, snr_db, cfg.sim.n_bits,
-                               derive_seed(cfg.sim.seed, i * 1000 + j))
+                               derive_seed(cfg.sim.seed, i * SNR_POINTS_MAX + j))
         for i, s in enumerate(cfg.streams)
         for j, snr_db in enumerate(cfg.sim.snr_db)
     ]

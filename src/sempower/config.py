@@ -100,6 +100,8 @@ SIM_MIN_BITS = 10_000  # for simulate's 3-sigma check
 SIM_MAX_BITS = 10**9
 GRID_N_MAX = 10**6
 TARGETS_MAX = 10**4
+# also simulate's seed stride per stream, so no two of its rows share a seed
+SNR_POINTS_MAX = 1000
 # 10^(v/10) overflows binary64 above 3082.5 dB
 _SNR_DB_MAX = 3080.0
 _FLOAT_MAX = sys.float_info.max
@@ -361,9 +363,12 @@ def load_config(
 
     sim_doc = merged["simulation"]
     sim_seed = _value(sim_doc, "seed", "simulation", int, optional=True)
+    snr_db = _each(sim_doc, "snr_db", "simulation", _value, hi=_SNR_DB_MAX)
+    if len(snr_db) > SNR_POINTS_MAX:
+        raise ConfigError(f"simulation.snr_db: more than {SNR_POINTS_MAX} points")
     sim = SimSettings(
         n_bits=_value(sim_doc, "n_bits", "simulation", int, SIM_MIN_BITS, SIM_MAX_BITS),
-        snr_db=_each(sim_doc, "snr_db", "simulation", _value, hi=_SNR_DB_MAX),
+        snr_db=snr_db,
         seed=derive_seed(seed, 2001) if sim_seed is None else sim_seed,
     )
     out_doc = merged["output"]

@@ -242,7 +242,9 @@ def _finish(p: ProblemSpec, psi: tuple[float, float], q: tuple[float, float], co
         raise DomainError(
             f"{solver}: the total cost of powers {q[0]:g} W and {q[1]:g} W overflows"
         )
-    achieved = _surface(p.surface, psi[0], psi[1])
+    sf = p.surface  # both BERs lie in the box, so no _check_ber
+    achieved = _surface_of_decay(sf, _decay(psi[0], sf.tau1, sf.beta1)
+                                 + _decay(psi[1], sf.tau2, sf.beta2))
     if converged and abs(achieved - p.target) > atol:
         raise DomainError(f"{solver} misses target {p.target:g} by "
                           f"{abs(achieved - p.target):.3g}: {why}")
@@ -333,13 +335,13 @@ def _shares(z: float) -> tuple[float, float]:
 
 def _share_search(
     ends: Sequence[tuple[float, float]], pair: Callable[[float, float], tuple[float, float, float]],
-    offset: float = 0.0, seed: float = math.nan,
+    seed: float = math.nan,
 ) -> tuple[tuple[float, float], int, bool]:
     """Search the constraint line in ``z = log(s1 / s2)`` for the point where two rules meet.
 
     Each stream's rule maps its share ``s_i`` to a value and its derivative
     ``d_i`` in ``log s_i``; one call ``pair(s1, s2)`` gives both streams',
-    ``(rule2(s2) - rule1(s1), d1, d2)``. The gap, that plus ``offset``, is
+    ``(gap, d1, d2)``. The gap, stream 2's value less stream 1's, is
     negative below the point and positive above it; its derivative
     ``-(d2 s1 + d1 s2)`` gives Newton steps. Between the line's ``ends``
     (:func:`_line_ends`), ``z`` runs from ``log((1 - top2) / top2)`` to
@@ -351,12 +353,12 @@ def _share_search(
     slope = [math.nan]  # d gap / dz at the last call
 
     # gap and df bind what they read as defaults: a closure would make a cell per name per solve
-    def gap(z: float, pair=pair, offset=offset, slope=slope, exp=math.exp) -> float:
+    def gap(z: float, pair=pair, slope=slope, exp=math.exp) -> float:
         e = exp(-z if z > 0.0 else z)  # _shares(z), without the call
         s1, s2 = (1.0 / (1.0 + e), e / (1.0 + e)) if z > 0.0 else (e / (1.0 + e), 1.0 / (1.0 + e))
         y, d1, d2 = pair(s1, s2)
         slope[0] = -(d2 * s1 + d1 * s2)  # d log s1 / dz = s2, d log s2 / dz = -s1
-        return y + offset
+        return y
 
     (a1, a2), (b1, b2), log = *ends, math.log
     lo, hi = log(a1 or _TINY) - log(a2 or _TINY), log(b1 or _TINY) - log(b2 or _TINY)
@@ -379,16 +381,6 @@ def _lost_value(c: StreamCurve, psi: float) -> tuple[float, float]:
     return -math.expm1(-v) * scale, math.exp(-v) * v * c.beta * scale
 
 
-def _minus_lost(c: StreamCurve, tau: float, beta: float, u: float, cap: float, share: float):
-    """:func:`solve_proportional`'s rule: minus :func:`_lost_value` at the BER of ``share`` on
-    the line, clipped at ``cap`` as :func:`line_point` clips it, and its derivative in
-    ``log share`` (0 where clipped). Minus, so rule 2 minus rule 1 is ``lost_1 - lost_2``."""
-    psi = _ber_of_decay(tau, share * u, 1.0 / beta)
-    psi = cap if cap < psi else psi
-    lost, d = _lost_value(c, psi)
-    return -lost, -d / beta if psi < cap else 0.0
-
-
 def solve_proportional(p: ProblemSpec) -> Allocation:
     """Both streams keep the same fraction of their semantic value.
 
@@ -396,26 +388,29 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
     ``A_i (1 - exp(-v_i))`` with ``A_i = (pmax_i - p0_i) / L_i`` and
     ``v_i = (psi_i/tau_i)^beta_i`` on its curve, rises with its decay
     share while the other stream's falls. :func:`_share_search` finds the
-    share ratio where the two streams' :func:`_minus_lost` meet, and
-    :func:`_cheapest` gives the BERs and powers, so the target is met by
-    construction. ``iterations`` counts every evaluation of the
-    difference. Raises :class:`DomainError`, naming the stream that loses
-    less, when the converged point's lost fractions differ by more than
-    :data:`PROPORTIONAL_RULE_ATOL` (the rule needs a BER beyond that
-    stream's zero-power value, or the difference jumps across 0 where a
-    BER underflows), or when rounding leaves the target missed by more
-    than :data:`PROPORTIONAL_ATOL`.
+    share ratio where the two streams' :func:`_lost_value` at the BERs of
+    their shares meet, and :func:`_cheapest` gives the BERs and powers, so
+    the target is met by construction. ``iterations`` counts every
+    evaluation of the difference. Raises :class:`DomainError`, naming the
+    stream that loses less, when the converged point's lost fractions
+    differ by more than :data:`PROPORTIONAL_RULE_ATOL` (the rule needs a
+    BER beyond that stream's zero-power value, or the difference jumps
+    across 0 where a BER underflows), or when rounding leaves the target
+    missed by more than :data:`PROPORTIONAL_ATOL`.
     """
     if isinstance(line := _line(p, "proportional"), Allocation):
         return line
     box, u, _, ends = line[:4]
-    sf = p.surface
-    rule1, rule2 = (partial(_minus_lost, s.curve, tau, beta, u, cap) for s, tau, beta, cap
-                    in zip(p.streams, (sf.tau1, sf.tau2), (sf.beta1, sf.beta2), box))
+    (cap1, cap2), (c1, c2), sf = box, (s.curve for s in p.streams), p.surface
 
     def pair(s1: float, s2: float) -> tuple[float, float, float]:
-        (a, d2), (b, d1) = rule2(s2), rule1(s1)
-        return a - b, d1, d2
+        # each BER clipped at the box as line_point clips it; no slope where clipped
+        psi1 = _ber_of_decay(sf.tau1, s1 * u, 1.0 / sf.beta1)
+        psi2 = _ber_of_decay(sf.tau2, s2 * u, 1.0 / sf.beta2)
+        psi1, psi2 = cap1 if cap1 < psi1 else psi1, cap2 if cap2 < psi2 else psi2
+        (lost1, d1), (lost2, d2) = _lost_value(c1, psi1), _lost_value(c2, psi2)
+        return (lost1 - lost2, -d1 / sf.beta1 if psi1 < cap1 else 0.0,
+                -d2 / sf.beta2 if psi2 < cap2 else 0.0)
 
     shares, steps, converged = _share_search(ends, pair)
     cost, _, psi, q = _cheapest(p, line, [shares])
@@ -431,16 +426,15 @@ def solve_proportional(p: ProblemSpec) -> Allocation:
                    atol=PROPORTIONAL_ATOL, why="its point rounds off the constraint line")
 
 
-def _share_slopes(p: ProblemSpec, line: _Line) -> tuple[Callable, float, float]:
-    """:func:`solve_bisection`'s ``(pair, offset, seed)`` for :func:`_share_search`: the pair
-    rule of each stream's ``log |d cost_i / d s_i| - log k_i`` in its share ``s_i``.
+def _share_slopes(p: ProblemSpec, line: _Line) -> tuple[Callable, float]:
+    """:func:`solve_bisection`'s ``(pair, seed)`` for :func:`_share_search`: the pair rule of
+    each stream's ``log |d cost_i / d s_i|`` in its share ``s_i``.
 
     With ``x = Qinv(psi log2 M / a)`` the power falls with the BER as
-    ``2 (sigma^2 / (b |h|^2)) (log2 M / a) x / phi(x)``, and
-    ``dpsi/ds = psi / (beta s)``; the stream's constant
-    ``k_i = w_i (log2 M / a) sigma^2 / (b |h|^2)`` goes into the offset
-    ``log(k_2 / k_1)``. The logarithm cannot overflow and drops the
-    factor ``2 / sqrt(2 pi)`` both streams share. It is ``-inf`` at the
+    ``2 (sigma^2 / (b |h|^2)) (log2 M / a) x / phi(x)``, and ``dpsi/ds = psi / (beta s)``;
+    the streams' constants ``k_i = w_i (log2 M / a) sigma^2 / (b |h|^2)`` enter the gap
+    as one term, ``log(k_2 / k_1)``, bound once per solve. The logarithm cannot overflow
+    and drops the factor ``2 / sqrt(2 pi)`` both streams share. It is ``-inf`` at the
     zero-power BER and ``+inf`` where the BER underflows. The slope
     ignores the clamp at :data:`PSI_FLOOR`: the clamped cost can rise
     and then fall again along the line, which a one-dimensional search
@@ -472,7 +466,8 @@ def _share_slopes(p: ProblemSpec, line: _Line) -> tuple[Callable, float, float]:
     def pair(s1: float, s2: float, tau1=sf.tau1, tau2=sf.tau2, ib1=ib1, ib2=ib2, cap1=cap1,
              cap2=cap2, g1=g1, g2=g2, u=line.u, lb1=log(b1) + log(g1), lb2=log(b2) + log(g2),
              a1=ib1 - 1.0, a2=ib2 - 1.0, m1=sqrt_2pi * ib1, m2=sqrt_2pi * ib2, log=log,
-             exp=math.exp, inv_cdf=numerics._normal_dist_inv_cdf, inf=math.inf):
+             exp=math.exp, inv_cdf=numerics._normal_dist_inv_cdf, inf=math.inf,
+             off=e + log(l2.g * b2 / (l1.g * b1))):
         try:  # _ber_of_decay, without the calls where tau x^(1/beta) fits binary64
             psi1, psi2 = tau1 * (s1 * u) ** ib1, tau2 * (s2 * u) ** ib2
         except OverflowError:
@@ -491,9 +486,9 @@ def _share_slopes(p: ProblemSpec, line: _Line) -> tuple[Callable, float, float]:
             h = log(pg2) + 0.5 * x * x
             v2 = log(x) - log(s2) + h - lb2
             d2 = -1.0 if capped2 else a2 - (x + 1.0 / x) * m2 * exp(h)
-        return v2 - v1, d1, d2
+        return v2 - v1 + off, d1, d2
 
-    return pair, e + log(l2.g * b2 / (l1.g * b1)), -e
+    return pair, -e
 
 
 def solve_bisection(p: ProblemSpec) -> Allocation:

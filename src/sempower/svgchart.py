@@ -6,6 +6,7 @@ Deterministic output: the same series always render to the same bytes.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 
@@ -31,22 +32,16 @@ _WIDTH, _HEIGHT = 760, 500
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round-valued ticks over ``[lo, hi]``, about six of them."""
-    if hi <= lo:
-        return [lo]
+    """Round-valued ticks over ``[lo, hi]``, at most six; ``[lo]`` when a fifth of the span
+    underflows (or ``hi <= lo``)."""
     raw = (hi - lo) / 5
+    if not raw >= sys.float_info.min:
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    start = math.ceil(lo / step) * step
-    ticks = []
-    v = start
-    while v <= hi + 1e-9 * step:
-        ticks.append(round(v, 12))
-        v += step
-    return ticks
+    step = next(mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag)
+    first = math.ceil(lo / step)  # by index: a step under half an ulp of lo never moves a sum
+    last = min(math.floor(hi / step + 1e-9), first + 5)  # hi - lo <= 5 step, up to rounding
+    return [round(k * step, 12) for k in range(first, last + 1)]
 
 
 def line_chart(

@@ -556,6 +556,7 @@ class TestConfig:
             ({"targets": [0.5] * 10_001}, "targets: more than 10000 targets"),
             ({"streams": [{"modulation": "custom", "M": 3, "a": 1.0, "b": 1.0}, {}]},
              "streams[0]: M must be a power of two >= 2, got 3"),
+            ({"simulation": {"snr_db": [0.0] * 1001}}, "simulation.snr_db: more than 1000 points"),
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, overrides, key):
@@ -799,6 +800,13 @@ class TestOutputs:
         out = tmp_path / "run"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
         assert not out.exists()
+
+    def test_sweep_of_targets_an_ulp_apart(self, tmp_path):
+        cfg = write_config(tmp_path, targets=[0.5, 0.5000000000000001], grid_n=512)
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        ticks = (out / "sweep.svg").read_text().count('text-anchor="middle">0.5</text>')
+        assert 1 <= ticks <= 6
 
     def test_readme_outputs_pinned(self, tmp_path):
         runs = {

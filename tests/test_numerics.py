@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
+from sempower import numerics
 from sempower.errors import DomainError
 from sempower.numerics import (
     Rng,
@@ -302,6 +304,13 @@ class TestBisect:
 class TestFiniteDifference:
     def test_scalar_square(self):
         assert abs(finite_difference(lambda x: x * x, 3.0, 1e-5) - 6.0) < 1e-6
+
+
+def test_lazy_numpy_refuses_dunder_names_without_importing(monkeypatch):
+    # introspection (copy, pickle, doctest's unwrap) asks for dunder names
+    monkeypatch.setitem(sys.modules, "numpy", None)  # an import of numpy now fails
+    with pytest.raises(AttributeError, match="__wrapped__"):
+        numerics._Numpy().__wrapped__
 
 
 class TestTolerance:

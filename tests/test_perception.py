@@ -40,6 +40,7 @@ from sempower.perception import (
     surface_partials,
     synthetic_sample_set,
 )
+from sempower.perception import _ber_of_decay
 
 from conftest import assert_rel
 
@@ -333,6 +334,11 @@ class TestConstraintGeometry:
             p_bar = eval_surface(s, psi1, 0.0)
             assert solve_psi2_on_constraint(s, psi1, p_bar, TIGHT) == 0.0
 
+    def test_ber_of_a_decay_beyond_binary64_is_infinite(self):
+        # x^(1/beta) overflows pow; a small tau brings the BER back into range by logs, or not
+        assert_rel(_ber_of_decay(1e-300, 1e300, 1.5), 1e150, 1e-12, "by logs")
+        assert _ber_of_decay(1.0, 1e300, 2.0) == math.inf
+
     def test_round_trip(self):
         s = default_surface()
         for p_bar in (0.4, 0.6, 0.8):
@@ -505,6 +511,12 @@ class TestFileFormats:
         again = load_sample_set(path)
         assert np.allclose(again.psi1, data.psi1, rtol=1e-10)
         assert np.allclose(again.p, data.p, rtol=1e-10)
+
+    def test_sample_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("psi1,psi2,P\n0,0,0.5\n\n , ,\n0.1,0.2,0.6\n")
+        again = load_sample_set(path)
+        assert again.psi1.tolist() == [0.0, 0.1] and again.p.tolist() == [0.5, 0.6]
 
     def test_sample_header_pinned(self, tmp_path):
         path = tmp_path / "bad.csv"

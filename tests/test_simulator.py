@@ -159,6 +159,14 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def test_cpus_without_an_affinity_api(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert simulator._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert simulator._cpus() == 1
+
+
 class TestBlocks:
     """The error count is a sum over fixed blocks of the counter stream, so
     the BER depends neither on the block size nor on the thread count."""
