@@ -114,7 +114,7 @@ def sample_fading(seed: int, n: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return Rng(seed).exponential(n)
+    return Rng(seed).exponential_at(0, n)
 
 
 def snr(q: float, state: ChannelState) -> float:

@@ -124,9 +124,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="config YAML (or run manifest JSON)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", type=str, default=None, help="override the output directory")
-    p.add_argument(
-        "--format", choices=["csv", "csv+svg"], default=None, help="override the output format"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,8 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "sweep targets and write CSV (and SVG) curves"),
         ("simulate", "Monte Carlo BER validation against the analytic model"),
     ]:
-        p_cmd = sub.add_parser(name, help=help_text)
-        _common_flags(p_cmd)
+        _common_flags(sub.add_parser(name, help=help_text))
+    # only sweep writes an SVG
+    sub.choices["sweep"].add_argument("--format", choices=["csv", "csv+svg"], default=None,
+                                      help="override the output format")
     return ap
 
 
@@ -158,7 +157,7 @@ def _load(args) -> ExperimentConfig:
         args.config,
         seed_override=args.seed,
         out_override=args.out,
-        format_override=args.format,
+        format_override=getattr(args, "format", None),
     )
 
 

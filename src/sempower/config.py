@@ -9,11 +9,12 @@ relative to the document's own directory. :func:`load_config` reads
 every value once, whatever the command, through one typed reader: a
 number is a finite int or float (YAML ``true`` is not one), a flag a
 real boolean, a stream name or modulation label a ``[A-Za-z0-9_+-]``
-word, and ``grid_n``, the target count and ``simulation.n_bits`` have
-upper bounds; every failure is a :class:`ConfigError` that starts with
-the key path. It resolves the document into the objects the solvers
-take: each stream is a :class:`StreamSpec` carrying its realised link,
-the surface a :class:`SurfaceParams`. A run manifest (JSON) echoes the
+word, no list repeats an entry, and ``grid_n``, the target count and
+``simulation.n_bits`` have upper bounds; every failure is a
+:class:`ConfigError` that starts with the key path. It resolves the
+document into the objects the solvers take: each stream is a
+:class:`StreamSpec` carrying its realised link, the surface a
+:class:`SurfaceParams`. A run manifest (JSON) echoes the
 fully resolved configuration together with input digests, and is itself
 accepted wherever a config file is, which makes any recorded run
 repeatable byte for byte.
@@ -224,12 +225,19 @@ def _choice(doc, key, where: str, options) -> str:
 
 
 def _each(doc, key, where: str, read, *args, **kwargs) -> tuple:
-    """``read(items, i, path, ...)`` of every element of the non-empty list ``doc[key]``."""
+    """``read(items, i, path, ...)`` of every element of the non-empty list ``doc[key]``;
+    a value read twice is a :class:`ConfigError`."""
     items = doc[key]
     path = _key_path(doc, key, where)
     if not isinstance(items, list) or not items:
         raise ConfigError(f"{path}: expected a non-empty list")
-    return tuple(read(items, i, path, *args, **kwargs) for i in range(len(items)))
+    seen = {}
+    for i in range(len(items)):
+        v = read(items, i, path, *args, **kwargs)
+        if v in seen:
+            raise ConfigError(f"{path}: {v!r} is repeated")
+        seen[v] = None
+    return tuple(seen)
 
 
 def _expand_targets(spec) -> tuple[float, ...]:
@@ -363,12 +371,11 @@ def load_config(
 
     sim_doc = merged["simulation"]
     sim_seed = _value(sim_doc, "seed", "simulation", int, optional=True)
-    snr_db = _each(sim_doc, "snr_db", "simulation", _value, hi=_SNR_DB_MAX)
-    if len(snr_db) > SNR_POINTS_MAX:
+    if isinstance(sim_doc["snr_db"], list) and len(sim_doc["snr_db"]) > SNR_POINTS_MAX:
         raise ConfigError(f"simulation.snr_db: more than {SNR_POINTS_MAX} points")
     sim = SimSettings(
         n_bits=_value(sim_doc, "n_bits", "simulation", int, SIM_MIN_BITS, SIM_MAX_BITS),
-        snr_db=snr_db,
+        snr_db=_each(sim_doc, "snr_db", "simulation", _value, hi=_SNR_DB_MAX),
         seed=derive_seed(seed, 2001) if sim_seed is None else sim_seed,
     )
     out_doc = merged["output"]

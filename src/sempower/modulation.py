@@ -6,8 +6,8 @@ parameter family
     psi(snr) = min(0.5, (a / log2(M)) * Q(sqrt(b * snr)))
 
 with coefficients ``(a, b)`` set by the modulation. Inverting the
-monotone branch gives the SNR, and with the channel state the symbol
-power, needed for a target BER:
+monotone branch gives the symbol power needed for a target BER over a
+channel state (over a unit link, ``gain = noise_w = 1``, it is the SNR):
 
     q = sigma^2 / (b * |h|^2) * Qinv(psi * log2(M) / a)^2
 
@@ -40,7 +40,6 @@ __all__ = [
     "preset",
     "zero_power_ber",
     "ber_from_snr",
-    "snr_from_ber",
     "power_from_ber",
 ]
 
@@ -129,9 +128,9 @@ def _inversion(m: ModulationScheme, k: float = 1.0) -> _Inversion:
 def _power(c: _Inversion, psi: float) -> float:
     """``x * x / b * k`` with ``x = -Qinv(max(psi, PSI_FLOOR) g)``, the normal quantile.
 
-    The float kernel of :func:`snr_from_ber` and :func:`power_from_ber`;
-    the solvers build ``c`` once per stream and call it directly. With
-    ``psi`` in ``(0, top]`` the argument of ``Qinv`` lies in ``(0, 0.5]``.
+    The float kernel of :func:`power_from_ber`; the solvers build ``c``
+    once per stream and call it directly. With ``psi`` in ``(0, top]``
+    the argument of ``Qinv`` lies in ``(0, 0.5]``.
     """
     name, top, g, b, k = c
     if not 0.0 < psi <= top:  # NaN fails too
@@ -139,17 +138,6 @@ def _power(c: _Inversion, psi: float) -> float:
                           "are met at zero power")
     x = _quantile((PSI_FLOOR if PSI_FLOOR > psi else psi) * g)
     return x * x / b * k
-
-
-def snr_from_ber(m: ModulationScheme, psi):
-    """SNR achieving the target BER ``psi``.
-
-    ``psi`` must lie in ``(0, zero_power_ber(m)]``; the boundary maps to
-    SNR 0. Values below ``PSI_FLOOR`` are clamped before inversion. A
-    target above the branch is unreachable at any power (it is already
-    beaten for free) and raises :class:`DomainError`. Floats or arrays.
-    """
-    return _elementwise(partial(_power, _inversion(m)), psi)
 
 
 def power_from_ber(m: ModulationScheme, state: ChannelState, psi):

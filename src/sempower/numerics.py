@@ -165,20 +165,16 @@ class Rng:
     deterministic for a given platform; across platforms they can differ
     by libm rounding (one ulp in ``log``/``cos``/``sin``).
 
-    Any part of the stream can be computed directly. :meth:`words_at`,
-    :meth:`words_at_positions`, :meth:`bits_at` and :meth:`polar_at`
-    take explicit positions and leave the instance unchanged, so threads
-    may share one instance and draw disjoint slices in any order. The sequential draws
-    (:meth:`normal`, :meth:`exponential`) are the same computation at an
-    internal position that each call advances; such an instance is
-    single-owner. Use :func:`derive_seed` to hand independent streams to
-    parallel consumers.
+    Every draw is a pure function of the seed and the explicit stream
+    positions it is given, so any part of the stream can be computed
+    directly, and threads may share one instance and draw disjoint
+    slices in any order. Use :func:`derive_seed` to hand independent
+    streams to parallel consumers.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) % 2**64
         self._key = _mix64_int(self.seed)
-        self._pos = 0
 
     def _mix_at(self, z: np.ndarray) -> np.ndarray:
         """The words at the uint64 stream positions ``z``, computed in place."""
@@ -222,24 +218,19 @@ class Rng:
         angle words ``w2`` already drawn, element by element."""
         return np.sqrt(-2.0 * np.log(_unit_open(w1))), (2.0 * math.pi) * _unit(w2)
 
-    def _words(self, n: int) -> np.ndarray:
-        self._pos += n
-        return self.words_at(self._pos - n, n)
-
-    def normal(self, n: int) -> np.ndarray:
+    def normal_at(self, pos: int, n: int) -> np.ndarray:
         """``n`` standard normal deviates via Box-Muller pairs.
 
-        The ``m = ceil(n/2)`` radii come from the next ``m`` words and the
-        angles from the ``m`` after; cosines fill the first ``m`` outputs.
+        The ``m = ceil(n/2)`` radii come from the words at ``pos, ...`` and
+        the angles from the ``m`` after; cosines fill the first ``m`` outputs.
         """
         m = (n + 1) // 2
-        r, ang = self.polar_at(self._pos, self._pos + m, m)
-        self._pos += 2 * m
+        r, ang = self.polar_at(pos, pos + m, m)
         return np.concatenate([r * np.cos(ang), r * np.sin(ang)])[:n]
 
-    def exponential(self, n: int) -> np.ndarray:
-        """``n`` unit-mean exponential deviates."""
-        return -np.log(_unit_open(self._words(n)))
+    def exponential_at(self, pos: int, n: int) -> np.ndarray:
+        """``n`` unit-mean exponential deviates from the words at ``pos, ..., pos+n-1``."""
+        return -np.log(_unit_open(self.words_at(pos, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -254,12 +254,12 @@ def default_edge_curve() -> StreamCurve:
 
 
 def default_curve(name: str) -> StreamCurve:
-    """Bundled curve by name: ``prompt`` or ``edge``, optionally ``default-`` prefixed."""
-    if name in ("prompt", "default-prompt"):
+    """Bundled curve by name: ``default-prompt`` or ``default-edge``."""
+    if name == "default-prompt":
         return default_prompt_curve()
-    if name in ("edge", "default-edge"):
+    if name == "default-edge":
         return default_edge_curve()
-    raise DomainError(f"unknown bundled curve {name!r}; use 'prompt' or 'edge'")
+    raise DomainError(f"unknown bundled curve {name!r}; use 'default-prompt' or 'default-edge'")
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +411,10 @@ class SampleSet:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.psi1.shape == self.psi2.shape == self.p.shape) or self.psi1.ndim != 1:
             raise DomainError("psi1, psi2 and p must be equal-length 1-D arrays")
-        for name in ("psi1", "psi2"):
-            v = getattr(self, name)
-            if not np.all((v >= 0.0) & (v <= PSI_MAX)):  # NaN and +-inf fail too
-                raise DomainError(f"{name} must lie in [0, {PSI_MAX}]")
-        if self.p.size and (np.any(self.p < 0.0) or np.any(self.p > 1.0)):
-            raise DomainError("P values must lie in [0, 1]")
+        for name, v, hi in (("psi1", self.psi1, PSI_MAX), ("psi2", self.psi2, PSI_MAX),
+                            ("P", self.p, 1)):
+            if not np.all((v >= 0.0) & (v <= hi)):  # NaN and +-inf fail too
+                raise DomainError(f"{name} must lie in [0, {hi}]")
 
     def __len__(self) -> int:
         return int(self.psi1.size)
@@ -465,7 +463,7 @@ def _default_fit_init(data: SampleSet) -> SurfaceParams:
     return SurfaceParams(p0=p0, pmax=pmax, tau1=tau1, tau2=tau2, beta1=1.0, beta2=1.0)
 
 
-def fit_surface(data: SampleSet, init: SurfaceParams | None = None) -> FitResult:
+def fit_surface(data: SampleSet) -> FitResult:
     """Least-squares fit of the surface family to sampled ``(psi, P)`` rows.
 
     One bounded Levenberg–Marquardt solve (:func:`_bounded_lm`;
@@ -482,7 +480,7 @@ def fit_surface(data: SampleSet, init: SurfaceParams | None = None) -> FitResult
         )
     if np.ptp(data.p) == 0.0:
         raise DomainError("P is constant over the samples; the surface is not identifiable")
-    residual, jacobian, x0 = _fit_problem(data, init)
+    residual, jacobian, x0 = _fit_problem(data)
     x, cost, converged, steps, evals = _bounded_lm(residual, jacobian, x0,
                                                    np.array(_FIT_LOWER), np.array(_FIT_UPPER))
     if not x[0] < x[1]:
@@ -495,9 +493,9 @@ def fit_surface(data: SampleSet, init: SurfaceParams | None = None) -> FitResult
                      converged=converged, iterations=steps, evaluations=evals)
 
 
-def _fit_problem(data: SampleSet, init: SurfaceParams | None):
+def _fit_problem(data: SampleSet):
     """``(residual, jacobian, x0)`` of the fit in its six coordinates."""
-    s = init if init is not None else _default_fit_init(data)
+    s = _default_fit_init(data)
     x0 = np.r_[s.p0, s.pmax, np.log([s.tau1, s.tau2, s.beta1, s.beta2])]
     x0 = np.clip(x0, _FIT_LOWER, _FIT_UPPER)
     psi = np.stack([data.psi1, data.psi2])
@@ -569,26 +567,21 @@ def _bounded_lm(residual, jacobian, x, lower, upper):
     return x, cost, False, _FIT_MAX_STEPS, evals
 
 
-def synthetic_sample_set(
-    params: SurfaceParams,
-    seed: int,
-    noise_sigma: float = 0.0,
-    n_axis: int = 20,
-) -> SampleSet:
+def synthetic_sample_set(params: SurfaceParams, seed: int, noise_sigma: float = 0.0) -> SampleSet:
     """Deterministic synthetic samples of a known surface.
 
-    A per-axis grid of zero plus ``n_axis - 1`` BERs log-spaced from 1e-5
-    to :data:`PSI_MAX` is fully crossed, the surface evaluated, and
-    optional Gaussian noise added (clipped back into [0, 1]). Used for
+    A per-axis grid of zero plus 19 BERs log-spaced from 1e-5 to
+    :data:`PSI_MAX` is fully crossed, the surface evaluated, and optional
+    Gaussian noise added (clipped back into [0, 1]). Used for
     fit-recovery tests and to generate the bundled example CSV.
     """
-    axis = np.concatenate([[0.0], np.geomspace(1e-5, PSI_MAX, n_axis - 1)])
+    axis = np.concatenate([[0.0], np.geomspace(1e-5, PSI_MAX, 19)])
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     psi1 = g1.ravel()
     psi2 = g2.ravel()
     p = np.asarray(eval_surface(params, psi1, psi2), dtype=float)
     if noise_sigma > 0.0:
-        p = p + noise_sigma * Rng(seed).normal(p.size)
+        p = p + noise_sigma * Rng(seed).normal_at(0, p.size)
     return SampleSet(psi1=psi1, psi2=psi2, p=np.clip(p, 0.0, 1.0))
 
 

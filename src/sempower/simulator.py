@@ -22,8 +22,8 @@ symbol. Each axis then takes ``h = ceil(n_sym / 2)`` Box-Muller pairs,
 in-phase first: axis ``a`` reads its radius words from ``W + 2 a h`` and
 its angle words from ``W + (2a + 1) h``. The cosine of pair ``p`` is the
 noise of symbol ``p``, its sine that of symbol ``h + p`` (the last sine
-is unused when ``n_sym`` is odd). Drawn in sequence, this is the ``W``
-payload words followed by one ``Rng.normal(n_sym)`` per axis.
+is unused when ``n_sym`` is odd). So axis ``a``'s noise is
+``Rng.normal_at(W + 2 a h, n_sym)``.
 
 The pairs are counted in fixed blocks of ``_BLOCK_PAIRS``: each block
 draws its symbols' bits and noise by stream position and returns its

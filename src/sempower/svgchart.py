@@ -31,17 +31,20 @@ _DASHES = ("", "6,3", "2,2", "8,3,2,3")
 _WIDTH, _HEIGHT = 760, 500
 
 
-def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round-valued ticks over ``[lo, hi]``, at most six; ``[lo]`` when a fifth of the span
-    underflows (or ``hi <= lo``)."""
+def _nice_ticks(lo: float, hi: float) -> dict[str, float]:
+    """Round-valued ticks inside ``[lo, hi]`` by their labels, at most six; only ``lo`` when
+    a fifth of the span underflows (or ``hi <= lo``)."""
     raw = (hi - lo) / 5
-    if not raw >= sys.float_info.min:
-        return [lo]
-    mag = 10.0 ** math.floor(math.log10(raw))
-    step = next(mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag)
-    first = math.ceil(lo / step)  # by index: a step under half an ulp of lo never moves a sum
-    last = min(math.floor(hi / step + 1e-9), first + 5)  # hi - lo <= 5 step, up to rounding
-    return [round(k * step, 12) for k in range(first, last + 1)]
+    if raw >= sys.float_info.min:
+        mag = 10.0 ** math.floor(math.log10(raw))
+        step = next(mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag)
+        first = math.ceil(lo / step)  # by index: a step under half an ulp of lo never moves a sum
+        last = min(math.floor(hi / step + 1e-9), first + 5)  # hi - lo <= 5 step, up to rounding
+        # k * step may round past an end: clamped, it labels that end
+        ticks = [min(max(k * step, lo), hi) for k in range(first, last + 1)]
+    else:
+        ticks = [lo]
+    return {f"{v:.6g}": v for v in ticks}
 
 
 def line_chart(
@@ -106,14 +109,14 @@ def line_chart(
         out.append(
             f'<text x="{ml - 8}" y="{yy + 4:.2f}" text-anchor="end">1e{e:d}</text>'
         )
-    for v in _nice_ticks(x_lo, x_hi):
+    for label, v in _nice_ticks(x_lo, x_hi).items():
         xx = px(v)
         out.append(
             f'<line x1="{xx:.2f}" y1="{mt}" x2="{xx:.2f}" y2="{mt + ph}" '
             f'stroke="#eeeeee" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{xx:.2f}" y="{mt + ph + 18}" text-anchor="middle">{v:.6g}</text>'
+            f'<text x="{xx:.2f}" y="{mt + ph + 18}" text-anchor="middle">{label}</text>'
         )
 
     # axes

@@ -96,7 +96,8 @@ class TestFit:
         (b"psi1,psi2,P\n\xff\xfe,0,0.4\n", "can't decode"),
         (b"", "empty file"),
         (b"psi1,psi2,P\n0.7,0,0.4\n", "psi1 must lie in [0, 0.5]"),
-    ], ids=["missing", "not-utf8", "empty", "psi1-outside"])
+        (b"psi1,psi2,P\n0,0,0.4\n0.1,0.2,nan\n", "P must lie in [0, 1]"),
+    ], ids=["missing", "not-utf8", "empty", "psi1-outside", "p-nan"])
     def test_unreadable_csv_exit_2(self, tmp_path, capsys, content, message):
         samples = tmp_path / "samples.csv"
         if content is not None:
@@ -248,7 +249,7 @@ class TestStartup:
     @pytest.mark.parametrize("call, printed", [
         ("sempower.eval_curve(default_edge_curve(), [0.0]).shape", "(1,)"),
         ("sempower.q_inverse([0.5, 0.5]).tolist()", "[0.0, 0.0]"),
-        ("len(sempower.Rng(1).normal(4))", "4"),
+        ("len(sempower.Rng(1).normal_at(0, 4))", "4"),
     ], ids=["eval_curve", "q_inverse", "rng"])
     def test_numpy_loads_on_first_use(self, call, printed):
         # A fresh process, as this one has numpy loaded already.
@@ -557,6 +558,11 @@ class TestConfig:
             ({"streams": [{"modulation": "custom", "M": 3, "a": 1.0, "b": 1.0}, {}]},
              "streams[0]: M must be a power of two >= 2, got 3"),
             ({"simulation": {"snr_db": [0.0] * 1001}}, "simulation.snr_db: more than 1000 points"),
+            ({"solvers": ["bisection", "bisection"]}, "solvers: 'bisection' is repeated"),
+            ({"modulations": ["8qam", "8qam"]}, "modulations: '8qam' is repeated"),
+            ({"targets": {"start": 0.5, "stop": 0.5, "count": 3}}, "targets: 0.5 is repeated"),
+            ({"simulation": {"snr_db": [1, 2.0, 1.0]}}, "simulation.snr_db: 1.0 is repeated"),
+            ({"streams": [{"curve": "prompt"}, {}]}, "streams[0].curve: file not found"),
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, overrides, key):
@@ -565,6 +571,15 @@ class TestConfig:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {key}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_format_flag_only_on_sweep(self, tmp_path, command):
+        # only sweep writes an SVG: solve --format csv+svg wrote none
+        cfg = write_config(tmp_path, target=0.6)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--format", "csv", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_empty_config_is_the_defaults(self, tmp_path):
         empty = tmp_path / "empty.yaml"

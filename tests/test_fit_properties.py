@@ -75,7 +75,7 @@ def test_noisy_fit_is_no_worse_than_trf(truth, seed, sigma):
     assert res.converged
     if truth.pmax - truth.p0 < _IDENTIFIABLE_RISE * sigma:
         return
-    residual, jacobian, x0 = perception._fit_problem(data, None)
+    residual, jacobian, x0 = perception._fit_problem(data)
     trf = least_squares(residual, x0, jac=jacobian, method="trf",
                         bounds=(perception._FIT_LOWER, perception._FIT_UPPER),
                         xtol=1e-12, ftol=1e-12, gtol=None)

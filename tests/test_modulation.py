@@ -11,7 +11,6 @@ from sempower.modulation import (
     ber_from_snr,
     power_from_ber,
     preset,
-    snr_from_ber,
     zero_power_ber,
 )
 from sempower.numerics import q_function
@@ -85,20 +84,24 @@ class TestBerFromSnr:
                 ber_from_snr(preset("bpsk"), np.array([1.0, bad]))
 
 
+# the SNR for a BER is the power over a link with unit gain and noise
+UNIT_LINK = ChannelState(gain=1.0, noise_w=1.0)
+
+
 class TestSnrFromBer:
     def test_near_branch_top_gives_tiny_snr(self):
-        assert snr_from_ber(preset("bpsk"), 0.5 - 1e-9) < 1e-8
-        assert snr_from_ber(preset("bpsk"), 0.5) == 0.0
+        assert power_from_ber(preset("bpsk"), UNIT_LINK, 0.5 - 1e-9) < 1e-8
+        assert power_from_ber(preset("bpsk"), UNIT_LINK, 0.5) == 0.0
 
     def test_round_trip_ten_db(self):
         psi = ber_from_snr(preset("bpsk"), 10.0)
-        assert_rel(snr_from_ber(preset("bpsk"), psi), 10.0, 0.005)
+        assert_rel(power_from_ber(preset("bpsk"), UNIT_LINK, psi), 10.0, 0.005)
 
     def test_outside_branch(self):
         with pytest.raises(DomainError):
-            snr_from_ber(preset("16qam"), 0.4)
+            power_from_ber(preset("16qam"), UNIT_LINK, 0.4)
         with pytest.raises(DomainError):
-            snr_from_ber(preset("bpsk"), 0.0)
+            power_from_ber(preset("bpsk"), UNIT_LINK, 0.0)
 
     def test_round_trip_random_schemes(self):
         rng = np.random.default_rng(11)
@@ -111,7 +114,7 @@ class TestSnrFromBer:
             )
             top = zero_power_ber(m)
             psi = float(10 ** rng.uniform(-12, math.log10(top * 0.999)))
-            again = ber_from_snr(m, snr_from_ber(m, psi))
+            again = ber_from_snr(m, power_from_ber(m, UNIT_LINK, psi))
             assert abs(again - psi) <= 1e-9 * psi
 
 

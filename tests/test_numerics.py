@@ -338,12 +338,12 @@ class TestRng:
         assert abs(u.mean() - 0.5) < 0.005
 
     def test_normal_moments(self):
-        z = Rng(6).normal(1_000_000)
+        z = Rng(6).normal_at(0, 1_000_000)
         assert abs(z.mean()) < 0.005
         assert abs(z.std() - 1.0) < 0.005
 
     def test_exponential_mean(self):
-        e = Rng(8).exponential(1_000_000)
+        e = Rng(8).exponential_at(0, 1_000_000)
         assert abs(e.mean() - 1.0) < 0.005
 
     def test_bits_balance_and_determinism(self):
@@ -359,20 +359,20 @@ class TestRng:
         assert np.array_equal(r.words_at(0, 100), parts)
         parts = np.concatenate([r.bits_at(0, 370), r.bits_at(370, 630)])
         assert np.array_equal(r.bits_at(0, 1000), parts)
-        whole = Rng(11).exponential(100)
-        assert np.array_equal(whole, np.concatenate([r.exponential(37), r.exponential(63)]))
+        whole = r.exponential_at(0, 100)
+        assert np.array_equal(whole, np.concatenate([r.exponential_at(0, 37),
+                                                     r.exponential_at(37, 63)]))
 
-    def test_positional_draws_match_sequential_ones(self):
-        r, seq = Rng(12), Rng(12)
-        seq.exponential(16)  # 16 words
-        normal = seq.normal(9)  # 5 radius words, then 5 angle words
+    def test_draws_read_the_one_word_stream(self):
+        r = Rng(12)
+        normal = r.normal_at(16, 9)  # 5 radius words from 16, then 5 angle words
         bits = np.unpackbits(r.words_at(0, 16).astype(">u8").view(np.uint8))
         for pos, n in [(0, 1000), (0, 0), (63, 2), (64, 64), (130, 777)]:
             assert np.array_equal(r.bits_at(pos, n), bits[pos : pos + n])
         rad, ang = r.polar_at(16, 21, 5)
         assert np.array_equal(np.concatenate([rad * np.cos(ang), rad * np.sin(ang)])[:9], normal)
         assert np.array_equal(r.words_at(3, 4), r.words_at(0, 7)[3:])
-        assert r.normal(3).tolist() == Rng(12).normal(3).tolist()  # nothing advanced
+        assert np.array_equal(r.exponential_at(3, 4), r.exponential_at(0, 7)[3:])
 
     def test_positions_kernel_matches_contiguous_words(self):
         r = Rng(13)

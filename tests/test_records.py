@@ -64,7 +64,7 @@ def test_sample_set_lengths_must_agree():
 
 @pytest.mark.parametrize("p", [-0.1, 1.1])
 def test_sample_set_p_in_unit_interval(p):
-    with pytest.raises(DomainError, match=r"^P values must lie in \[0, 1\]$"):
+    with pytest.raises(DomainError, match=r"^P must lie in \[0, 1\]$"):
         SampleSet(psi1=np.zeros(2), psi2=np.zeros(2), p=[0.4, p])
 
 
